@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,48 @@ class TestSynthBatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             dataio.synth_batch(2, ModelConfig(), seed=1, kind="perlin")
+
+    # sha256(images.tobytes() + labels.tobytes())[:16] of kind="smooth",
+    # measured on the scalar per-(image, channel, wave) loop below.
+    @pytest.mark.parametrize("m, cfg, seed, digest", [
+        (16, ModelConfig(), 11, "255939286c00bae9"),
+        (256, ModelConfig(), 999, "783b51ada2b9e609"),
+        (3, ModelConfig(H=8, W=16), 5, "6945c520ca2e32b7"),
+        (2, ModelConfig(C=1), 2**63 + 5, "2fb17b4f0ac5ac98"),
+    ])
+    def test_smooth_bytes_pinned(self, m, cfg, seed, digest):
+        batch = dataio.synth_batch(m, cfg, seed=seed, kind="smooth")
+        raw = batch.images.tobytes() + batch.labels.tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("m, cfg, seed", [
+        (1, ModelConfig(), 0), (5, ModelConfig(H=8, W=16), 2**64 - 1),
+        (4, ModelConfig(C=1), 123),
+    ])
+    def test_smooth_matches_scalar_loop(self, m, cfg, seed):
+        batch = dataio.synth_batch(m, cfg, seed=seed, kind="smooth")
+        images, labels = _smooth_reference(m, cfg, seed)
+        assert batch.images.tobytes() == images.tobytes()
+        assert batch.labels.tobytes() == labels.tobytes()
+
+
+def _smooth_reference(m, cfg, seed):
+    """The scalar loop: four RNG draws per (image, channel, wave)."""
+    c, h, w = cfg.C, cfg.H, cfg.W
+    rng = Rng(seed)
+    images = np.empty((m, c, h, w))
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    for i in range(m):
+        for ch in range(c):
+            field = np.zeros((h, w))
+            for _ in range(3):
+                amp = 0.5 + 0.5 * rng.uniform(1)[0]
+                fy, fx = 0.25 + 1.75 * rng.uniform(2)
+                phase = 2.0 * np.pi * rng.uniform(1)[0]
+                field += amp * np.sin(2.0 * np.pi * (fy * ys + fx * xs) / h + phase)
+            lo, hi = field.min(), field.max()
+            images[i, ch] = 2.0 * (field - lo) / (hi - lo) - 1.0
+    return images, rng.integers(0, cfg.num_classes, m)
 
 
 class TestTensorFile:

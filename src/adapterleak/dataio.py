@@ -13,6 +13,7 @@ All round trips are bit-exact and all parsers reject trailing garbage.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -107,36 +108,23 @@ def synth_batch(m: int, model_cfg, seed: int, kind: str = "uniform") -> Batch:
     if kind == "uniform":
         images = rng.uniform(m * c * h * w).reshape(m, c, h, w) * 2.0 - 1.0
     elif kind == "smooth":
-        images = np.empty((m, c, h, w))
+        # Three sine waves per (image, channel). Rng is counter-based, so one
+        # draw of 12 numbers per (image, channel) -- amp, fy, fx, phase for
+        # each wave -- is the same stream as drawing them one at a time.
+        u = rng.uniform(m * c * 12).reshape(m, c, 3, 4, 1, 1)
+        amp = 0.5 + 0.5 * u[:, :, :, 0]
+        fy, fx = 0.25 + 1.75 * u[:, :, :, 1], 0.25 + 1.75 * u[:, :, :, 2]
+        phase = 2.0 * np.pi * u[:, :, :, 3]
         ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        for i in range(m):
-            for ch in range(c):
-                field = np.zeros((h, w))
-                for _ in range(3):
-                    amp = 0.5 + 0.5 * rng.uniform(1)[0]
-                    fy, fx = 0.25 + 1.75 * rng.uniform(2)
-                    phase = 2.0 * np.pi * rng.uniform(1)[0]
-                    field += amp * np.sin(2.0 * np.pi * (fy * ys + fx * xs) / h + phase)
-                lo, hi = field.min(), field.max()
-                images[i, ch] = 2.0 * (field - lo) / (hi - lo) - 1.0
+        waves = amp * np.sin(2.0 * np.pi * (fy * ys + fx * xs) / h + phase)
+        field = waves[:, :, 0] + waves[:, :, 1] + waves[:, :, 2]
+        lo = field.min(axis=(2, 3), keepdims=True)
+        hi = field.max(axis=(2, 3), keepdims=True)
+        images = 2.0 * (field - lo) / (hi - lo) - 1.0
     else:
         raise ValueError(f"unknown batch kind {kind!r}")
     labels = rng.integers(0, model_cfg.num_classes, m)
     return Batch(images, labels)
-
-
-def load_ppm_batch(directory, model_cfg) -> Batch:
-    """Read every .ppm in a directory (sorted) into a normalized batch."""
-    paths = sorted(Path(directory).glob("*.ppm"))
-    if not paths:
-        raise FormatError(f"no .ppm files under {directory}")
-    images = []
-    for p in paths:
-        img = load_ppm(p)
-        if img.shape != (model_cfg.C, model_cfg.H, model_cfg.W):
-            raise FormatError(f"{p}: shape {img.shape} does not match the model config")
-        images.append(normalize(img))
-    return Batch(np.stack(images), np.zeros(len(images), dtype=np.int64))
 
 
 _TENSOR_MAGIC = b"PLTF"
@@ -168,11 +156,15 @@ def _tensor_from(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise FormatError("truncated dims")
     dims = struct.unpack_from(f"<{rank}Q", buf, offset) if rank else ()
     offset += 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # Python ints: a uint64 product could wrap to 0
     nbytes = 8 * count
     if offset + nbytes > len(buf):
         raise FormatError("truncated payload")
-    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
+    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
+    try:
+        data = data.reshape(dims)
+    except ValueError as exc:  # e.g. (0, 2**63) or rank > 64: no ndarray has it
+        raise FormatError(f"unsupported dims {dims}") from exc
     return data.astype(np.float64), offset + nbytes
 
 
@@ -203,6 +195,8 @@ def read_tensor_archive(path) -> dict[str, np.ndarray]:
     buf = Path(path).read_bytes()
     if buf[:4] != _ARCHIVE_MAGIC:
         raise FormatError("bad archive magic")
+    if len(buf) < 10:
+        raise FormatError("truncated archive header")
     version, count = struct.unpack_from("<HI", buf, 4)
     if version != _ARCHIVE_VERSION:
         raise FormatError(f"unsupported archive version {version}")
@@ -213,7 +207,10 @@ def read_tensor_archive(path) -> dict[str, np.ndarray]:
             raise FormatError("truncated entry name length")
         (nlen,) = struct.unpack_from("<H", buf, offset)
         offset += 2
-        name = buf[offset : offset + nlen].decode("utf-8")
+        try:
+            name = buf[offset : offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError("entry name is not UTF-8") from exc
         offset += nlen
         out[name], offset = _tensor_from(buf, offset)
     if offset != len(buf):

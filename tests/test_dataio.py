@@ -1,7 +1,11 @@
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adapterleak import dataio
 from adapterleak.errors import FormatError
@@ -205,3 +209,75 @@ class TestTensorFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             dataio.read_tensor_archive(path)
+
+    def test_archive_shorter_than_header(self, tmp_path):
+        path = tmp_path / "a.plta"
+        path.write_bytes(b"PLTA\x01\x00")
+        with pytest.raises(FormatError):
+            dataio.read_tensor_archive(path)
+
+    def test_archive_name_not_utf8(self, tmp_path):
+        path = tmp_path / "a.plta"
+        dataio.write_tensor_archive({"ab": np.ones(2)}, path)
+        path.write_bytes(path.read_bytes().replace(b"\x02\x00ab", b"\x02\x00\xff\xfe", 1))
+        with pytest.raises(FormatError):
+            dataio.read_tensor_archive(path)
+
+    # 2^40 * 2^40 wraps to 0 in uint64, so the payload must not look empty;
+    # the other dims have their payload (0 or 1 values) but fit no ndarray.
+    @pytest.mark.parametrize("dims", [(2**40, 2**40), (0, 2**63), (1,) * 65])
+    def test_dims_beyond_ndarray(self, tmp_path, dims):
+        path = tmp_path / "a.plta"
+        record = (b"PLTF" + struct.pack(f"<HBB{len(dims)}Q", 1, 0, len(dims), *dims)
+                  + bytes(8 * min(math.prod(dims), 1)))
+        path.write_bytes(b"PLTA" + struct.pack("<HIH", 1, 1, 1) + b"x" + record)
+        with pytest.raises(FormatError):
+            dataio.read_tensor_archive(path)
+
+
+def _valid_archive() -> bytes:
+    parts = [b"PLTA", struct.pack("<HI", 1, 2)]
+    for name, t in (("w", np.arange(6.0).reshape(2, 3)), ("s", np.array(-0.5))):
+        parts += [struct.pack("<H", len(name)), name.encode(), b"PLTF",
+                  struct.pack("<HBB", 1, 0, t.ndim), struct.pack(f"<{t.ndim}Q", *t.shape),
+                  t.astype("<f8").tobytes()]
+    return b"".join(parts)
+
+
+_VALID = _valid_archive()
+# Raw bytes, and a valid archive cut short or overwritten with junk at any offset.
+_archive_like = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda cut, junk: _VALID[:cut] + junk + _VALID[cut + len(junk):],
+              st.integers(0, len(_VALID)), st.binary(max_size=24)),
+)
+_tensors = st.dictionaries(
+    st.text(max_size=6),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(width=64)),
+    max_size=4,
+)
+
+
+class TestArchiveProperties:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(raw=_archive_like)
+    def test_arbitrary_bytes_parse_or_format_error(self, raw, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(raw)
+        for read in (dataio.read_tensor_archive, dataio.read_tensor):
+            try:
+                read(path)
+            except FormatError:
+                pass
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(tensors=_tensors)
+    def test_archive_round_trip_bit_exact(self, tensors, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "round.plta"
+        dataio.write_tensor_archive(tensors, path)
+        out = dataio.read_tensor_archive(path)
+        assert list(out) == list(tensors)
+        for name, t in tensors.items():
+            assert out[name].shape == t.shape
+            assert out[name].tobytes() == t.tobytes()

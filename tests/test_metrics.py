@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -96,6 +97,127 @@ class TestRecoveryRate:
         assert report.recovery_rate == 0.25
         # unrecovered slots compare mid-gray against 0.5
         assert report.mean_mse == pytest.approx((3 * 0.25) / 4, abs=1e-12)
+
+
+# Reference scoring: the per-window loop the vectorized metrics replaced,
+# kept verbatim so every field of the report stays bit-identical to it.
+def _ref_windows(img, win):
+    h, w = img.shape
+    for y in range(h - win + 1):
+        for x in range(w - win + 1):
+            yield img[y : y + win, x : x + win]
+
+
+def _ref_ssim(a, b, window=8, data_range=2.0):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim == 2:
+        a = a[None]
+        b = b[None]
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    win = min(window, a.shape[-2], a.shape[-1])
+    vals = []
+    for ch in range(a.shape[0]):
+        for wa, wb in zip(_ref_windows(a[ch], win), _ref_windows(b[ch], win)):
+            mu_a, mu_b = wa.mean(), wb.mean()
+            var_a, var_b = wa.var(), wb.var()
+            cov = ((wa - mu_a) * (wb - mu_b)).mean()
+            num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+            den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+            vals.append(num / den)
+    return float(np.mean(vals))
+
+
+def _ref_score(recovered, truth, p, c, threshold_mse=0.05):
+    m, n, _ = truth.shape
+    mses, ssims, hits = [], [], 0
+    for i in range(m):
+        for t in range(1, n + 1):
+            got = recovered.get((i, t))
+            ref = truth[i, t - 1]
+            cand = np.full_like(ref, mx.GRAY) if got is None else np.clip(got, -1, 1)
+            mse = float(np.mean((cand - ref) ** 2))
+            mses.append(mse)
+            ssims.append(_ref_ssim(cand.reshape(c, p, p), ref.reshape(c, p, p)))
+            if got is not None and mse < threshold_mse:
+                hits += 1
+    mean_mse = float(np.mean(mses))
+    return mx.ScoreReport(
+        per_patch_mse=mses,
+        mean_mse=mean_mse,
+        std_mse=float(np.std(mses)),
+        mean_ssim=float(np.mean(ssims)),
+        std_ssim=float(np.std(ssims)),
+        psnr_db=math.inf if mean_mse == 0 else 10.0 * math.log10(4.0 / mean_mse),
+        recovery_rate=hits / (m * n),
+        n_target_patches=m * n,
+    )
+
+
+KINDS = ["gray", "exact", "noisy", "clipped", "mixed"]
+
+
+def _recovery(kind, truth, gen):
+    """Recovered-patch maps of one kind for a (m, n, d) truth array."""
+    m, n, d = truth.shape
+    keys = [(i, t) for i in range(m) for t in range(1, n + 1)]
+    if kind == "gray":
+        return {}
+    if kind == "exact":
+        return {(i, t): truth[i, t - 1].copy() for i, t in keys}
+    if kind == "noisy":
+        return {(i, t): truth[i, t - 1] + 0.1 * gen.standard_normal(d)
+                for i, t in keys}
+    if kind == "clipped":
+        return {(i, t): 3.0 * gen.standard_normal(d) for i, t in keys}
+    # mixed: a random subset, each slot exact, noisy or out of range
+    out = {}
+    for i, t in keys:
+        pick = gen.integers(4)
+        if pick == 1:
+            out[(i, t)] = truth[i, t - 1].copy()
+        elif pick == 2:
+            out[(i, t)] = truth[i, t - 1] + 0.02 * gen.standard_normal(d)
+        elif pick == 3:
+            out[(i, t)] = 2.5 * gen.uniform(-1, 1, d)
+    return out
+
+
+def _assert_reports_identical(got, want):
+    for f in dataclasses.fields(mx.ScoreReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+class TestScoringPinned:
+    """Bit-equality with the per-window reference loop above."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 8, 12, 16])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_score_reconstruction_matches_reference(self, p, c, kind):
+        gen = np.random.default_rng([p, c, KINDS.index(kind)])
+        for _ in range(2):
+            m, n = int(gen.integers(1, 4)), int(gen.integers(1, 5))
+            truth = gen.uniform(-1, 1, (m, n, c * p * p))
+            recovered = _recovery(kind, truth, gen)
+            for th in (0.05, 0.005):
+                _assert_reports_identical(
+                    mx.score_reconstruction(recovered, truth, p, c, threshold_mse=th),
+                    _ref_score(recovered, truth, p, c, threshold_mse=th))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 4, 4), (1, 12, 12), (3, 16, 16),
+                                       (2, 9, 13), (3, 13, 9), (5, 20), (2, 1, 7)])
+    @pytest.mark.parametrize("window", [3, 8, 16])
+    def test_ssim_matches_reference(self, shape, window):
+        gen = np.random.default_rng([len(shape), *shape, window])
+        a = gen.uniform(-1, 1, shape)
+        pairs = [(a, gen.uniform(-1, 1, shape)),
+                 (a, a + 0.05 * gen.standard_normal(shape)),
+                 (a, a.copy()),
+                 (np.full(shape, 0.25), np.full(shape, 0.3)),
+                 (a, -a)]
+        for x, y in pairs:
+            assert repr(mx.ssim(x, y, window=window)) == repr(_ref_ssim(x, y, window=window))
 
 
 class TestWriters:

@@ -276,8 +276,6 @@ def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
         logs.append(log)
 
     assert merged is not None
-    rec_map = recovered_pixel_map(merged, stats_mn)
-    score = score_reconstruction(rec_map, truth, model_cfg.P, model_cfg.C)
     return RunResult(
         merged=merged,
         per_round=per_round,

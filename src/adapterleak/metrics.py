@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .numerics import as_f64
@@ -29,11 +30,42 @@ def psnr(a, b, peak: float = 2.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _windows(img: np.ndarray, win: int):
-    h, w = img.shape
-    for y in range(h - win + 1):
-        for x in range(w - win + 1):
-            yield img[y : y + win, x : x + win]
+def _windows(img: np.ndarray, win: int) -> np.ndarray:
+    """(B, C, ny, nx, win*win) contiguous copy of every window position.
+
+    numpy sums a window view in the pairwise order of one contiguous block,
+    so summing each copied window along its last axis matches it bit for bit.
+    """
+    view = sliding_window_view(img, (win, win), axis=(-2, -1))
+    return np.ascontiguousarray(view).reshape(*view.shape[:-2], win * win)
+
+
+def _ssim_batch(a: np.ndarray, b: np.ndarray, window: int,
+                data_range: float) -> np.ndarray:
+    """Uniform-window SSIM of each (C, H, W) image pair in (B, C, H, W) stacks.
+
+    Every window is evaluated at once, with the same floating-point
+    operations in the same order as a per-window loop over ``mean``, ``var``
+    and scalar arithmetic, so the result is bit-identical to that loop.
+    """
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    win = min(window, a.shape[-2], a.shape[-1])
+    n = win * win
+    wa, wb = _windows(a, win), _windows(b, win)
+    mu_a = wa.sum(axis=-1) / n
+    mu_b = wb.sum(axis=-1) / n
+    da = wa - mu_a[..., None]
+    db = wb - mu_b[..., None]
+    var_a = (da * da).sum(axis=-1) / n
+    var_b = (db * db).sum(axis=-1) / n
+    cov = (da * db).sum(axis=-1) / n
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    # float_power calls libm pow, as squaring a numpy scalar does
+    den = (np.float_power(mu_a, 2) + np.float_power(mu_b, 2) + c1) * (
+        var_a + var_b + c2)
+    vals = num / den
+    return vals.reshape(vals.shape[0], -1).mean(axis=-1)
 
 
 def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
@@ -48,19 +80,7 @@ def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
     if a.ndim == 2:
         a = a[None]
         b = b[None]
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    win = min(window, a.shape[-2], a.shape[-1])
-    vals = []
-    for ch in range(a.shape[0]):
-        for wa, wb in zip(_windows(a[ch], win), _windows(b[ch], win)):
-            mu_a, mu_b = wa.mean(), wb.mean()
-            var_a, var_b = wa.var(), wb.var()
-            cov = ((wa - mu_a) * (wb - mu_b)).mean()
-            num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-            den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
-            vals.append(num / den)
-    return float(np.mean(vals))
+    return float(_ssim_batch(a[None], b[None], window, data_range)[0])
 
 
 @dataclass
@@ -84,23 +104,25 @@ def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
     is the (M, N, P^2 C) ground-truth patch array. Every target patch
     contributes to the means, recovered or not.
     """
-    m, n, _ = truth.shape
-    mses, ssims, hits = [], [], 0
-    for i in range(m):
-        for t in range(1, n + 1):
-            got = recovered.get((i, t))
-            ref = truth[i, t - 1]
-            cand = np.full_like(ref, GRAY) if got is None else np.clip(got, -1, 1)
-            mse = patch_mse(cand, ref)
-            mses.append(mse)
-            shaped_a = cand.reshape(c, p, p)
-            shaped_b = ref.reshape(c, p, p)
-            ssims.append(ssim(shaped_a, shaped_b))
-            if got is not None and mse < threshold_mse:
-                hits += 1
+    m, n, d = truth.shape
+    ref = as_f64(truth).reshape(m * n, d)
+    cand = np.full((m * n, d), GRAY)
+    found = np.zeros(m * n, dtype=bool)
+    for k, key in enumerate((i, t) for i in range(m) for t in range(1, n + 1)):
+        got = recovered.get(key)
+        if got is not None:
+            if np.shape(got) != (d,):
+                raise ShapeError(f"shape mismatch {np.shape(got)} vs {(d,)}")
+            cand[k] = got
+            found[k] = True
+    cand = np.clip(cand, -1, 1)
+    mses = ((cand - ref) ** 2).mean(axis=1)
+    ssims = _ssim_batch(cand.reshape(-1, c, p, p), ref.reshape(-1, c, p, p),
+                        8, 2.0)
+    hits = int(np.count_nonzero(found & (mses < threshold_mse)))
     mean_mse = float(np.mean(mses))
     return ScoreReport(
-        per_patch_mse=mses,
+        per_patch_mse=mses.tolist(),
         mean_mse=mean_mse,
         std_mse=float(np.std(mses)),
         mean_ssim=float(np.mean(ssims)),
@@ -109,17 +131,6 @@ def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
         recovery_rate=hits / (m * n),
         n_target_patches=m * n,
     )
-
-
-def recovery_rate(recovered: dict[tuple[int, int], np.ndarray],
-                  truth: np.ndarray, threshold_mse: float = 0.05) -> float:
-    """Fraction of ground-truth patches with a valid match below the threshold."""
-    m, n, _ = truth.shape
-    hits = 0
-    for (i, t), pix in recovered.items():
-        if patch_mse(np.clip(pix, -1, 1), truth[i, t - 1]) < threshold_mse:
-            hits += 1
-    return hits / (m * n)
 
 
 def fmt(x) -> str:

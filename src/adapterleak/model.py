@@ -227,10 +227,10 @@ def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)  # numpy's own var arithmetic
     inv_sd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_sd
+    xhat = d * inv_sd
     return xhat * w + b, {"xhat": xhat, "inv_sd": inv_sd, "w": w}
 
 

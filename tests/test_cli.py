@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from adapterleak.cli import default_config_text, load_config, main
+from adapterleak.cli import (default_config_text, libc_mallopt, load_config,
+                             main)
 from adapterleak.errors import ConfigError
 
 TINY = """
@@ -35,6 +37,9 @@ adapters_per_position = 2
 kind = uniform
 public_count = 64
 """
+
+
+DESK_CFG_FILE = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 
 @pytest.fixture()
@@ -102,6 +107,22 @@ class TestRunCommand:
         main(["run", "--config", str(tiny_cfg_file), "--out", str(out)])
         assert main(["report", "--in", str(out)]) == 0
         assert (out / "mosaic.ppm").exists()
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(libc_mallopt() is None, reason="libc exports no mallopt")
+    def test_repeated_desk_run_reuses_freed_heap(self, tmp_path):
+        # Without the allocator setting in main(), every desk run faults its
+        # forward caches back in from the kernel (over 10k minor faults).
+        import resource
+        faults = []
+        for k in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            rc = main(["run", "--config", str(DESK_CFG_FILE),
+                       "--out", str(tmp_path / f"run{k}")])
+            assert rc == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[2] < 1000, faults
 
 
 class TestAttackCommand:

@@ -76,18 +76,19 @@ class TestRecoveryRate:
     def test_all_recovered_exactly(self):
         truth = Rng(8).uniform(2 * 4 * 48).reshape(2, 4, 48) * 2 - 1
         recovered = {(i, t + 1): truth[i, t] for i in range(2) for t in range(4)}
-        assert mx.recovery_rate(recovered, truth) == 1.0
+        assert mx.score_reconstruction(recovered, truth, p=4, c=3).recovery_rate == 1.0
 
     def test_none_recovered(self):
         truth = Rng(9).uniform(2 * 4 * 48).reshape(2, 4, 48)
-        assert mx.recovery_rate({}, truth) == 0.0
+        assert mx.score_reconstruction({}, truth, p=4, c=3).recovery_rate == 0.0
 
     def test_threshold_monotone(self):
         rng = Rng(10)
         truth = rng.uniform(2 * 4 * 48).reshape(2, 4, 48) * 2 - 1
         recovered = {(i, t + 1): np.clip(truth[i, t] + rng.uniform(48) * 0.3, -1, 1)
                      for i in range(2) for t in range(4)}
-        rates = [mx.recovery_rate(recovered, truth, threshold_mse=th)
+        rates = [mx.score_reconstruction(recovered, truth, p=4, c=3,
+                                         threshold_mse=th).recovery_rate
                  for th in (0.001, 0.01, 0.05, 1.0)]
         assert all(r1 <= r2 for r1, r2 in zip(rates, rates[1:]))
 

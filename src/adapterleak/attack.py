@@ -56,12 +56,6 @@ class ReconstructionReport:
         total = self.n_positions * self.m_expected
         return len(self.valid_patches) / total if total else 0.0
 
-    def per_position_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.valid_patches:
-            counts[p.position] = counts.get(p.position, 0) + 1
-        return counts
-
 
 @dataclass
 class BinHit:
@@ -73,7 +67,7 @@ class BinHit:
 
 
 def detect_active_bins(grads: AdapterGradients, plan: AttackPlan,
-                       round_idx: int, tol: float | None = None) -> list[BinHit]:
+                       tol: float | None = None) -> list[BinHit]:
     """Neuron pairs whose bias-gradient difference indicates an occupied bin.
 
     Empty bins give bit-identical consecutive bias gradients (the nested
@@ -126,8 +120,7 @@ def correct_embedding(y_raw: np.ndarray, e_pos_t: np.ndarray,
     return (y_raw - offset) / scale, scale, offset
 
 
-def recover_patch(y: np.ndarray, e_pinv: np.ndarray, e_pos_t: np.ndarray,
-                  embed_mode: str = "identity_pad") -> np.ndarray:
+def recover_patch(y: np.ndarray, e_pinv: np.ndarray, e_pos_t: np.ndarray) -> np.ndarray:
     """Pixels from a recovered embedding: E^+ (y - E_pos_t), unclamped.
 
     In average_pool mode the pseudoinverse broadcasts group means back to
@@ -176,7 +169,7 @@ def run_attack(grads: AdapterGradients, plan: AttackPlan, pos: np.ndarray,
                tol: float | None = None) -> ReconstructionReport:
     """One round of reconstruction from a gradient observation."""
     patches: list[RecoveredPatch] = []
-    for hit in detect_active_bins(grads, plan, round_idx, tol):
+    for hit in detect_active_bins(grads, plan, tol):
         a, j = hit.adapter, hit.neuron
         if hit.top:
             dw_j1 = np.zeros(grads.w_down.shape[-1])
@@ -191,7 +184,7 @@ def run_attack(grads: AdapterGradients, plan: AttackPlan, pos: np.ndarray,
             continue
         e_pos_t = pos[hit.position]
         y, scale, offset = correct_embedding(y_raw, e_pos_t, plan.correction_rows)
-        pixels = recover_patch(y, plan.e_pinv, e_pos_t, plan.embed_mode)
+        pixels = recover_patch(y, plan.e_pinv, e_pos_t)
         stat = patch_statistic(y, e_pos_t, plan.content_rows)
         fp = None
         if plan.fingerprint_enabled:
@@ -281,18 +274,3 @@ def merge_rounds(reports: list[ReconstructionReport], plan: AttackPlan,
     return ReconstructionReport(patches=kept, n_positions=base.n_positions,
                                 m_expected=base.m_expected, rounds=rounds)
 
-
-def assemble_images(report: ReconstructionReport, groups: list[list[int]],
-                    plan: AttackPlan, p: int, c: int, h: int, w: int) -> np.ndarray:
-    """Render grouped patches into images; unrecovered slots stay mid-gray."""
-    from .model import unpatchify
-
-    n = plan.n_patches
-    out = np.zeros((len(groups), c, h, w))
-    for gi, idxs in enumerate(groups):
-        patches = np.zeros((n, plan.patch_dim))
-        for i in idxs:
-            rp = report.patches[i]
-            patches[rp.position - 1] = np.clip(rp.pixels, -1.0, 1.0)
-        out[gi] = unpatchify(patches, p, c, h, w)
-    return out

@@ -14,16 +14,16 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import attack as attack_mod
-from .craft import (CraftConfig, build_attack_plan, craft_adapters,
-                    craft_backbone, measure_fingerprint_delta, plan_from_json,
-                    plan_to_json)
+from .craft import CraftConfig, craft_adapters, plan_from_json, plan_to_json
 from .dataio import denormalize, save_ppm, synth_batch
 from .errors import ConfigError
-from .flsim import DefenseConfig, FLConfig, config_hash, run_experiment
+from .flsim import (DefenseConfig, FLConfig, config_hash, prepare_attack,
+                    run_experiment)
 from .grad import finite_diff_check, parallel_map, thread_count
 from .metrics import fmt, write_csv, write_json
 from .model import AdapterSet, ModelConfig, random_backbone
@@ -63,11 +63,25 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_bool(v: str) -> bool:
+# Sections that fill one config dataclass each, converted by its field types.
+_DATACLASSES = {"model": ModelConfig, "craft": CraftConfig, "fl": FLConfig,
+                "defense": DefenseConfig}
+
+
+def _convert(section: str, key: str, text: str, kind: type):
+    """``text`` as ``kind`` (int, float, str or bool), else ConfigError."""
     try:
-        return _BOOL[v.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {v!r}") from None
+        return _BOOL[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key} = {text!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
+def _dataclass_from(section: str, values: dict[str, str]):
+    cls = _DATACLASSES[section]
+    types = get_type_hints(cls)
+    return cls(**{key: _convert(section, key, text, types[key])
+                  for key, text in values.items()})
 
 
 @dataclass
@@ -90,14 +104,17 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        given = {section: dict(parser[section]) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     merged = {s: dict(kv) for s, kv in _DEFAULTS.items()}
-    for section in parser.sections():
+    for section, values in given.items():
         if section not in merged:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser[section].items():
+        for key, value in values.items():
             if key not in merged[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             merged[section][key] = value
@@ -105,34 +122,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _resolve(merged: dict) -> ExperimentConfig:
-    m = merged["model"]
-    model = ModelConfig(
-        D=int(m["D"]), L=int(m["L"]), num_encoders=int(m["num_encoders"]),
-        P=int(m["P"]), C=int(m["C"]), H=int(m["H"]), W=int(m["W"]),
-        r=int(m["r"]), num_classes=int(m["num_classes"]),
-        adapter_activation=m["adapter_activation"], head_mode=m["head_mode"])
-    c = merged["craft"]
-    craft = CraftConfig(
-        sigma_pos=float(c["sigma_pos"]), pos_dist=c["pos_dist"],
-        gamma=float(c["gamma"]), epsilon_up=float(c["epsilon_up"]),
-        margin=float(c["margin"]),
-        fingerprint_enabled=_parse_bool(c["fingerprint_enabled"]),
-        embed_mode=c["embed_mode"], seed=int(c["seed"]))
-    f = merged["fl"]
-    fl = FLConfig(
-        users=int(f["users"]), batch_size=int(f["batch_size"]),
-        rounds=int(f["rounds"]), local_epochs=int(f["local_epochs"]),
-        learning_rate=float(f["learning_rate"]),
-        victim_index=int(f["victim_index"]), mode=f["mode"], seed=int(f["seed"]))
-    d = merged["defense"]
-    defense = DefenseConfig(
-        kind=d["kind"], noise_rel_sigma=float(d["noise_rel_sigma"]),
-        k_fraction=float(d["k_fraction"]), quant_levels=int(d["quant_levels"]))
+    model, craft, fl, defense = (_dataclass_from(section, merged[section])
+                                 for section in _DATACLASSES)
     p = merged["plan"]
     if p["positions"].strip() == "all":
         positions = list(range(1, model.N + 1))
     else:
-        positions = [int(x) for x in p["positions"].split(",") if x.strip()]
+        positions = [_convert("plan", "positions", x, int)
+                     for x in p["positions"].split(",") if x.strip()]
     data = merged["data"]
     if data["kind"] not in ("uniform", "smooth"):
         raise ConfigError(f"unknown data kind {data['kind']!r}")
@@ -145,19 +142,11 @@ def _resolve(merged: dict) -> ExperimentConfig:
         lines.append("")
     return ExperimentConfig(
         model=model, craft=craft, fl=fl, defense=defense, positions=positions,
-        adapters_per_position=int(p["adapters_per_position"]),
-        data_kind=data["kind"], public_count=int(data["public_count"]),
+        adapters_per_position=_convert("plan", "adapters_per_position",
+                                       p["adapters_per_position"], int),
+        data_kind=data["kind"],
+        public_count=_convert("data", "public_count", data["public_count"], int),
         resolved_text="\n".join(lines))
-
-
-def default_config_text() -> str:
-    lines = []
-    for section, kv in _DEFAULTS.items():
-        lines.append(f"[{section}]")
-        for key in sorted(kv):
-            lines.append(f"{key} = {kv[key]}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
@@ -170,19 +159,9 @@ def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
 def cmd_craft(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(args.out, cfg)
-    backbone, embed_info = craft_backbone(cfg.craft, cfg.model)
-    public = synth_batch(cfg.public_count, cfg.model,
-                         seed=int(Rng(cfg.fl.seed).spawn(101).spawn(0).seed),
-                         kind=cfg.data_kind)
-    from .stats import estimate_patch_stats
-
-    stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos,
-                                 cfg.model)
-    delta = measure_fingerprint_delta(public.images, backbone.embed, cfg.model) \
-        if cfg.craft.fingerprint_enabled else 1.0
-    plan = build_attack_plan(stats, cfg.model, cfg.positions,
-                             cfg.adapters_per_position, cfg.fl.rounds,
-                             embed_info, cfg.craft, delta)
+    backbone, plan = prepare_attack(cfg.model, cfg.craft, cfg.fl, cfg.positions,
+                                    cfg.adapters_per_position, cfg.data_kind,
+                                    cfg.public_count)
     write_backbone(backbone, out / "backbone.plta")
     (out / "plan.json").write_text(plan_to_json(plan))
     for rho in range(cfg.fl.rounds):
@@ -309,10 +288,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def _sweep_values(kind: str, raw: str):
-    vals = [v.strip() for v in raw.split(",") if v.strip()]
-    if kind in ("batch", "r", "layers", "rounds"):
-        return [int(v) for v in vals]
-    return [float(v) for v in vals]
+    kind_type = float if kind == "noise" else int
+    return [_convert("sweep", kind, v.strip(), kind_type)
+            for v in raw.split(",") if v.strip()]
 
 
 def _sweep_cell(cfg: ExperimentConfig, kind: str, value, seed: int):

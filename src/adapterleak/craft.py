@@ -251,7 +251,7 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
         b_cls=np.zeros(model_cfg.num_classes),
     )
     if cfg.fingerprint_enabled:
-        craft_fingerprint_head(backbone, cfg, model_cfg)
+        craft_fingerprint_head(backbone, model_cfg)
     embed_info = {
         "e_pinv": e_pinv,
         "content_rows": content_rows,
@@ -260,8 +260,7 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
     return backbone, embed_info
 
 
-def craft_fingerprint_head(backbone: FrozenBackbone, cfg: CraftConfig,
-                           model_cfg: ModelConfig) -> FrozenBackbone:
+def craft_fingerprint_head(backbone: FrozenBackbone, model_cfg: ModelConfig) -> None:
     """Make the first encoder's last head tag every token with patch 1 content.
 
     Queries are constant (zero weights, bias = position 1's key), so every
@@ -278,7 +277,6 @@ def craft_fingerprint_head(backbone: FrozenBackbone, cfg: CraftConfig,
     enc.b_q[h] = backbone.pos[1, h * d_h : (h + 1) * d_h]
     enc.w_v[h] = 0.0
     enc.w_v[h, :, :d_h] = np.eye(d_h)
-    return backbone
 
 
 def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:

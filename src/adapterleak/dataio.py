@@ -72,11 +72,6 @@ def load_ppm(path) -> np.ndarray:
     return pixels.transpose(2, 0, 1).astype(np.float64)
 
 
-def normalize(image: np.ndarray) -> np.ndarray:
-    """Map [0, 255] pixel values onto [-1, 1]."""
-    return as_f64(image) / 127.5 - 1.0
-
-
 def denormalize(image: np.ndarray) -> np.ndarray:
     """Map [-1, 1] back to integer [0, 255]; clamps, then rounds half up."""
     x = np.clip(as_f64(image), -1.0, 1.0)

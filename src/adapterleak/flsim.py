@@ -182,7 +182,6 @@ class RoundLog:
 @dataclass
 class RunResult:
     merged: attack_mod.ReconstructionReport
-    per_round: list[attack_mod.ReconstructionReport]
     round_logs: list[RoundLog]
     score: ScoreReport
     plan: AttackPlan
@@ -207,28 +206,42 @@ def recovered_pixel_map(report: attack_mod.ReconstructionReport,
     return out
 
 
-def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
-                   fl_cfg: FLConfig, defense: DefenseConfig,
-                   positions: list[int], adapters_per_position: int,
-                   data_kind: str = "smooth", public_count: int = 256,
-                   public_images: np.ndarray | None = None) -> RunResult:
-    """Full multi-round pipeline; deterministic under the configured seeds."""
-    backbone, embed_info = craft_backbone(craft_cfg, model_cfg)
-    root = Rng(fl_cfg.seed)
-    data_rng = root.spawn(101)
-    defense_rng = root.spawn(202)
+def _data_rng(fl_cfg: FLConfig) -> Rng:
+    """Stream of every synthetic batch: public (key 0), victim (1), others (1000+)."""
+    return Rng(fl_cfg.seed).spawn(101)
 
-    if public_images is None:
-        public = synth_batch(public_count, model_cfg,
-                             seed=int(data_rng.spawn(0).seed), kind=data_kind)
-        public_images = public.images
-    stats = estimate_patch_stats(public_images, backbone.embed, backbone.pos,
+
+def prepare_attack(model_cfg: ModelConfig, craft_cfg: CraftConfig,
+                   fl_cfg: FLConfig, positions: list[int],
+                   adapters_per_position: int, data_kind: str = "smooth",
+                   public_count: int = 256) -> tuple[FrozenBackbone, AttackPlan]:
+    """The server's setup before round 0: crafted backbone and attack plan.
+
+    The plan's bin grids come from patch statistics of a public batch drawn
+    from the experiment's data stream.
+    """
+    backbone, embed_info = craft_backbone(craft_cfg, model_cfg)
+    public = synth_batch(public_count, model_cfg,
+                         seed=int(_data_rng(fl_cfg).spawn(0).seed), kind=data_kind)
+    stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos,
                                  model_cfg)
     fp_delta = 1.0
     if craft_cfg.fingerprint_enabled:
-        fp_delta = measure_fingerprint_delta(public_images, backbone.embed, model_cfg)
+        fp_delta = measure_fingerprint_delta(public.images, backbone.embed, model_cfg)
     plan = build_attack_plan(stats, model_cfg, positions, adapters_per_position,
                              fl_cfg.rounds, embed_info, craft_cfg, fp_delta)
+    return backbone, plan
+
+
+def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
+                   fl_cfg: FLConfig, defense: DefenseConfig,
+                   positions: list[int], adapters_per_position: int,
+                   data_kind: str = "smooth", public_count: int = 256) -> RunResult:
+    """Full multi-round pipeline; deterministic under the configured seeds."""
+    backbone, plan = prepare_attack(model_cfg, craft_cfg, fl_cfg, positions,
+                                    adapters_per_position, data_kind, public_count)
+    data_rng = _data_rng(fl_cfg)
+    defense_rng = Rng(fl_cfg.seed).spawn(202)
 
     m = fl_cfg.batch_size
     victim_batch = synth_batch(m, model_cfg, seed=int(data_rng.spawn(1).seed),
@@ -237,7 +250,6 @@ def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
     truth = oracle.ground_truth_patches(victim_batch, model_cfg)
 
     merged: attack_mod.ReconstructionReport | None = None
-    per_round: list[attack_mod.ReconstructionReport] = []
     logs: list[RoundLog] = []
     for rho in range(fl_cfg.rounds):
         adapters = craft_adapters(plan, backbone, craft_cfg, model_cfg, rho)
@@ -258,7 +270,6 @@ def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
         aggregate(user_grads)  # protocol step; the attack reads the victim's share
         victim_grads = user_grads[fl_cfg.victim_index]
         report = attack_mod.run_attack(victim_grads, plan, backbone.pos, rho, m)
-        per_round.append(report)
         merged = report if merged is None else attack_mod.merge_rounds(
             [merged, report], plan)
         rec_map = recovered_pixel_map(merged, stats_mn)
@@ -278,7 +289,6 @@ def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
     assert merged is not None
     return RunResult(
         merged=merged,
-        per_round=per_round,
         round_logs=logs,
         score=score,
         plan=plan,

@@ -10,6 +10,9 @@ full desk-scale sweep inside its time budget: the forward prefix up to the
 perturbed adapter is cached once, perturbation variants are evaluated in
 stacked batches through a fused suffix path, and stacks are distributed
 over one worker thread per core (``PEFTLEAK_THREADS`` caps the pool).
+The fused suffix folds the frozen backbone into per-sublayer plans, built
+afresh for every call, so the oracle always evaluates the backbone as it is
+now.
 
 ``parallel_map`` runs every thread pool of the package. While a pool runs,
 BLAS is capped at one thread (``blas_single_thread``), so pool threads and
@@ -33,20 +36,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .model import (AdapterSet, ForwardCache, FrozenBackbone, ModelConfig,
                     cross_entropy, forward)
 from .numerics import gelu, gelu_grad, normal_cdf, relu, relu_grad
 
 
 def thread_count() -> int:
-    """Worker threads per pool: ``PEFTLEAK_THREADS``, else the usable cores."""
-    env = os.environ.get("PEFTLEAK_THREADS")
-    if env:
-        return max(1, int(env))
+    """Worker threads per pool: the usable cores, capped by ``PEFTLEAK_THREADS``."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0)) or 1
+    else:
+        cores = os.cpu_count() or 1
+    env = os.environ.get("PEFTLEAK_THREADS")
+    if not env:
+        return cores
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"PEFTLEAK_THREADS must be an integer >= 1, got {env!r}")
+    return min(cap, cores)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +186,7 @@ def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndar
 def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
                       adapters: AdapterSet, cfg: ModelConfig) -> AdapterGradients:
     """Exact gradients of the mean cross-entropy loss w.r.t. adapter parameters."""
-    if cache.logits is None:
+    if cache.probs is None:
         raise ShapeError("cache was produced without recording; rerun forward")
     if len(cache.sublayers) != cfg.num_adapters:
         raise ShapeError("cache does not match the configured adapter count")
@@ -235,7 +246,6 @@ class _Workspace:
 
     def __init__(self, rows: int, cfg: ModelConfig):
         D = cfg.D
-        self.rows = rows
         self.z = np.empty((rows, D))
         self.core = np.empty((rows, D))
         self.up = np.empty((rows, D))
@@ -278,11 +288,11 @@ class _MlpPlan:
     Units that cannot be certified stay on the literal gelu path.
 
     The LayerNorm affine (w, b) is folded into the stored projections, so
-    the suffix feeds plain normalized tokens (xhat) straight in. Plans are
-    cached on the encoder, which is frozen by contract.
+    the suffix feeds plain normalized tokens (xhat) straight in.
     """
 
-    def __init__(self, enc, d: int):
+    def __init__(self, enc):
+        d = enc.w_mlp1.shape[1]
         z_max = np.sqrt(d) * np.abs(enc.ln2_w).max() + np.linalg.norm(enc.ln2_b)
         row_norms = np.linalg.norm(enc.w_mlp1, axis=1)
         sat = enc.b_mlp1 - row_norms * z_max >= 9.0 + 1e-9
@@ -300,14 +310,6 @@ class _MlpPlan:
         self.w1_live_t = np.ascontiguousarray(w[:, None] * w1_live_t)
         self.b1_live = b @ w1_live_t + enc.b_mlp1[self.live]
         self.w2_live_t = enc.w_mlp2[:, self.live].T
-
-
-def _mlp_plan(enc, d: int) -> _MlpPlan:
-    plan = getattr(enc, "_suffix_plan", None)
-    if plan is None:
-        plan = _MlpPlan(enc, d)
-        object.__setattr__(enc, "_suffix_plan", plan)
-    return plan
 
 
 class _MsaPlan:
@@ -332,14 +334,6 @@ class _MsaPlan:
         self.w_msa_t = enc.w_msa.T.copy()
 
 
-def _msa_plan(enc) -> _MsaPlan:
-    plan = getattr(enc, "_suffix_msa_plan", None)
-    if plan is None:
-        plan = _MsaPlan(enc)
-        object.__setattr__(enc, "_suffix_msa_plan", plan)
-    return plan
-
-
 def _softmax_inplace(x: np.ndarray) -> np.ndarray:
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
@@ -347,20 +341,19 @@ def _softmax_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _suffix_losses(tokens: np.ndarray, start_sub: int, backbone: FrozenBackbone,
-                   adapters: AdapterSet, cfg: ModelConfig,
-                   labels_tiled: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
+                   backbone: FrozenBackbone, adapters: AdapterSet, cfg: ModelConfig,
+                   labels_tiled: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Per-image losses for a (B, T, D) token stack resuming after ``start_sub``.
 
-    ``tokens`` is consumed (updated in place as the running residual stream).
+    ``plans[s]`` is sublayer s's ``_MsaPlan`` or ``_MlpPlan``. ``tokens`` is
+    consumed (updated in place as the running residual stream).
     """
     d_h = cfg.D_h
     relu_mode = cfg.adapter_activation == "relu"
     scale = 1.0 / np.sqrt(d_h)
     B, T, D = tokens.shape
     rows = B * T
-    if ws is None or ws.rows < rows:
-        ws = _Workspace(rows, cfg)
     tok2 = tokens.reshape(rows, D)
     z = ws.z[:rows]
     core = ws.core[:rows]
@@ -370,13 +363,12 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, backbone: FrozenBackbone,
     v = ws.v[:rows]
 
     for s in range(start_sub + 1, cfg.num_adapters):
-        enc = backbone.encoders[s // 2]
         if s % 2 == 0:
             _ln_normalize(tok2, z)
-            mp = _msa_plan(enc)
+            mp = plans[s]
             vs = (z @ mp.wv_all_t + mp.bv_all).reshape(B, T, -1)
             concat3 = concat.reshape(B, T, D)
-            for h in range(enc.w_q.shape[0]):
+            for h in range(cfg.L):
                 sl = z[:, h * d_h : (h + 1) * d_h]
                 q = (sl @ mp.wq_t[h] + mp.bq[h]).reshape(B, T, d_h)
                 k = (sl @ mp.wk_t[h] + mp.bk[h]).reshape(B, T, d_h)
@@ -387,7 +379,7 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, backbone: FrozenBackbone,
                     attn @ vs[:, :, h * d_h : (h + 1) * d_h])
             np.dot(concat, mp.w_msa_t, out=core)
         else:
-            plan = _mlp_plan(enc, D)
+            plan = plans[s]
             _ln_normalize(tok2, z)
             if plan.w_lin_t is not None:
                 np.dot(z, plan.w_lin_t, out=core)
@@ -461,13 +453,19 @@ def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
     return out
 
 
+_FD_CHUNK = 24  # perturbed parameters per suffix stack
+
+
 def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
                           batch, cfg: ModelConfig, h: float = 1e-5,
-                          chunk: int = 24, workers: int | None = None) -> AdapterGradients:
+                          workers: int | None = None) -> AdapterGradients:
     """Central-difference gradients for every adapter parameter."""
     if h <= 0:
         raise ValueError("h must be positive")
     _, _, cache = forward(batch, backbone, adapters, cfg)
+    encs = backbone.encoders
+    plans = [_MlpPlan(encs[s // 2]) if s % 2 else _MsaPlan(encs[s // 2])
+             for s in range(cfg.num_adapters)]
     act_fn = relu if cfg.adapter_activation == "relu" else gelu
     sizes = _kind_sizes(cfg)
     m = batch.size
@@ -476,11 +474,11 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
     for a in range(cfg.num_adapters):
         for kind in _KINDS:
             count = sizes[kind]
-            for start in range(0, count, chunk):
-                jobs.append((a, kind, start, min(start + chunk, count)))
+            for start in range(0, count, _FD_CHUNK):
+                jobs.append((a, kind, start, min(start + _FD_CHUNK, count)))
 
     local = threading.local()
-    rows_max = 2 * chunk * m * (cfg.N + 1)
+    rows_max = 2 * _FD_CHUNK * m * (cfg.N + 1)
 
     def run_job(job):
         a, kind, start, stop = job
@@ -494,7 +492,8 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
         labels_tiled = np.tile(batch.labels, flat.shape[0] // m)
-        losses = _suffix_losses(flat, a, backbone, adapters, cfg, labels_tiled, ws)
+        losses = _suffix_losses(flat, a, plans, backbone, adapters, cfg,
+                                labels_tiled, ws)
         losses = losses.reshape(2, len(idx), m).mean(axis=-1)
         return (losses[0] - losses[1]) / (2.0 * h)
 

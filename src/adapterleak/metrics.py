@@ -15,21 +15,6 @@ from .numerics import as_f64
 GRAY = 0.0  # mid-gray placeholder in [-1, 1] for unrecovered patches
 
 
-def patch_mse(a, b) -> float:
-    a, b = as_f64(a), as_f64(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
-def psnr(a, b, peak: float = 2.0) -> float:
-    """10 log10(peak^2 / MSE); +inf for identical inputs."""
-    mse = patch_mse(a, b)
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
-
-
 def _windows(img: np.ndarray, win: int) -> np.ndarray:
     """(B, C, ny, nx, win*win) contiguous copy of every window position.
 

@@ -215,11 +215,6 @@ def patchify_batch(images: np.ndarray, p: int) -> np.ndarray:
     return np.stack([patchify(img, p) for img in as_f64(images)])
 
 
-def embed(patch: np.ndarray, e: np.ndarray, e_pos_n: np.ndarray) -> np.ndarray:
-    """Linear patch embedding plus its position encoding."""
-    return e @ as_f64(patch) + as_f64(e_pos_n)
-
-
 def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     """x @ w_t with the leading axes flattened so BLAS sees one large GEMM."""
     lead = x.shape[:-1]
@@ -232,10 +227,6 @@ def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     inv_sd = 1.0 / np.sqrt(var + LN_EPS)
     xhat = d * inv_sd
     return xhat * w + b, {"xhat": xhat, "inv_sd": inv_sd, "w": w}
-
-
-def _activation(cfg: ModelConfig):
-    return relu if cfg.adapter_activation == "relu" else gelu
 
 
 def adapter_forward(tokens: np.ndarray, adapter: Adapter, activation: str = "relu"):
@@ -290,13 +281,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class ForwardCache:
-    tokens0: np.ndarray  # embeddings entering encoder 0, (M, N+1, D)
     sublayers: list = field(default_factory=list)  # per-sublayer dicts
     final: dict = field(default_factory=dict)
-    logits: np.ndarray | None = None
     probs: np.ndarray | None = None
-    losses: np.ndarray | None = None
-    loss: float = 0.0
 
     def adapter_input(self, a: int) -> np.ndarray:
         return self.sublayers[a]["adapter"]["input"]
@@ -324,46 +311,34 @@ def _run_sublayer(tokens, s, backbone, adapters, cfg, record):
     else:
         core, core_cache = _mlp_forward(z, enc)
     a_out, a_cache = adapter_forward(core, adapters[s], cfg.adapter_activation)
-    new_tokens = tokens + a_out
-    if record is not None:
-        record.append({
-            "u": tokens, "ln": ln_cache, "z": z, "is_msa": is_msa,
-            "core": core_cache, "adapter": a_cache, "a_out": a_out,
-        })
-    return new_tokens
+    record.append({
+        "u": tokens, "ln": ln_cache, "z": z, "is_msa": is_msa,
+        "core": core_cache, "adapter": a_cache, "a_out": a_out,
+    })
+    return tokens + a_out
 
 
-def _head(tokens, backbone, cfg, labels, record=None):
+def _head(tokens, backbone, cfg, labels, record):
     zf, lnf_cache = _layer_norm_cached(tokens, backbone.ln_f_w, backbone.ln_f_b)
     if cfg.head_mode == "mean_pool":
         pooled = zf.mean(axis=-2)
     else:
         pooled = zf[..., 0, :]
     logits = _dot(pooled, backbone.w_cls.T) + backbone.b_cls
-    flat_logits = logits.reshape(-1, cfg.num_classes)
-    loss, probs, losses = cross_entropy(flat_logits, labels)
-    if record is not None:
-        record.update({"u": tokens, "ln": lnf_cache, "zf": zf, "pooled": pooled,
-                       "labels": np.asarray(labels)})
-    return logits, loss, probs, losses
+    loss, probs, _ = cross_entropy(logits.reshape(-1, cfg.num_classes), labels)
+    record.update({"u": tokens, "ln": lnf_cache, "zf": zf, "pooled": pooled,
+                   "labels": np.asarray(labels)})
+    return logits, loss, probs
 
 
 def forward(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
-            cfg: ModelConfig, want_cache: bool = True):
+            cfg: ModelConfig):
     """Full forward pass; returns (logits, loss, cache)."""
     if len(adapters) != cfg.num_adapters:
         raise ShapeError(f"expected {cfg.num_adapters} adapters, got {len(adapters)}")
     tokens = build_tokens(batch, backbone, cfg)
-    cache = ForwardCache(tokens0=tokens) if want_cache else None
-    record = cache.sublayers if want_cache else None
+    cache = ForwardCache()
     for s in range(cfg.num_adapters):
-        tokens = _run_sublayer(tokens, s, backbone, adapters, cfg, record)
-    final_record = cache.final if want_cache else None
-    logits, loss, probs, losses = _head(tokens, backbone, cfg, batch.labels,
-                                        record=final_record)
-    if want_cache:
-        cache.logits = logits
-        cache.probs = probs
-        cache.losses = losses
-        cache.loss = loss
+        tokens = _run_sublayer(tokens, s, backbone, adapters, cfg, cache.sublayers)
+    logits, loss, cache.probs = _head(tokens, backbone, cfg, batch.labels, cache.final)
     return logits, loss, cache

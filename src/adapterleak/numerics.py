@@ -12,8 +12,6 @@ import math
 import numpy as np
 from scipy.special import ndtr as _ndtr
 
-from .errors import ShapeError
-
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -25,25 +23,6 @@ def as_f64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with a pinned reduction order.
-
-    Accumulates rank-1 terms left-to-right over the inner dimension, so the
-    result bit-matches a naive triple loop. Use for reference checks and
-    small attacker-side algebra; hot paths use BLAS via ``@``.
-    """
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction; rejects NaN input."""
     m = as_f64(m)
@@ -52,14 +31,6 @@ def softmax_rows(m) -> np.ndarray:
     shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm(x, w, b, eps: float = 0.0) -> np.ndarray:
-    """Normalize the last axis (population variance) and apply w, b."""
-    x = as_f64(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * as_f64(w) + as_f64(b)
 
 
 def normal_cdf(x) -> np.ndarray:

@@ -35,10 +35,32 @@ def write_backbone(backbone: FrozenBackbone, path) -> None:
     write_tensor_archive(tensors, path)
 
 
+def _count(t: dict, name: str, low: int) -> int:
+    """A scalar entry that must hold an integer >= ``low``."""
+    v = t[name]
+    if v.ndim != 0 or not np.isfinite(v) or v != np.floor(v) or v < low:
+        raise FormatError(f"entry {name!r} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
+def _adapter_tensors(t: dict, kind: str) -> list[np.ndarray]:
+    """w_down, b_down, w_up, b_up, checked to agree on (A, r, D)."""
+    try:
+        w_down, b_down, w_up, b_up = (t[k] for k in ("w_down", "b_down", "w_up", "b_up"))
+    except KeyError as exc:
+        raise FormatError(f"{kind} archive missing entry {exc}") from exc
+    if w_down.ndim != 3:
+        raise FormatError(f"{kind} w_down must be (A, r, D), got shape {w_down.shape}")
+    a, r, d = w_down.shape
+    if b_down.shape != (a, r) or w_up.shape != (a, d, r) or b_up.shape != (a, d):
+        raise FormatError(f"{kind} tensors disagree with (A, r, D) = {(a, r, d)}")
+    return [w_down, b_down, w_up, b_up]
+
+
 def read_backbone(path) -> FrozenBackbone:
     t = read_tensor_archive(path)
     try:
-        n_enc = int(t["num_encoders"])
+        n_enc = _count(t, "num_encoders", 0)
         encoders = [
             EncoderParams(**{name: t[f"enc{i}_{name}"] for name in _ENC_FIELDS})
             for i in range(n_enc)
@@ -62,14 +84,8 @@ def write_adapters(adapters: AdapterSet, path) -> None:
 
 
 def read_adapters(path) -> AdapterSet:
-    t = read_tensor_archive(path)
-    try:
-        return AdapterSet([
-            Adapter(t["w_down"][i], t["b_down"][i], t["w_up"][i], t["b_up"][i])
-            for i in range(t["w_down"].shape[0])
-        ])
-    except KeyError as exc:
-        raise FormatError(f"adapter archive missing entry {exc}") from exc
+    tensors = _adapter_tensors(read_tensor_archive(path), "adapter")
+    return AdapterSet([Adapter(*parts) for parts in zip(*tensors)])
 
 
 def write_gradients(grads: AdapterGradients, batch_size: int, path) -> None:
@@ -84,8 +100,8 @@ def write_gradients(grads: AdapterGradients, batch_size: int, path) -> None:
 
 def read_gradients(path) -> tuple[AdapterGradients, int]:
     t = read_tensor_archive(path)
+    grads = AdapterGradients(*_adapter_tensors(t, "gradient"))
     try:
-        grads = AdapterGradients(t["w_down"], t["b_down"], t["w_up"], t["b_up"])
-        return grads, int(t["batch_size"])
+        return grads, _count(t, "batch_size", 1)
     except KeyError as exc:
         raise FormatError(f"gradient archive missing entry {exc}") from exc

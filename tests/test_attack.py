@@ -105,15 +105,15 @@ class TestDetect:
         zero = grads.copy()
         zero.w_down[:] = 0.0
         zero.b_down[:] = 0.0
-        assert atk.detect_active_bins(zero, plan, 0) == []
+        assert atk.detect_active_bins(zero, plan) == []
 
     def test_infinite_tolerance_empty(self, isolated_run):
         _, _, plan, _, grads, _ = isolated_run
-        assert atk.detect_active_bins(grads, plan, 0, tol=np.inf) == []
+        assert atk.detect_active_bins(grads, plan, tol=np.inf) == []
 
     def test_every_recoverable_bin_flagged(self, isolated_run):
         _, _, plan, batch, grads, _ = isolated_run
-        hits = atk.detect_active_bins(grads, plan, 0)
+        hits = atk.detect_active_bins(grads, plan)
         expected = {q for _, _, q in oracle.recoverable_intervals(plan, 1, 0)}
         assert {h.bin_index for h in hits} == expected
 

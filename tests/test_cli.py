@@ -3,8 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from adapterleak.cli import (default_config_text, libc_mallopt, load_config,
-                             main)
+from adapterleak.cli import libc_mallopt, load_config, main
 from adapterleak.errors import ConfigError
 
 TINY = """
@@ -52,7 +51,7 @@ def tiny_cfg_file(tmp_path):
 class TestConfigParsing:
     def test_defaults_resolve(self, tmp_path):
         path = tmp_path / "d.cfg"
-        path.write_text(default_config_text())
+        path.write_text("")
         cfg = load_config(path)
         assert cfg.model.D == 96
         assert cfg.positions == [1, 2, 3, 4]
@@ -78,6 +77,26 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nbogus = 1\n")
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("raw", [
+        b"D = 96\n",  # no section header
+        b"[model]\nD = 96\nD = 64\n",  # duplicate key
+        b"\xff\xfe[model]\n",
+        b"[model]\nD = abc\n",
+        b"[plan]\npositions = 1,x\n",
+        b"[defense]\nnoise_rel_sigma = lots\n",
+    ], ids=["no_header", "duplicate_key", "not_utf8", "int", "positions", "float"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(raw)
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_malformed_sweep_value_is_config_error(self, tiny_cfg_file, tmp_path):
+        rc = main(["sweep", "--config", str(tiny_cfg_file), "--vary", "batch",
+                   "--values", "2,x", "--out", str(tmp_path / "o")])
         assert rc == 2
 
 
@@ -170,6 +189,16 @@ class TestAttackCommand:
             (run_out / "plan.json").read_bytes()
         assert (craft_out / "backbone.plta").read_bytes() == \
             (run_out / "backbone.plta").read_bytes()
+
+
+    def test_desk_craft_matches_run(self, tmp_path):
+        outs = {}
+        for command in ("craft", "run"):
+            outs[command] = tmp_path / command
+            assert main([command, "--config", str(DESK_CFG_FILE),
+                         "--out", str(outs[command])]) == 0
+        for name in ("plan.json", "backbone.plta", "resolved.cfg"):
+            assert (outs["craft"] / name).read_bytes() == (outs["run"] / name).read_bytes()
 
 
 class TestGradcheckCommand:

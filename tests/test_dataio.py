@@ -51,17 +51,17 @@ class TestPpm:
 
 
 class TestNormalize:
+    # denormalize inverts x / 127.5 - 1, the [0, 255] -> [-1, 1] pixel map
     def test_endpoints(self):
-        assert dataio.normalize(np.array(255.0)) == 1.0
-        assert dataio.normalize(np.array(0.0)) == -1.0
+        assert dataio.denormalize(np.array(1.0)) == 255.0
+        assert dataio.denormalize(np.array(-1.0)) == 0.0
 
     def test_near_midpoint(self):
-        assert float(dataio.normalize(np.array(128.0))) == pytest.approx(
-            128 / 127.5 - 1.0)
+        assert float(dataio.denormalize(np.array(128 / 127.5 - 1.0))) == 128.0
 
     def test_integer_round_trip_exhaustive(self):
         vals = np.arange(256.0)
-        back = dataio.denormalize(dataio.normalize(vals))
+        back = dataio.denormalize(vals / 127.5 - 1.0)
         assert np.array_equal(back, vals)
 
     def test_denormalize_clamps(self):

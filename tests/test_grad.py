@@ -8,9 +8,11 @@ import pytest
 from adapterleak import grad
 from adapterleak.craft import CraftConfig, build_attack_plan, craft_adapters, craft_backbone
 from adapterleak.dataio import Batch, synth_batch
+from adapterleak.errors import ConfigError
 from adapterleak.grad import (AdapterGradients, backward_adapters, blas_single_thread,
                               finite_diff_check, finite_diff_gradients, parallel_map)
-from adapterleak.model import AdapterSet, ModelConfig, forward, random_backbone
+from adapterleak.model import (AdapterSet, ForwardCache, ModelConfig, forward,
+                               random_backbone)
 from adapterleak.numerics import Rng
 from adapterleak.stats import estimate_patch_stats
 
@@ -124,11 +126,10 @@ class TestBackward:
 
     def test_missing_cache_rejected(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
-        _, _, cache = forward(batch, bb, ads, cfg, want_cache=False)
         from adapterleak.errors import ShapeError
 
-        with pytest.raises((ShapeError, AttributeError)):
-            backward_adapters(cache, bb, ads, cfg)
+        with pytest.raises(ShapeError):
+            backward_adapters(ForwardCache(), bb, ads, cfg)
 
 
 class TestFiniteDiffCheck:
@@ -168,6 +169,38 @@ class TestFiniteDiffCheck:
         f1 = finite_diff_gradients(bb, ads, batch, cfg, workers=1).flat()
         f2 = finite_diff_gradients(bb, ads, batch, cfg, workers=2).flat()
         assert np.array_equal(f1, f2)
+
+    def test_backbone_edited_in_place_is_checked_as_edited(self):
+        # the oracle must differentiate the backbone as it is at call time,
+        # not a plan of it left over from an earlier call
+        cfg = ModelConfig(D=16, L=2, num_encoders=2, r=2, C=1,
+                          adapter_activation="gelu")
+        rng = Rng(3)
+        bb = random_backbone(cfg, rng.spawn(1))
+        ads = AdapterSet.random(cfg, rng.spawn(2), scale=0.2)
+        batch = synth_batch(2, cfg, seed=4, kind="uniform")
+        finite_diff_gradients(bb, ads, batch, cfg, workers=1)
+        for enc in bb.encoders:
+            enc.b_mlp1[:] = 0.0
+            enc.ln2_w *= 2.0
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+
+class TestThreadCount:
+    def test_variable_caps_the_cores(self, monkeypatch):
+        monkeypatch.setattr(grad.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.delenv("PEFTLEAK_THREADS", raising=False)
+        assert grad.thread_count() == 3
+        for env, expected in (("1", 1), ("2", 2), ("3", 3), ("64", 3)):
+            monkeypatch.setenv("PEFTLEAK_THREADS", env)
+            assert grad.thread_count() == expected, env
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    def test_invalid_value_is_config_error(self, monkeypatch, env):
+        monkeypatch.setenv("PEFTLEAK_THREADS", env)
+        with pytest.raises(ConfigError):
+            grad.thread_count()
 
 
 class TestGradientContainers:

@@ -9,33 +9,43 @@ from adapterleak.errors import ShapeError
 from adapterleak.numerics import Rng
 
 
+def _score(recovered, truth):
+    """Score (C=1, P=2) patches; ``recovered`` and ``truth`` are (M, N, 4)."""
+    rec = {(i, t + 1): recovered[i, t] for i in range(truth.shape[0])
+           for t in range(truth.shape[1])}
+    return mx.score_reconstruction(rec, truth, 2, 1)
+
+
 class TestMsePsnr:
     def test_identical_zero_mse_infinite_psnr(self):
-        a = Rng(1).uniform(48)
-        assert mx.patch_mse(a, a) == 0.0
-        assert math.isinf(mx.psnr(a, a))
+        a = (Rng(1).uniform(48) * 2 - 1).reshape(3, 4, 4)
+        report = _score(a, a)
+        assert report.per_patch_mse == [0.0] * 12
+        assert math.isinf(report.psnr_db)
 
     def test_opposite_extremes(self):
-        a = np.ones(10)
-        b = -np.ones(10)
-        assert mx.patch_mse(a, b) == 4.0
-        assert mx.psnr(a, b, peak=2.0) == 0.0
+        a = np.ones((1, 2, 4))
+        report = _score(-a, a)
+        assert report.per_patch_mse == [4.0, 4.0]
+        assert report.psnr_db == 0.0
 
     def test_against_direct_formula(self):
         rng = Rng(2)
-        a, b = rng.uniform(60), rng.uniform(60)
-        expected = float(((a - b) ** 2).mean())
-        assert abs(mx.patch_mse(a, b) - expected) < 1e-12
+        a, b = (rng.uniform(60) * 2 - 1).reshape(3, 5, 4), (rng.uniform(60) * 2 - 1).reshape(3, 5, 4)
+        expected = ((a - b) ** 2).mean(axis=-1).ravel()
+        report = _score(a, b)
+        assert np.max(np.abs(np.array(report.per_patch_mse) - expected)) < 1e-12
+        assert report.psnr_db == pytest.approx(10 * math.log10(4 / expected.mean()), abs=1e-12)
 
     def test_symmetry_nonnegativity(self):
         rng = Rng(3)
-        a, b = rng.uniform(30), rng.uniform(30)
-        assert mx.patch_mse(a, b) == mx.patch_mse(b, a)
-        assert mx.patch_mse(a, b) >= 0.0
+        a, b = (rng.uniform(32) * 2 - 1).reshape(2, 4, 4), (rng.uniform(32) * 2 - 1).reshape(2, 4, 4)
+        assert _score(a, b).per_patch_mse == _score(b, a).per_patch_mse
+        assert min(_score(a, b).per_patch_mse) >= 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mx.patch_mse(np.ones(3), np.ones(4))
+            mx.score_reconstruction({(0, 1): np.ones(3)}, np.ones((1, 1, 4)), 2, 1)
 
 
 class TestSsim:

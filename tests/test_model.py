@@ -65,30 +65,31 @@ class TestPatchify:
 
 class TestEmbed:
     def test_zero_patch_gives_position_encoding(self):
-        e = Rng(1).normal(0, 1, 16 * 48).reshape(16, 48)
-        e_pos = Rng(2).normal(0, 1, 16)
-        assert np.array_equal(mdl.embed(np.zeros(48), e, e_pos), e_pos)
+        cfg = tiny_cfg()
+        bb = mdl.random_backbone(cfg, Rng(1))
+        tokens = mdl.build_tokens(Batch(np.zeros((2, 3, 8, 8)), np.zeros(2)), bb, cfg)
+        assert np.array_equal(tokens[:, 1:], np.broadcast_to(bb.pos[1:], (2, 4, 16)))
+        assert np.array_equal(tokens[:, 0], np.broadcast_to(bb.class_token + bb.pos[0], (2, 16)))
 
     def test_identity_pad_structure(self):
         cfg = mdl.ModelConfig()
         bb, _ = craft_backbone(CraftConfig(seed=3), cfg)
-        y = mdl.embed(np.ones(48), bb.embed, np.zeros(96))
-        assert np.allclose(y[:48], 0.5)
-        assert np.all(y[48:] == 0.0)
+        bb.pos = np.zeros_like(bb.pos)
+        tokens = mdl.build_tokens(Batch(np.ones((1, 3, 8, 8)), np.zeros(1)), bb, cfg)
+        assert np.allclose(tokens[0, 1:, :48], 0.5)
+        assert np.all(tokens[0, 1:, 48:] == 0.0)
 
     def test_round_trip_with_recovery(self):
         from adapterleak.attack import recover_patch
-        from adapterleak.craft import craft_embedding_matrix
 
         cfg = mdl.ModelConfig()
-        cc = CraftConfig(seed=4)
-        e, e_pinv, _, _ = craft_embedding_matrix(cc, cfg)
-        rng = Rng(5)
-        x = rng.uniform(48) * 2 - 1
-        e_pos = rng.normal(0, 10, 96)
-        y = mdl.embed(x, e, e_pos)
-        back = recover_patch(y, e_pinv, e_pos)
-        assert np.max(np.abs(back - x)) < 1e-12
+        bb, embed_info = craft_backbone(CraftConfig(seed=4), cfg)
+        image = Rng(5).uniform(3 * 8 * 8).reshape(1, 3, 8, 8) * 2 - 1
+        tokens = mdl.build_tokens(Batch(image, np.zeros(1)), bb, cfg)
+        truth = mdl.patchify(image[0], cfg.P)
+        for t in range(1, cfg.N + 1):
+            back = recover_patch(tokens[0, t], embed_info["e_pinv"], bb.pos[t])
+            assert np.max(np.abs(back - truth[t - 1])) < 1e-12
 
 
 class TestMsa:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adapterleak.cli import libc_mallopt, load_config, main
@@ -216,3 +217,45 @@ class TestSweepCommand:
         assert lines[0] == "sweep_name,x_value,recovery_rate,mean_mse,mean_ssim"
         assert len(lines) == 3
         assert lines[1].startswith("batch,2,")
+
+    @pytest.mark.parametrize("vary,values", [("batch", "2,4"), ("noise", "0,0.3"),
+                                             ("r", "2,4")])
+    def test_csv_independent_of_threads_and_matches_runs(self, tiny_cfg_file,
+                                                         tmp_path, monkeypatch,
+                                                         vary, values):
+        from adapterleak.metrics import write_csv
+
+        csv = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PEFTLEAK_THREADS", threads)
+            out = tmp_path / f"sweep{threads}"
+            assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
+                         "--values", values, "--seeds", "2", "--out", str(out)]) == 0
+            csv[threads] = (out / "sweep.csv").read_bytes()
+        assert csv["1"] == csv["2"]
+
+        # every cell again as its own `run`, averaged over seeds as the sweep does
+        rows = []
+        for raw in values.split(","):
+            value = float(raw) if vary == "noise" else int(raw)
+            cells = []
+            for seed in (11, 1011):
+                text = TINY.replace("seed = 11", f"seed = {seed}")
+                if vary == "batch":
+                    text = text.replace("batch_size = 4", f"batch_size = {raw}")
+                elif vary == "r":
+                    text = text.replace("r = 4", f"r = {raw}")
+                else:
+                    text += f"\n[defense]\nkind = gaussian_noise\nnoise_rel_sigma = {raw}\n"
+                cfg = tmp_path / f"cell_{raw}_{seed}.cfg"
+                cfg.write_text(text)
+                run_out = tmp_path / f"run_{raw}_{seed}"
+                assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+                summary = json.loads((run_out / "summary.json").read_text())
+                cells.append([summary[k] for k in ("recovery_rate", "mean_mse",
+                                                   "mean_ssim")])
+            rows.append([vary, value, *(float(x) for x in np.mean(cells, axis=0))])
+        write_csv(tmp_path / "expected.csv",
+                  ["sweep_name", "x_value", "recovery_rate", "mean_mse", "mean_ssim"],
+                  rows)
+        assert (tmp_path / "expected.csv").read_bytes() == csv["1"]

@@ -36,8 +36,6 @@ class RecoveredPatch:
     stat_check: float
     valid: bool
     fingerprint: np.ndarray | None = None
-    scale: float = 1.0
-    offset: float = 0.0
 
 
 @dataclass
@@ -191,8 +189,7 @@ def run_attack(grads: AdapterGradients, plan: AttackPlan, pos: np.ndarray,
             fp = extract_fingerprint(y_raw, scale, offset, e_pos_t, plan)
         patch = RecoveredPatch(
             position=hit.position, bin_index=hit.bin_index, round_idx=round_idx,
-            pixels=pixels, stat_check=stat, valid=False, fingerprint=fp,
-            scale=scale, offset=offset)
+            pixels=pixels, stat_check=stat, valid=False, fingerprint=fp)
         patch.valid = validate(patch, plan)
         patches.append(patch)
     return ReconstructionReport(patches=patches, n_positions=plan.n_patches,

@@ -12,18 +12,18 @@ import configparser
 import ctypes
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from . import attack as attack_mod
-from .craft import CraftConfig, craft_adapters, plan_from_json, plan_to_json
+from .craft import CraftConfig, plan_from_json, plan_to_json
 from .dataio import denormalize, save_ppm, synth_batch
 from .errors import ConfigError
-from .flsim import (DefenseConfig, FLConfig, config_hash, prepare_attack,
-                    run_experiment)
+from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
+                    prepare_attack, run_experiment)
 from .grad import finite_diff_check, parallel_map, thread_count
 from .metrics import fmt, write_csv, write_json
 from .model import AdapterSet, ModelConfig, random_backbone
@@ -100,6 +100,11 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.resolved_text)
 
+    def setup_args(self) -> SetupArgs:
+        return SetupArgs(self.model, self.craft, self.fl.seed, self.fl.rounds,
+                         tuple(self.positions), self.adapters_per_position,
+                         self.data_kind, self.public_count)
+
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
@@ -159,13 +164,10 @@ def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
 def cmd_craft(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(args.out, cfg)
-    backbone, plan = prepare_attack(cfg.model, cfg.craft, cfg.fl, cfg.positions,
-                                    cfg.adapters_per_position, cfg.data_kind,
-                                    cfg.public_count)
-    write_backbone(backbone, out / "backbone.plta")
-    (out / "plan.json").write_text(plan_to_json(plan))
-    for rho in range(cfg.fl.rounds):
-        adapters = craft_adapters(plan, backbone, cfg.craft, cfg.model, rho)
+    setup = prepare_attack(cfg.setup_args())
+    write_backbone(setup.backbone, out / "backbone.plta")
+    (out / "plan.json").write_text(plan_to_json(setup.plan))
+    for rho, adapters in enumerate(setup.adapters):
         write_adapters(adapters, out / f"adapters_round{rho}.plta")
     print(f"crafted backbone, plan, and {cfg.fl.rounds} adapter round(s) -> {out}")
     return 0
@@ -227,10 +229,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(args.out, cfg)
     t0 = time.perf_counter()
-    result = run_experiment(cfg.model, cfg.craft, cfg.fl, cfg.defense,
-                            cfg.positions, cfg.adapters_per_position,
-                            data_kind=cfg.data_kind,
-                            public_count=cfg.public_count)
+    result = run_experiment(prepare_attack(cfg.setup_args()), cfg.fl, cfg.defense)
     _emit_run_outputs(out, cfg, result)
     # last-round victim observation plus the attacker artifacts, so the
     # attack subcommand can rerun offline from files alone
@@ -269,9 +268,7 @@ def cmd_attack(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    mc_kwargs = {**cfg.model.__dict__}
-    mc_kwargs["adapter_activation"] = "gelu"  # smooth surface for differencing
-    mc = ModelConfig(**mc_kwargs)
+    mc = replace(cfg.model, adapter_activation="gelu")  # smooth surface for differencing
     rng = Rng(cfg.craft.seed)
     backbone = random_backbone(mc, rng.spawn(1))
     adapters = AdapterSet.random(mc, rng.spawn(2), scale=0.2)
@@ -294,29 +291,22 @@ def _sweep_values(kind: str, raw: str):
 
 
 def _sweep_cell(cfg: ExperimentConfig, kind: str, value, seed: int):
-    model, fl, defense = cfg.model, cfg.fl, cfg.defense
-    positions, s_t = cfg.positions, cfg.adapters_per_position
-    mc_kwargs = {**model.__dict__}
-    fl_kwargs = {**fl.__dict__}
-    d_kwargs = {**defense.__dict__}
+    """One cell's experiment: its setup inputs, FL config and defense."""
+    setup_args, fl, defense = cfg.setup_args(), cfg.fl, cfg.defense
     if kind == "batch":
-        fl_kwargs["batch_size"] = value
+        fl = replace(fl, batch_size=value)
     elif kind == "r":
-        mc_kwargs["r"] = value
+        setup_args = replace(setup_args, model=replace(cfg.model, r=value))
     elif kind == "layers":
-        s_t = value
+        setup_args = replace(setup_args, adapters_per_position=value)
     elif kind == "rounds":
-        fl_kwargs["rounds"] = value
+        fl = replace(fl, rounds=value)
     elif kind == "noise":
-        d_kwargs.update(kind="gaussian_noise", noise_rel_sigma=value)
+        defense = replace(defense, kind="gaussian_noise", noise_rel_sigma=value)
     else:
         raise ConfigError(f"unknown sweep variable {kind!r}")
-    fl_kwargs["seed"] = seed
-    result = run_experiment(ModelConfig(**mc_kwargs), cfg.craft,
-                            FLConfig(**fl_kwargs), DefenseConfig(**d_kwargs),
-                            positions, s_t, data_kind=cfg.data_kind,
-                            public_count=cfg.public_count)
-    return result.score.recovery_rate, result.score.mean_mse, result.score.mean_ssim
+    fl = replace(fl, seed=seed)
+    return replace(setup_args, seed=fl.seed, rounds=fl.rounds), fl, defense
 
 
 def cmd_sweep(args) -> int:
@@ -325,8 +315,18 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.vary, args.values)
     seeds = [cfg.fl.seed + 1000 * i for i in range(args.seeds)]
     cells = [(v, s) for v in values for s in seeds]
-    results = dict(zip(cells, parallel_map(
-        lambda cell: _sweep_cell(cfg, args.vary, *cell), cells, thread_count())))
+    experiments = [_sweep_cell(cfg, args.vary, v, s) for v, s in cells]
+    # cells with equal setup inputs share one setup, built once and only read
+    distinct = list(dict.fromkeys(setup_args for setup_args, _, _ in experiments))
+    setups = dict(zip(distinct, parallel_map(prepare_attack, distinct,
+                                             thread_count())))
+
+    def run_cell(experiment):
+        setup_args, fl, defense = experiment
+        score = run_experiment(setups[setup_args], fl, defense).score
+        return score.recovery_rate, score.mean_mse, score.mean_ssim
+
+    results = dict(zip(cells, parallel_map(run_cell, experiments, thread_count())))
 
     rows = []
     for v in values:

@@ -38,7 +38,7 @@ from .numerics import Rng, inverse_normal_cdf, sample
 from .stats import PatchStats
 
 
-@dataclass
+@dataclass(frozen=True)
 class CraftConfig:
     sigma_pos: float = 10.0
     pos_dist: str = "gaussian"
@@ -395,31 +395,25 @@ def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig
     return w
 
 
-def _probe_batch(plan: AttackPlan, pos: np.ndarray,
-                 model_cfg: ModelConfig, round_idx: int) -> tuple[Batch, list]:
-    """Synthetic images placing one probe patch per (position, threshold)."""
-    entries = []
+def _probe_batch(plan: AttackPlan, pos: np.ndarray, t: int,
+                 model_cfg: ModelConfig, round_idx: int) -> Batch:
+    """Synthetic images placing one probe patch at position t per threshold."""
+    epc = pos[t, plan.content_rows]
     images = []
-    for t in plan.positions():
-        grid = plan.grid(t, round_idx)
-        epc = pos[t, plan.content_rows]
-        # content x with statistic exactly c: x = c / (0.5 ||epc||^2) * epc,
-        # mapped back through the embedding's row structure
-        for q, c in enumerate(grid):
-            x = np.zeros(model_cfg.patch_dim)
-            if plan.embed_mode == "identity_pad":
-                x[: len(epc)] = (c / (0.5 * (epc @ epc))) * epc
-            else:
-                per_group = (c / (0.5 * (epc @ epc))) * epc
-                x = per_group[plan.pixel_groups]
-            patches = np.zeros((model_cfg.N, model_cfg.patch_dim))
-            patches[t - 1] = x
-            img = unpatchify(patches, model_cfg.P, model_cfg.C,
-                             model_cfg.H, model_cfg.W)
-            images.append(img)
-            entries.append((t, q))
-    batch = Batch(np.stack(images), np.zeros(len(images), dtype=np.int64))
-    return batch, entries
+    # content x with statistic exactly c: x = c / (0.5 ||epc||^2) * epc,
+    # mapped back through the embedding's row structure
+    for c in plan.grid(t, round_idx):
+        x = np.zeros(model_cfg.patch_dim)
+        if plan.embed_mode == "identity_pad":
+            x[: len(epc)] = (c / (0.5 * (epc @ epc))) * epc
+        else:
+            per_group = (c / (0.5 * (epc @ epc))) * epc
+            x = per_group[plan.pixel_groups]
+        patches = np.zeros((model_cfg.N, model_cfg.patch_dim))
+        patches[t - 1] = x
+        images.append(unpatchify(patches, model_cfg.P, model_cfg.C,
+                                 model_cfg.H, model_cfg.W))
+    return Batch(np.stack(images), np.zeros(len(images), dtype=np.int64))
 
 
 def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
@@ -431,9 +425,11 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     a zero-content token set with the statistic pinned at that threshold
     through its own backbone and negates the observed pre-activation, so
     the relu boundary sits exactly at the threshold in statistic space.
-    The up-projection leaks every neuron's activation into output
-    coordinate 0 at epsilon magnitude, giving all r neurons a gradient
-    path while perturbing propagation below every tolerance in play.
+    A position's probes run only through the deepest adapter assigned to
+    it; no later sublayer is read. The up-projection leaks every neuron's
+    activation into output coordinate 0 at epsilon magnitude, giving all r
+    neurons a gradient path while perturbing propagation below every
+    tolerance in play.
 
     Weight rows and biases carry a common down_scale factor. Gating signs
     and the recovery ratio are invariant to it, but it shrinks the neuron
@@ -441,33 +437,26 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     epoch local training cannot rewrite the leak row that the
     pair-difference trick needs to stay uniform across neurons.
     """
-    d, r = model_cfg.D, model_cfg.r
+    r = model_cfg.r
     adapters = AdapterSet.zeros(model_cfg)
     for ad in adapters:
         ad.w_up[0, :] = craft_cfg.epsilon_up
 
-    rows = {t: gating_row(backbone.pos, t, plan, model_cfg, craft_cfg)
-            for t in plan.positions()}
-
-    probe, entries = _probe_batch(plan, backbone.pos, model_cfg, round_idx)
-    _, _, cache = forward(probe, backbone, AdapterSet.zeros(model_cfg), model_cfg)
-    probe_v: dict[tuple[int, int, int], float] = {}
-    for assign in plan.assignments:
-        inputs = cache.adapter_input(assign.adapter)  # (n_probe, N+1, D)
-        w = rows[assign.position]
-        for p_idx, (t, q) in enumerate(entries):
-            if t != assign.position:
-                continue
-            probe_v[(assign.adapter, t, q)] = float(w @ inputs[p_idx, t])
-
     kappa = craft_cfg.down_scale
-    for assign in plan.assignments:
-        ad = adapters[assign.adapter]
-        t = assign.position
-        ad.w_down[:] = kappa * rows[t]
-        for j in range(r):
-            q = assign.slot * r + j
-            ad.b_down[j] = -kappa * probe_v[(assign.adapter, t, q)]
+    no_adapters = AdapterSet.zeros(model_cfg)
+    for t in plan.positions():
+        row = gating_row(backbone.pos, t, plan, model_cfg, craft_cfg)
+        assigned = plan.adapters_for(t)
+        probe = _probe_batch(plan, backbone.pos, t, model_cfg, round_idx)
+        _, _, cache = forward(probe, backbone, no_adapters, model_cfg,
+                              max(a.adapter for a in assigned))
+        for assign in assigned:
+            ad = adapters[assign.adapter]
+            ad.w_down[:] = kappa * row
+            inputs = cache.adapter_input(assign.adapter)  # (k_t, N+1, D)
+            for j in range(r):
+                q = assign.slot * r + j
+                ad.b_down[j] = -kappa * float(row @ inputs[q, t])
     return adapters
 
 

@@ -27,7 +27,7 @@ from .numerics import Rng
 from .stats import estimate_patch_stats
 
 
-@dataclass
+@dataclass(frozen=True)
 class FLConfig:
     users: int = 4
     batch_size: int = 16
@@ -49,7 +49,7 @@ class FLConfig:
             raise ConfigError("need at least one round")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefenseConfig:
     kind: str = "none"
     noise_rel_sigma: float = 0.0
@@ -206,41 +206,72 @@ def recovered_pixel_map(report: attack_mod.ReconstructionReport,
     return out
 
 
-def _data_rng(fl_cfg: FLConfig) -> Rng:
+def _data_rng(seed: int) -> Rng:
     """Stream of every synthetic batch: public (key 0), victim (1), others (1000+)."""
-    return Rng(fl_cfg.seed).spawn(101)
+    return Rng(seed).spawn(101)
 
 
-def prepare_attack(model_cfg: ModelConfig, craft_cfg: CraftConfig,
-                   fl_cfg: FLConfig, positions: list[int],
-                   adapters_per_position: int, data_kind: str = "smooth",
-                   public_count: int = 256) -> tuple[FrozenBackbone, AttackPlan]:
-    """The server's setup before round 0: crafted backbone and attack plan.
+@dataclass(frozen=True)
+class SetupArgs:
+    """Every input of the server's setup; equal args build identical setups."""
+
+    model: ModelConfig
+    craft: CraftConfig
+    seed: int  # the FL seed, whose data stream draws the public batch
+    rounds: int
+    positions: tuple[int, ...]
+    adapters_per_position: int
+    data_kind: str = "smooth"
+    public_count: int = 256
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(self.positions))
+
+
+@dataclass(frozen=True)
+class AttackSetup:
+    """The server's side of an experiment, built before round 0.
+
+    Experiments only read it, so sweep cells with equal ``SetupArgs`` share
+    one.
+    """
+
+    args: SetupArgs
+    backbone: FrozenBackbone
+    plan: AttackPlan
+    adapters: tuple[AdapterSet, ...]  # one crafted set per round
+
+
+def prepare_attack(args: SetupArgs) -> AttackSetup:
+    """Crafted backbone, attack plan and every round's crafted adapters.
 
     The plan's bin grids come from patch statistics of a public batch drawn
     from the experiment's data stream.
     """
-    backbone, embed_info = craft_backbone(craft_cfg, model_cfg)
-    public = synth_batch(public_count, model_cfg,
-                         seed=int(_data_rng(fl_cfg).spawn(0).seed), kind=data_kind)
-    stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos,
-                                 model_cfg)
+    mc, cc = args.model, args.craft
+    backbone, embed_info = craft_backbone(cc, mc)
+    public = synth_batch(args.public_count, mc,
+                         seed=int(_data_rng(args.seed).spawn(0).seed),
+                         kind=args.data_kind)
+    stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos, mc)
     fp_delta = 1.0
-    if craft_cfg.fingerprint_enabled:
-        fp_delta = measure_fingerprint_delta(public.images, backbone.embed, model_cfg)
-    plan = build_attack_plan(stats, model_cfg, positions, adapters_per_position,
-                             fl_cfg.rounds, embed_info, craft_cfg, fp_delta)
-    return backbone, plan
+    if cc.fingerprint_enabled:
+        fp_delta = measure_fingerprint_delta(public.images, backbone.embed, mc)
+    plan = build_attack_plan(stats, mc, args.positions, args.adapters_per_position,
+                             args.rounds, embed_info, cc, fp_delta)
+    adapters = tuple(craft_adapters(plan, backbone, cc, mc, rho)
+                     for rho in range(args.rounds))
+    return AttackSetup(args, backbone, plan, adapters)
 
 
-def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
-                   fl_cfg: FLConfig, defense: DefenseConfig,
-                   positions: list[int], adapters_per_position: int,
-                   data_kind: str = "smooth", public_count: int = 256) -> RunResult:
+def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
+                   defense: DefenseConfig) -> RunResult:
     """Full multi-round pipeline; deterministic under the configured seeds."""
-    backbone, plan = prepare_attack(model_cfg, craft_cfg, fl_cfg, positions,
-                                    adapters_per_position, data_kind, public_count)
-    data_rng = _data_rng(fl_cfg)
+    if (fl_cfg.seed, fl_cfg.rounds) != (setup.args.seed, setup.args.rounds):
+        raise ConfigError("the setup was built for another FL seed or round count")
+    model_cfg, data_kind = setup.args.model, setup.args.data_kind
+    backbone, plan = setup.backbone, setup.plan
+    data_rng = _data_rng(fl_cfg.seed)
     defense_rng = Rng(fl_cfg.seed).spawn(202)
 
     m = fl_cfg.batch_size
@@ -252,7 +283,7 @@ def run_experiment(model_cfg: ModelConfig, craft_cfg: CraftConfig,
     merged: attack_mod.ReconstructionReport | None = None
     logs: list[RoundLog] = []
     for rho in range(fl_cfg.rounds):
-        adapters = craft_adapters(plan, backbone, craft_cfg, model_cfg, rho)
+        adapters = setup.adapters[rho]
         user_grads = []
         for u in range(fl_cfg.users):
             if u == fl_cfg.victim_index:

@@ -10,9 +10,9 @@ full desk-scale sweep inside its time budget: the forward prefix up to the
 perturbed adapter is cached once, perturbation variants are evaluated in
 stacked batches through a fused suffix path, and stacks are distributed
 over one worker thread per core (``PEFTLEAK_THREADS`` caps the pool).
-The fused suffix folds the frozen backbone into per-sublayer plans, built
-afresh for every call, so the oracle always evaluates the backbone as it is
-now.
+The fused suffix folds the frozen backbone into per-sublayer plans and a
+head plan, built afresh for every call, so the oracle always evaluates the
+backbone as it is now.
 
 ``parallel_map`` runs every thread pool of the package. While a pool runs,
 BLAS is capped at one thread (``blas_single_thread``), so pool threads and
@@ -86,6 +86,14 @@ def blas_single_thread():
     Yields the path that capped it, ``"threadpoolctl"`` or ``"openblas"``,
     or None when neither is available and BLAS runs uncapped. The count is
     process-wide, so blocks must nest, not overlap from several threads.
+
+    Without threadpoolctl only numpy's OpenBLAS is capped. scipy ships its
+    own OpenBLAS (``scipy.libs/libscipy_openblas-*.so``), which the cap
+    does not reach: a 960x96x96 ``scipy.linalg.blas.dgemm`` inside the cap
+    ran at 1.8-1.9 CPU seconds per wall second on 2 cores, numpy's at 1.1.
+    So the package
+    imports nothing from scipy but ``scipy.special``, which calls no BLAS;
+    ``tests/test_grad.py`` checks that.
     """
     try:
         from threadpoolctl import threadpool_limits
@@ -334,6 +342,14 @@ class _MsaPlan:
         self.w_msa_t = enc.w_msa.T.copy()
 
 
+class _HeadPlan:
+    """The classifier with the final LayerNorm affine folded in."""
+
+    def __init__(self, backbone: FrozenBackbone):
+        self.w_cls_t = backbone.ln_f_w[:, None] * backbone.w_cls.T
+        self.b_cls = backbone.ln_f_b @ backbone.w_cls.T + backbone.b_cls
+
+
 def _softmax_inplace(x: np.ndarray) -> np.ndarray:
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
@@ -342,12 +358,13 @@ def _softmax_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
-                   backbone: FrozenBackbone, adapters: AdapterSet, cfg: ModelConfig,
+                   adapters: AdapterSet, cfg: ModelConfig,
                    labels_tiled: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Per-image losses for a (B, T, D) token stack resuming after ``start_sub``.
 
-    ``plans[s]`` is sublayer s's ``_MsaPlan`` or ``_MlpPlan``. ``tokens`` is
-    consumed (updated in place as the running residual stream).
+    ``plans[s]`` is sublayer s's ``_MsaPlan`` or ``_MlpPlan``, and the last
+    entry is the ``_HeadPlan``. ``tokens`` is consumed (updated in place as
+    the running residual stream).
     """
     d_h = cfg.D_h
     relu_mode = cfg.adapter_activation == "relu"
@@ -404,9 +421,8 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
     _ln_normalize(tok2, z)
     zf = z.reshape(B, T, D)
     pooled = zf.mean(axis=-2) if cfg.head_mode == "mean_pool" else zf[:, 0, :]
-    w_cls_t = backbone.ln_f_w[:, None] * backbone.w_cls.T
-    b_cls = backbone.ln_f_b @ backbone.w_cls.T + backbone.b_cls
-    logits = pooled @ w_cls_t + b_cls
+    head = plans[-1]
+    logits = pooled @ head.w_cls_t + head.b_cls
     _, _, losses = cross_entropy(logits, labels_tiled)
     return losses
 
@@ -465,7 +481,7 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
     _, _, cache = forward(batch, backbone, adapters, cfg)
     encs = backbone.encoders
     plans = [_MlpPlan(encs[s // 2]) if s % 2 else _MsaPlan(encs[s // 2])
-             for s in range(cfg.num_adapters)]
+             for s in range(cfg.num_adapters)] + [_HeadPlan(backbone)]
     act_fn = relu if cfg.adapter_activation == "relu" else gelu
     sizes = _kind_sizes(cfg)
     m = batch.size
@@ -492,8 +508,7 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
         labels_tiled = np.tile(batch.labels, flat.shape[0] // m)
-        losses = _suffix_losses(flat, a, plans, backbone, adapters, cfg,
-                                labels_tiled, ws)
+        losses = _suffix_losses(flat, a, plans, adapters, cfg, labels_tiled, ws)
         losses = losses.reshape(2, len(idx), m).mean(axis=-1)
         return (losses[0] - losses[1]) / (2.0 * h)
 

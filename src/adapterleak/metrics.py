@@ -72,12 +72,9 @@ def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
 class ScoreReport:
     per_patch_mse: list[float]
     mean_mse: float
-    std_mse: float
     mean_ssim: float
-    std_ssim: float
     psnr_db: float
     recovery_rate: float
-    n_target_patches: int
 
 
 def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
@@ -109,12 +106,9 @@ def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
     return ScoreReport(
         per_patch_mse=mses.tolist(),
         mean_mse=mean_mse,
-        std_mse=float(np.std(mses)),
         mean_ssim=float(np.mean(ssims)),
-        std_ssim=float(np.std(ssims)),
         psnr_db=math.inf if mean_mse == 0 else 10.0 * math.log10(4.0 / mean_mse),
         recovery_rate=hits / (m * n),
-        n_target_patches=m * n,
     )
 
 

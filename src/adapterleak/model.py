@@ -27,7 +27,7 @@ from .numerics import Rng, as_f64, gelu, relu, softmax_rows
 LN_EPS = 0.0  # crafted designs rely on pure population statistics
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     D: int = 96
     L: int = 4
@@ -332,13 +332,23 @@ def _head(tokens, backbone, cfg, labels, record):
 
 
 def forward(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
-            cfg: ModelConfig):
-    """Full forward pass; returns (logits, loss, cache)."""
+            cfg: ModelConfig, stop_after: int | None = None):
+    """Full forward pass; returns (logits, loss, cache).
+
+    With ``stop_after = k`` only sublayers 0..k run and the head is skipped:
+    logits and loss are None, and the cache holds those k + 1 sublayers,
+    equal to the first k + 1 of a full pass.
+    """
     if len(adapters) != cfg.num_adapters:
         raise ShapeError(f"expected {cfg.num_adapters} adapters, got {len(adapters)}")
+    last = cfg.num_adapters - 1 if stop_after is None else stop_after
+    if not 0 <= last < cfg.num_adapters:
+        raise ShapeError(f"cannot stop after sublayer {last} of {cfg.num_adapters}")
     tokens = build_tokens(batch, backbone, cfg)
     cache = ForwardCache()
-    for s in range(cfg.num_adapters):
+    for s in range(last + 1):
         tokens = _run_sublayer(tokens, s, backbone, adapters, cfg, cache.sublayers)
+    if stop_after is not None:
+        return None, None, cache
     logits, loss, cache.probs = _head(tokens, backbone, cfg, batch.labels, cache.final)
     return logits, loss, cache

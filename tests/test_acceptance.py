@@ -17,7 +17,8 @@ from adapterleak.cli import main
 from adapterleak.craft import (CraftConfig, build_attack_plan, craft_adapters,
                                craft_backbone)
 from adapterleak.dataio import Batch, synth_batch
-from adapterleak.flsim import DefenseConfig, FLConfig, run_experiment
+from adapterleak.flsim import (DefenseConfig, FLConfig, SetupArgs, prepare_attack,
+                               run_experiment)
 from adapterleak.grad import backward_adapters
 from adapterleak.metrics import ssim
 from adapterleak.model import (AdapterSet, ModelConfig, build_tokens, forward,
@@ -41,8 +42,9 @@ def run_desk(*, m=16, r=8, s_t=3, positions=(1, 2, 3, 4), seed=11, rounds=1,
     mc = ModelConfig(r=r)
     fl = FLConfig(users=2, batch_size=m, rounds=rounds, seed=seed, mode=mode,
                   local_epochs=epochs, learning_rate=1e-4)
-    return run_experiment(mc, CraftConfig(seed=craft_seed), fl,
-                          defense or DefenseConfig(), list(positions), s_t)
+    setup = prepare_attack(SetupArgs(mc, CraftConfig(seed=craft_seed), seed, rounds,
+                                     positions, s_t))
+    return run_experiment(setup, fl, defense or DefenseConfig())
 
 
 def monotone_ok(values, direction: str, tol_pp: float = 0.02) -> bool:

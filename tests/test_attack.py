@@ -233,13 +233,15 @@ class TestCoverageCeiling:
     def test_valid_count_bounded_by_isolated_oracle(self):
         # sparse occupancy (M=8 over 64 thresholds): the attack's valid
         # count tracks the isolated-bin oracle within one patch
-        from adapterleak.flsim import DefenseConfig, FLConfig, run_experiment
+        from adapterleak.flsim import (DefenseConfig, FLConfig, SetupArgs,
+                                       prepare_attack, run_experiment)
 
         for seed in (11, 1011, 2011, 3011, 4011):
-            res = run_experiment(DESK, CraftConfig(seed=7),
-                                 FLConfig(users=2, batch_size=8, rounds=1,
-                                          seed=seed),
-                                 DefenseConfig(), [1], 8)
+            setup = prepare_attack(SetupArgs(DESK, CraftConfig(seed=7), seed, 1,
+                                             (1,), 8))
+            res = run_experiment(setup, FLConfig(users=2, batch_size=8, rounds=1,
+                                                 seed=seed),
+                                 DefenseConfig())
             stats_mn = oracle.true_statistics(res.victim_batch, res.backbone,
                                               DESK)
             oracle_count = oracle.isolated_count(stats_mn, res.plan, 0)

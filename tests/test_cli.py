@@ -259,3 +259,23 @@ class TestSweepCommand:
                   ["sweep_name", "x_value", "recovery_rate", "mean_mse", "mean_ssim"],
                   rows)
         assert (tmp_path / "expected.csv").read_bytes() == csv["1"]
+
+    @pytest.mark.parametrize("vary,values,setups", [
+        ("batch", "2,4,8", 2), ("noise", "0,0.3", 2), ("r", "2,4", 4),
+        ("layers", "1,2", 4)])
+    def test_each_distinct_setup_built_once(self, tiny_cfg_file, tmp_path,
+                                            monkeypatch, vary, values, setups):
+        import adapterleak.cli as cli
+
+        built = []
+        real = cli.prepare_attack
+
+        def counting(args):
+            built.append(args)
+            return real(args)
+
+        monkeypatch.setattr(cli, "prepare_attack", counting)
+        assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
+                     "--values", values, "--seeds", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert len(built) == len(set(built)) == setups

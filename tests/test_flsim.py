@@ -152,12 +152,12 @@ class TestAggregate:
 
 class TestRunExperiment:
     def test_same_seed_identical_results(self):
-        kwargs = dict(model_cfg=DESK, craft_cfg=CraftConfig(seed=7),
-                      fl_cfg=flsim.FLConfig(users=2, batch_size=8, rounds=1, seed=5),
-                      defense=flsim.DefenseConfig(), positions=[1],
-                      adapters_per_position=2)
-        r1 = flsim.run_experiment(**kwargs)
-        r2 = flsim.run_experiment(**kwargs)
+        args = flsim.SetupArgs(DESK, CraftConfig(seed=7), 5, 1, (1,), 2)
+        fl = flsim.FLConfig(users=2, batch_size=8, rounds=1, seed=5)
+        r1 = flsim.run_experiment(flsim.prepare_attack(args), fl,
+                                  flsim.DefenseConfig())
+        r2 = flsim.run_experiment(flsim.prepare_attack(args), fl,
+                                  flsim.DefenseConfig())
         assert r1.score.mean_mse == r2.score.mean_mse
         assert len(r1.merged.valid_patches) == len(r2.merged.valid_patches)
         for p1, p2 in zip(r1.merged.valid_patches, r2.merged.valid_patches):
@@ -168,15 +168,13 @@ class TestRunExperiment:
             flsim.FLConfig(users=2, victim_index=2)
 
     def test_noise_defense_degrades_mse(self):
-        base_kwargs = dict(model_cfg=DESK, craft_cfg=CraftConfig(seed=7),
-                           positions=[1, 2, 3, 4], adapters_per_position=3)
+        setup = flsim.prepare_attack(
+            flsim.SetupArgs(DESK, CraftConfig(seed=7), 5, 1, (1, 2, 3, 4), 3))
         mses = []
         for sigma in (0.0, 1.0):
             res = flsim.run_experiment(
-                fl_cfg=flsim.FLConfig(users=2, batch_size=16, rounds=1, seed=5),
-                defense=flsim.DefenseConfig(kind="gaussian_noise",
-                                            noise_rel_sigma=sigma),
-                **base_kwargs)
+                setup, flsim.FLConfig(users=2, batch_size=16, rounds=1, seed=5),
+                flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=sigma))
             mses.append(res.score.mean_mse)
         assert mses[1] > mses[0]
 
@@ -190,3 +188,65 @@ class TestRunExperiment:
         sig = inspect.signature(attack_module.run_attack)
         assert set(sig.parameters) == {"grads", "plan", "pos", "round_idx",
                                        "m_expected", "tol"}
+
+
+def _setup_digest(setup: flsim.AttackSetup) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    arrays = [setup.backbone.embed, setup.backbone.class_token, setup.backbone.pos,
+              setup.backbone.ln_f_w, setup.backbone.ln_f_b, setup.backbone.w_cls,
+              setup.backbone.b_cls]
+    for enc in setup.backbone.encoders:
+        arrays += list(vars(enc).values())
+    for adapters in setup.adapters:
+        for ad in adapters:
+            arrays += [ad.w_down, ad.b_down, ad.w_up, ad.b_up]
+    plan = setup.plan
+    arrays += [plan.stats_mu, plan.stats_sigma, plan.content_rows,
+               plan.correction_rows, plan.e_pinv, plan.fingerprint_rows,
+               *plan.thresholds.values()]
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr([vars(a) for a in plan.assignments]).encode())
+    return h.hexdigest()
+
+
+class TestSharedSetup:
+    ARGS = flsim.SetupArgs(DESK, CraftConfig(seed=7), 5, 2, (1, 3), 2)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return flsim.prepare_attack(self.ARGS)
+
+    def test_args_are_a_key(self):
+        same = flsim.SetupArgs(ModelConfig(), CraftConfig(seed=7), 5, 2, [1, 3], 2)
+        assert same == self.ARGS and hash(same) == hash(self.ARGS)
+        assert flsim.SetupArgs(ModelConfig(r=4), CraftConfig(seed=7), 5, 2,
+                               (1, 3), 2) != self.ARGS
+
+    @pytest.mark.parametrize("mode,defense", [
+        ("single_step", flsim.DefenseConfig()),
+        ("fedavg", flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=0.1)),
+        ("single_step", flsim.DefenseConfig(kind="topk_prune", k_fraction=0.5)),
+    ])
+    def test_experiments_leave_setup_unchanged(self, setup, mode, defense):
+        before = _setup_digest(setup)
+        fl = flsim.FLConfig(users=2, batch_size=4, rounds=2, seed=5, mode=mode,
+                            local_epochs=2)
+        flsim.run_experiment(setup, fl, defense)
+        assert _setup_digest(setup) == before
+
+    def test_shared_setup_gives_fresh_setup_results(self, setup):
+        fl = flsim.FLConfig(users=2, batch_size=4, rounds=2, seed=5)
+        shared = flsim.run_experiment(setup, fl, flsim.DefenseConfig())
+        fresh = flsim.run_experiment(flsim.prepare_attack(self.ARGS), fl,
+                                     flsim.DefenseConfig())
+        assert repr(shared.score) == repr(fresh.score)
+        assert shared.merged.coverage == fresh.merged.coverage
+
+    @pytest.mark.parametrize("seed,rounds", [(6, 2), (5, 1)])
+    def test_setup_for_other_seed_or_rounds_rejected(self, setup, seed, rounds):
+        fl = flsim.FLConfig(users=2, batch_size=4, rounds=rounds, seed=seed)
+        with pytest.raises(ConfigError):
+            flsim.run_experiment(setup, fl, flsim.DefenseConfig())

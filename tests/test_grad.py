@@ -247,6 +247,26 @@ def blas_at_two():
 
 
 class TestBlasCap:
+    def test_src_imports_from_scipy_only_special(self):
+        # the cap reaches numpy's OpenBLAS only; scipy bundles its own
+        import ast
+        from pathlib import Path
+
+        src = Path(grad.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.name, n) for n in names
+                          if n.split(".")[0] == "scipy"
+                          and n.split(".")[:2] != ["scipy", "special"]]
+        assert found == []
+
     @needs_blas_cap
     def test_cap_reads_back_one_and_restores(self, blas_at_two):
         before = blas_at_two

@@ -187,3 +187,48 @@ class TestForward:
         _, loss_mean, _ = mdl.forward(batch, bb, ads, cfg_mean)
         _, loss_cls, _ = mdl.forward(batch, bb, ads, cfg_cls)
         assert loss_mean != loss_cls
+
+
+def _bit_equal(a, b) -> bool:
+    """Recursive exact equality of cache entries (dicts, lists, arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bit_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_bit_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+class TestTruncatedForward:
+    @pytest.mark.parametrize("head_mode", ["mean_pool", "class_token"])
+    def test_cache_is_prefix_of_full_cache(self, head_mode):
+        cfg = tiny_cfg(num_encoders=3, head_mode=head_mode)
+        bb = mdl.random_backbone(cfg, Rng(20))
+        ads = mdl.AdapterSet.random(cfg, Rng(21), scale=0.2)
+        batch = synth_batch(5, cfg, seed=22)
+        _, _, full = mdl.forward(batch, bb, ads, cfg)
+        for k in range(cfg.num_adapters):
+            logits, loss, cache = mdl.forward(batch, bb, ads, cfg, k)
+            assert logits is None and loss is None
+            assert cache.probs is None and cache.final == {}
+            assert _bit_equal(cache.sublayers, full.sublayers[: k + 1])
+
+    @pytest.mark.parametrize("stop_after", [-1, 4])
+    def test_out_of_range_rejected(self, stop_after):
+        cfg = tiny_cfg()
+        bb = mdl.random_backbone(cfg, Rng(23))
+        with pytest.raises(ShapeError):
+            mdl.forward(synth_batch(1, cfg, seed=1), bb, mdl.AdapterSet.zeros(cfg),
+                        cfg, stop_after)
+
+    def test_backward_rejects_truncated_cache(self):
+        from adapterleak.grad import backward_adapters
+
+        cfg = tiny_cfg()
+        bb = mdl.random_backbone(cfg, Rng(24))
+        ads = mdl.AdapterSet.zeros(cfg)
+        _, _, cache = mdl.forward(synth_batch(1, cfg, seed=1), bb, ads, cfg,
+                                  cfg.num_adapters - 1)
+        with pytest.raises(ShapeError):
+            backward_adapters(cache, bb, ads, cfg)

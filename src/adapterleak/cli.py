@@ -102,7 +102,7 @@ class ExperimentConfig:
 
     def setup_args(self) -> SetupArgs:
         return SetupArgs(self.model, self.craft, self.fl.seed, self.fl.rounds,
-                         tuple(self.positions), self.adapters_per_position,
+                         self.positions, self.adapters_per_position,
                          self.data_kind, self.public_count)
 
 

@@ -228,7 +228,7 @@ class SetupArgs:
         object.__setattr__(self, "positions", tuple(self.positions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackSetup:
     """The server's side of an experiment, built before round 0.
 

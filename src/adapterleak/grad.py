@@ -87,13 +87,12 @@ def blas_single_thread():
     or None when neither is available and BLAS runs uncapped. The count is
     process-wide, so blocks must nest, not overlap from several threads.
 
-    Without threadpoolctl only numpy's OpenBLAS is capped. scipy ships its
-    own OpenBLAS (``scipy.libs/libscipy_openblas-*.so``), which the cap
-    does not reach: a 960x96x96 ``scipy.linalg.blas.dgemm`` inside the cap
-    ran at 1.8-1.9 CPU seconds per wall second on 2 cores, numpy's at 1.1.
-    So the package
-    imports nothing from scipy but ``scipy.special``, which calls no BLAS;
-    ``tests/test_grad.py`` checks that.
+    Without threadpoolctl only numpy's OpenBLAS is capped, not the one
+    scipy ships (``scipy.libs/libscipy_openblas-*.so``): a 960x96x96
+    ``scipy.linalg.blas.dgemm`` inside the cap ran at 1.8-1.9 CPU seconds
+    per wall second on 2 cores, numpy's at 1.1. So the package imports
+    nothing from scipy but ``scipy.special``, which calls no BLAS
+    (``tests/test_grad.py`` checks this).
     """
     try:
         from threadpoolctl import threadpool_limits

@@ -11,8 +11,8 @@ from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import ConfigError
 from adapterleak.grad import (AdapterGradients, backward_adapters, blas_single_thread,
                               finite_diff_check, finite_diff_gradients, parallel_map)
-from adapterleak.model import (AdapterSet, ForwardCache, ModelConfig, forward,
-                               random_backbone)
+from adapterleak.model import (AdapterSet, ForwardCache, ModelConfig, cross_entropy,
+                               forward, random_backbone)
 from adapterleak.numerics import Rng
 from adapterleak.stats import estimate_patch_stats
 
@@ -185,6 +185,117 @@ class TestFiniteDiffCheck:
             enc.ln2_w *= 2.0
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+
+def brute_central(bb, ads, batch, cfg, a, kind, pos, h=1e-5):
+    """Central difference of the batch loss through ``model.forward``."""
+    losses = []
+    for step in (h, -h):
+        pert = ads.copy()
+        getattr(pert[a], kind)[pos] += step
+        losses.append(forward(batch, bb, pert, cfg)[1])
+    return (losses[0] - losses[1]) / (2.0 * h)
+
+
+class TestUnmovedParameters:
+    A, J = 2, 1  # adapter and bottleneck unit under test
+
+    def unit_entries(self, g):
+        a, j = self.A, self.J
+        return np.concatenate([g.w_down[a][j], g.b_down[a][j : j + 1], g.w_up[a][:, j]])
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_dead_unit_is_exactly_zero_and_matches_brute_force(self, activation):
+        cfg = tiny_cfg(adapter_activation=activation)
+        bb = random_backbone(cfg, Rng(7))
+        ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
+        ads[self.A].b_down[self.J] = -1e3
+        batch = synth_batch(2, cfg, seed=3, kind="uniform")
+        _, _, cache = forward(batch, bb, ads, cfg)
+        moved = grad._moved(cache, cfg, 1e-5)
+        assert not self.unit_entries(moved).any()
+        assert moved.b_up.all()
+        fd = finite_diff_gradients(bb, ads, batch, cfg, workers=1)
+        entries = self.unit_entries(fd)
+        assert np.all(entries == 0.0)
+        for kind, pos in (("w_down", (self.J, 0)), ("w_down", (self.J, 5)),
+                          ("b_down", self.J), ("w_up", (3, self.J))):
+            assert brute_central(bb, ads, batch, cfg, self.A, kind, pos) == 0.0, kind
+        # a moved entry is differenced and agrees with brute force
+        live = (int(np.flatnonzero(moved.b_down[self.A])[0]), 5)
+        assert moved.w_down[self.A][live] and fd.w_down[self.A][live] != 0.0
+        brute = brute_central(bb, ads, batch, cfg, self.A, "w_down", live)
+        assert abs(brute - fd.w_down[self.A][live]) < 1e-9
+
+    def test_barely_live_gelu_unit_is_kept(self):
+        cfg = tiny_cfg()
+        bb = random_backbone(cfg, Rng(7))
+        ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
+        ads[self.A].w_down[self.J] = 0.0
+        ads[self.A].b_down[self.J] = -30.0  # Phi(-30) ~ 5e-198: tiny, not zero
+        batch = synth_batch(2, cfg, seed=3, kind="uniform")
+        _, _, cache = forward(batch, bb, ads, cfg)
+        act = cache.sublayers[self.A]["adapter"]["act"][..., self.J]
+        assert np.all(act != 0.0) and np.all(np.abs(act) < 1e-190)
+        inp = cache.sublayers[self.A]["adapter"]["input"]
+        moved = self.unit_entries(grad._moved(cache, cfg, 1e-5))
+        assert np.array_equal(moved[: cfg.D], (inp != 0).any(axis=(0, 1)))
+        assert moved[cfg.D :].all()
+
+    def test_relu_unit_just_below_zero_is_kept(self):
+        cfg = tiny_cfg(adapter_activation="relu")
+        bb = random_backbone(cfg, Rng(7))
+        ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
+        ads[self.A].w_down[self.J] = 0.0
+        ads[self.A].b_down[self.J] = -0.5e-5  # a +h step crosses zero
+        batch = synth_batch(2, cfg, seed=3, kind="uniform")
+        _, _, cache = forward(batch, bb, ads, cfg)
+        moved = grad._moved(cache, cfg, 1e-5)
+        assert moved.b_down[self.A][self.J]
+        assert not moved.w_up[self.A][:, self.J].any()  # act is 0 everywhere
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_fused_suffix_matches_forward(self, activation):
+        cfg = tiny_cfg(adapter_activation=activation)
+        bb = random_backbone(cfg, Rng(7))
+        ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
+        batch = synth_batch(3, cfg, seed=3, kind="uniform")
+        logits, _, cache = forward(batch, bb, ads, cfg)
+        _, _, expected = cross_entropy(logits, batch.labels)
+        encs = bb.encoders
+        plans = [grad._MlpPlan(encs[s // 2]) if s % 2 else grad._MsaPlan(encs[s // 2])
+                 for s in range(cfg.num_adapters)] + [grad._HeadPlan(bb)]
+        ws = grad._Workspace(batch.size * (cfg.N + 1), cfg)
+        for a, sub in enumerate(cache.sublayers):
+            tokens = sub["u"] + sub["a_out"]
+            losses = grad._suffix_losses(tokens, a, plans, ads, cfg, batch.labels, ws)
+            assert np.max(np.abs(losses - expected)) < 1e-12, a
+
+
+class TestRefinement:
+    def test_stencil_rescues_central_truncation(self, tiny_setup):
+        # at h = 3e-4 the central pass's O(h^2) error exceeds 1e-6 somewhere
+        cfg, bb, ads, batch = tiny_setup
+        report = finite_diff_check(bb, ads, batch, cfg, h=3e-4, workers=1)
+        assert report.n_refined > 0
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+    def test_scaled_analytic_entry_still_fails(self, tiny_setup, monkeypatch):
+        cfg, bb, ads, batch = tiny_setup
+        real = grad.backward_adapters
+
+        def mutated(*args):
+            g = real(*args)
+            flat = g.flat()
+            k = int(np.argmax(np.abs(flat)))
+            flat[k] *= 1.0 + 1e-5
+            return AdapterGradients.from_flat(flat, g)
+
+        monkeypatch.setattr(grad, "backward_adapters", mutated)
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
+        assert report.n_refined >= 1
+        assert not report.passed
+        assert report.max_rel_err > 5e-6
 
 
 class TestThreadCount:

@@ -211,3 +211,15 @@ class TestRng:
     def test_integers_range(self):
         draws = nx.Rng(5).integers(2, 9, 1000)
         assert draws.min() >= 2 and draws.max() <= 8
+
+
+class TestGeluSinglePass:
+    def test_phi_is_exactly_one_past_nine(self):
+        x = np.concatenate([np.linspace(9.0, 1e3, 100_001), np.geomspace(9.0, 1e3, 10_001)])
+        assert np.all(nx.normal_cdf(x) == 1.0)
+
+    def test_single_pass_is_bit_identical_to_gelu(self):
+        x = np.concatenate([np.linspace(-60.0, 60.0, 120_001), [8.3, 9.0, 1e3, -1e3, 0.0, -0.0]])
+        y = x.copy()
+        y *= nx.normal_cdf(y)
+        assert np.array_equal(y.view(np.int64), nx.gelu(x).view(np.int64))

@@ -280,3 +280,53 @@ class TestSharedSetup:
             sys.setswitchinterval(interval)
         assert concurrent == serial * 2
         assert _setup_digest(setup) == before
+
+
+# local_step gradients and forward's loss and logits, pinned: each case
+# below was digested once and must never move. "desk" is the crafted desk
+# setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the
+# perfbench rounds shape (r=4, round 1, 5 epochs, lr 1e-4), "gelu_class" a
+# random backbone with GELU adapters and the class-token head.
+PIN_LOCAL_STEP = {
+    "desk": ("fadcb1614e2e6cb5", "93d3139ffa2e18f7", "7e85b74e59d378c6"),
+    "rounds_fedavg": ("6a42e50c1935cf9a", "95a652ed25406166", "6f149652e927db28"),
+    "gelu_class": ("142b8ca1d98e1c24", "aaa88e6a259e31ab", "01d7993e8d08337d"),
+}
+
+
+def _digest(*arrays) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pinned_local_step(case: str) -> tuple[str, str, str]:
+    if case == "gelu_class":
+        mc = ModelConfig(adapter_activation="gelu", head_mode="class_token")
+        bb = random_backbone(mc, Rng(21))
+        ads = AdapterSet.random(mc, Rng(22), scale=0.1)
+        batch = synth_batch(6, mc, seed=23, kind="uniform")
+        grads = flsim.local_step(batch, bb, ads, mc)
+    else:
+        mc, rounds, rho = (DESK, 1, 0) if case == "desk" else (ModelConfig(r=4), 4, 1)
+        setup = flsim.prepare_attack(flsim.SetupArgs(mc, CraftConfig(seed=7), 11, rounds,
+                                                     (1, 2, 3, 4), 3))
+        bb, ads = setup.backbone, setup.adapters[rho]
+        batch = synth_batch(16, mc, seed=int(flsim._data_rng(11).spawn(1).seed),
+                            kind="smooth")
+        if case == "desk":
+            grads = flsim.local_step(batch, bb, ads, mc)
+        else:
+            grads = flsim.local_fedavg(batch, bb, ads, mc, epochs=5, lr=1e-4)
+    logits, loss, _ = forward(batch, bb, ads, mc)
+    return _digest(grads.flat()), _digest(loss), _digest(logits)
+
+
+class TestLocalStepPinned:
+    @pytest.mark.parametrize("case", sorted(PIN_LOCAL_STEP))
+    def test_bytes_unchanged(self, case):
+        # (gradients, loss, logits)
+        assert _pinned_local_step(case) == PIN_LOCAL_STEP[case]

@@ -23,7 +23,7 @@ from .craft import CraftConfig, plan_from_json, plan_to_json
 from .dataio import denormalize, save_ppm, synth_batch
 from .errors import ConfigError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
-                    prepare_attack, run_experiment)
+                    prepare_attack, prepare_attacks, run_experiment)
 from .grad import finite_diff_check, parallel_map, thread_count
 from .metrics import fmt, write_csv, write_json
 from .model import AdapterSet, ModelConfig, random_backbone
@@ -213,16 +213,10 @@ def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
 def _render_recovered(result, mc: ModelConfig) -> np.ndarray:
     from .model import unpatchify
 
-    m = result.victim_batch.size
-    out = np.zeros((m, mc.C, mc.H, mc.W))
-    for i in range(m):
-        patches = np.zeros((mc.N, mc.patch_dim))
-        for t in range(1, mc.N + 1):
-            pix = result.recovered_map.get((i, t))
-            if pix is not None:
-                patches[t - 1] = np.clip(pix, -1.0, 1.0)
-        out[i] = unpatchify(patches, mc.P, mc.C, mc.H, mc.W)
-    return out
+    patches = np.zeros((result.victim_batch.size, mc.N, mc.patch_dim))
+    for (i, t), pix in result.recovered_map.items():
+        patches[i, t - 1] = np.clip(pix, -1.0, 1.0)
+    return unpatchify(patches, mc.P, mc.C, mc.H, mc.W)
 
 
 def cmd_run(args) -> int:
@@ -318,9 +312,8 @@ def cmd_sweep(args) -> int:
     cells = [(v, s) for v in values for s in seeds]
     experiments = [_sweep_cell(cfg, args.vary, v, s) for v, s in cells]
     # cells with equal setup inputs share one setup, built once and only read
-    distinct = list(dict.fromkeys(setup_args for setup_args, _, _ in experiments))
-    setups = dict(zip(distinct, parallel_map(prepare_attack, distinct,
-                                             thread_count())))
+    setups = prepare_attacks(list(dict.fromkeys(args for args, _, _ in experiments)),
+                             thread_count())
 
     def run_cell(experiment):
         setup_args, fl, defense = experiment

@@ -399,21 +399,18 @@ def _probe_batch(plan: AttackPlan, pos: np.ndarray, t: int,
                  model_cfg: ModelConfig, round_idx: int) -> Batch:
     """Synthetic images placing one probe patch at position t per threshold."""
     epc = pos[t, plan.content_rows]
-    images = []
+    grid = plan.grid(t, round_idx)
+    patches = np.zeros((len(grid), model_cfg.N, model_cfg.patch_dim))
     # content x with statistic exactly c: x = c / (0.5 ||epc||^2) * epc,
     # mapped back through the embedding's row structure
-    for c in plan.grid(t, round_idx):
-        x = np.zeros(model_cfg.patch_dim)
+    for i, c in enumerate(grid):
+        x = (c / (0.5 * (epc @ epc))) * epc
         if plan.embed_mode == "identity_pad":
-            x[: len(epc)] = (c / (0.5 * (epc @ epc))) * epc
+            patches[i, t - 1, : len(epc)] = x
         else:
-            per_group = (c / (0.5 * (epc @ epc))) * epc
-            x = per_group[plan.pixel_groups]
-        patches = np.zeros((model_cfg.N, model_cfg.patch_dim))
-        patches[t - 1] = x
-        images.append(unpatchify(patches, model_cfg.P, model_cfg.C,
-                                 model_cfg.H, model_cfg.W))
-    return Batch(np.stack(images), np.zeros(len(images), dtype=np.int64))
+            patches[i, t - 1] = x[plan.pixel_groups]
+    images = unpatchify(patches, model_cfg.P, model_cfg.C, model_cfg.H, model_cfg.W)
+    return Batch(images, np.zeros(len(grid), dtype=np.int64))
 
 
 def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,

@@ -20,7 +20,7 @@ from .craft import (AttackPlan, CraftConfig, build_attack_plan, craft_adapters,
                     craft_backbone, measure_fingerprint_delta)
 from .dataio import Batch, synth_batch
 from .errors import ConfigError
-from .grad import AdapterGradients, backward_adapters
+from .grad import AdapterGradients, backward_adapters, parallel_map
 from .metrics import ScoreReport, score_reconstruction
 from .model import AdapterSet, FrozenBackbone, ModelConfig, forward
 from .numerics import Rng
@@ -75,14 +75,11 @@ def local_step(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
     return backward_adapters(cache, backbone, adapters, cfg)
 
 
-def _adapters_minus(base: AdapterSet, grads: AdapterGradients,
-                    factor: float, cfg: ModelConfig) -> AdapterSet:
+def _adapters_minus(base: AdapterSet, grads: AdapterGradients, factor: float) -> AdapterSet:
     out = base.copy()
-    for a in range(cfg.num_adapters):
-        out[a].w_down -= factor * grads.w_down[a]
-        out[a].b_down -= factor * grads.b_down[a]
-        out[a].w_up -= factor * grads.w_up[a]
-        out[a].b_up -= factor * grads.b_up[a]
+    for a, adapter in enumerate(out):
+        for kind in ("w_down", "b_down", "w_up", "b_up"):
+            getattr(adapter, kind)[...] -= factor * getattr(grads, kind)[a]
     return out
 
 
@@ -99,22 +96,12 @@ def local_fedavg(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
         raise ConfigError("need at least one local epoch")
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
-    grad_sum: AdapterGradients | None = None
-    for _ in range(epochs):
-        current = adapters if grad_sum is None else _adapters_minus(
-            adapters, grad_sum, lr, cfg)
-        g = local_step(batch, backbone, current, cfg)
-        if grad_sum is None:
-            grad_sum = g
-        else:
-            grad_sum.w_down += g.w_down
-            grad_sum.b_down += g.b_down
-            grad_sum.w_up += g.w_up
-            grad_sum.b_up += g.b_up
-    assert grad_sum is not None
-    scale = 1.0 / epochs
-    return AdapterGradients(grad_sum.w_down * scale, grad_sum.b_down * scale,
-                            grad_sum.w_up * scale, grad_sum.b_up * scale)
+    first = local_step(batch, backbone, adapters, cfg)
+    grad_sum = first.flat()
+    for _ in range(epochs - 1):
+        current = _adapters_minus(adapters, AdapterGradients.from_flat(grad_sum, first), lr)
+        grad_sum = grad_sum + local_step(batch, backbone, current, cfg).flat()
+    return AdapterGradients.from_flat(grad_sum * (1.0 / epochs), first)
 
 
 def apply_defense(g: AdapterGradients, d: DefenseConfig, rng: Rng) -> AdapterGradients:
@@ -248,8 +235,24 @@ def prepare_attack(args: SetupArgs) -> AttackSetup:
     The plan's bin grids come from patch statistics of a public batch drawn
     from the experiment's data stream.
     """
+    return _setup_on(craft_backbone(args.craft, args.model), args)
+
+
+def prepare_attacks(distinct: list[SetupArgs], workers: int) -> dict[SetupArgs, AttackSetup]:
+    """``prepare_attack`` for each of ``distinct`` on up to ``workers`` threads.
+
+    The backbone depends only on the craft and model configs, so each
+    distinct pair is crafted once and its setups share it, read-only.
+    """
+    pairs = list(dict.fromkeys((args.craft, args.model) for args in distinct))
+    crafted = dict(zip(pairs, parallel_map(lambda p: craft_backbone(*p), pairs, workers)))
+    return dict(zip(distinct, parallel_map(
+        lambda args: _setup_on(crafted[args.craft, args.model], args), distinct, workers)))
+
+
+def _setup_on(crafted: tuple, args: SetupArgs) -> AttackSetup:
     mc, cc = args.model, args.craft
-    backbone, embed_info = craft_backbone(cc, mc)
+    backbone, embed_info = crafted
     public = synth_batch(args.public_count, mc,
                          seed=int(_data_rng(args.seed).spawn(0).seed),
                          kind=args.data_kind)

@@ -3,6 +3,10 @@
 The backbone is frozen, so only adapter gradients are materialized, but
 activation gradients are propagated through every frozen layer (LayerNorm,
 softmax attention, GELU MLP, residuals) to reach the adapters below.
+Attention reads the forward's head-first cache with stacked matmuls, and
+products with D- or 4D-wide outputs run as one GEMM over all tokens. On
+OpenBLAS both keep the bits of the per-head, per-image products on the
+checked shapes (``tests/test_flsim.py`` pins them).
 
 ``finite_diff_check`` is the independent oracle: central differences of the
 batch loss with respect to every adapter parameter. Four things keep the
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import (AdapterSet, ForwardCache, FrozenBackbone, ModelConfig,
+from .model import (AdapterSet, ForwardCache, FrozenBackbone, ModelConfig, _dot,
                     cross_entropy, forward)
 from .numerics import gelu, gelu_grad, normal_cdf, relu, relu_grad
 
@@ -176,23 +180,27 @@ def _ln_backward(d_out: np.ndarray, ln_cache: dict) -> np.ndarray:
 
 
 def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndarray:
-    d_concat = d_out @ enc.w_msa
-    L = enc.w_q.shape[0]
-    d_tokens = np.zeros_like(d_concat)
+    q, k, v, attn = (core_cache[n] for n in ("q", "k", "v", "attn"))
+    L = attn.shape[0]
+    d_concat = _dot(d_out, enc.w_msa)
+    d_heads = np.moveaxis(d_concat.reshape(*d_out.shape[:-1], L, d_h), -2, 0)
+    d_attn = d_heads @ np.swapaxes(v, -1, -2)
+    d_v = np.swapaxes(attn, -1, -2) @ d_heads
+    # softmax rows: dS = A * (dA - sum(dA * A))
+    d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
     scale = 1.0 / np.sqrt(d_h)
+    d_q = d_logits @ k * scale
+    d_k = np.swapaxes(d_logits, -1, -2) @ q * scale
+    by_rows = (L, -1, d_h)
+    d_from_v = d_v.reshape(by_rows) @ enc.w_v  # (L, rows, D)
+    d_from_qk = d_q.reshape(by_rows) @ enc.w_q + d_k.reshape(by_rows) @ enc.w_k
+    # heads are added one by one, V part then Q/K slice: summing the V
+    # parts in one GEMM would round differently
+    d_tokens = np.zeros(d_from_v.shape[1:])
     for h in range(L):
-        hc = core_cache["heads"][h]
-        d_head = d_concat[..., h * d_h : (h + 1) * d_h]
-        attn, q, k, v = hc["attn"], hc["q"], hc["k"], hc["v"]
-        d_attn = d_head @ np.swapaxes(v, -1, -2)
-        d_v = np.swapaxes(attn, -1, -2) @ d_head
-        # softmax rows: dS = A * (dA - sum(dA * A))
-        d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_q = d_logits @ k * scale
-        d_k = np.swapaxes(d_logits, -1, -2) @ q * scale
-        d_tokens += d_v @ enc.w_v[h]
-        d_tokens[..., h * d_h : (h + 1) * d_h] += d_q @ enc.w_q[h] + d_k @ enc.w_k[h]
-    return d_tokens
+        d_tokens += d_from_v[h]
+        d_tokens[:, h * d_h : (h + 1) * d_h] += d_from_qk[h]
+    return d_tokens.reshape(d_out.shape)
 
 
 def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
@@ -228,21 +236,20 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         d_a_out = d_tokens  # residual: tokens_out = u + a_out
         # adapter: out = in + act @ w_up.T + b_up
         grads.b_up[s] += d_a_out.sum(axis=(0, 1))
-        grads.w_up[s] += np.einsum("mtd,mtr->dr", d_a_out, a_cache["act"])
-        d_act = d_a_out @ ad.w_up
+        grads.w_up[s] += np.einsum("mtr,mtd->rd", a_cache["act"], d_a_out).T
+        d_act = d_a_out @ ad.w_up  # per image: a flat GEMM rounds differently at r = 2
         d_v = d_act * act_grad(a_cache["v"])
         grads.b_down[s] += d_v.sum(axis=(0, 1))
         grads.w_down[s] += np.einsum("mtr,mtd->rd", d_v, a_cache["input"])
-        d_core = d_a_out + d_v @ ad.w_down
+        d_core = d_a_out + _dot(d_v, ad.w_down)
 
         enc = backbone.encoders[s // 2]
         if sub["is_msa"]:
             d_z = _msa_backward(d_core, sub["core"], enc, cfg.D_h)
         else:
             mc = sub["core"]
-            d_hidden = d_core @ enc.w_mlp2
-            d_pre = d_hidden * gelu_grad(mc["pre"])
-            d_z = d_pre @ enc.w_mlp1
+            d_pre = _dot(d_core, enc.w_mlp2) * gelu_grad(mc["pre"])
+            d_z = _dot(d_pre, enc.w_mlp1)
         d_tokens = d_tokens + _ln_backward(d_z, sub["ln"])
 
     return grads
@@ -479,11 +486,12 @@ def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
 _FD_CHUNK = 24  # perturbed parameters per suffix stack
 
 
-def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
-                          batch, cfg: ModelConfig, h: float = 1e-5,
+def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
+                          adapters: AdapterSet, cfg: ModelConfig, h: float = 1e-5,
                           workers: int | None = None,
                           only: AdapterGradients | None = None) -> AdapterGradients:
-    """Central-difference gradients for every adapter parameter.
+    """Central-difference gradients for every adapter parameter, resuming
+    from the batch's full forward ``cache``.
 
     ``only`` (boolean, adapter-parameter shaped) names the parameters to
     difference, by default those a +-h step moves (``_moved``); every other
@@ -491,14 +499,14 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    _, _, cache = forward(batch, backbone, adapters, cfg)
     if only is None:
         only = _moved(cache, cfg, h)
     encs = backbone.encoders
     plans = [_MlpPlan(encs[s // 2]) if s % 2 else _MsaPlan(encs[s // 2])
              for s in range(cfg.num_adapters)] + [_HeadPlan(backbone)]
     act_fn = relu if cfg.adapter_activation == "relu" else gelu
-    m = batch.size
+    labels = cache.final["labels"]
+    m = len(labels)
 
     jobs = []
     for a in range(cfg.num_adapters):
@@ -520,7 +528,7 @@ def finite_diff_gradients(backbone: FrozenBackbone, adapters: AdapterSet,
                                    adapters[a], act_fn)
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
-        labels_tiled = np.tile(batch.labels, flat.shape[0] // m)
+        labels_tiled = np.tile(labels, flat.shape[0] // m)
         losses = _suffix_losses(flat, a, plans, adapters, cfg, labels_tiled, ws)
         losses = losses.reshape(2, len(idx), m).mean(axis=-1)
         return (losses[0] - losses[1]) / (2.0 * h)
@@ -566,8 +574,7 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     _, _, cache = forward(batch, backbone, adapters, cfg)
     analytic = backward_adapters(cache, backbone, adapters, cfg).flat()
     moved = _moved(cache, cfg, h)
-    fd = finite_diff_gradients(backbone, adapters, batch, cfg, h=h,
-                               workers=workers, only=moved).flat()
+    fd = finite_diff_gradients(cache, backbone, adapters, cfg, h, workers, moved).flat()
 
     def rel_err():
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
@@ -577,8 +584,8 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     refine = rel >= tolerance if tolerance > 0 else np.zeros(rel.shape, bool)
     if refine.any():
         only = AdapterGradients.from_flat(refine, moved)
-        fd_2h = finite_diff_gradients(backbone, adapters, batch, cfg, h=2 * h,
-                                      workers=workers, only=only).flat()
+        fd_2h = finite_diff_gradients(cache, backbone, adapters, cfg, 2 * h, workers,
+                                      only).flat()
         # the stencil from the central differences at h and 2h
         fd[refine] = (4.0 * fd[refine] - fd_2h[refine]) / 3.0
         rel = rel_err()

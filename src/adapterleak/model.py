@@ -11,7 +11,8 @@ either mean-pooled over all tokens or from the class token alone.
 The forward pass records a cache that supports the hand-written backward
 pass in :mod:`adapterleak.grad` and exact suffix re-evaluation (rerunning
 from any adapter with modified parameters), which the finite-difference
-harness relies on.
+harness relies on. Attention runs all heads at once, and its cache holds
+q, k, v and attn stacked head first, (L, M, T, .).
 """
 
 from __future__ import annotations
@@ -142,15 +143,11 @@ class AdapterSet:
 
     @classmethod
     def random(cls, cfg: ModelConfig, rng: Rng, scale: float = 0.1) -> "AdapterSet":
-        adapters = []
-        for _ in range(cfg.num_adapters):
-            adapters.append(Adapter(
-                rng.normal(0.0, scale, cfg.r * cfg.D).reshape(cfg.r, cfg.D),
-                rng.normal(0.0, scale, cfg.r),
-                rng.normal(0.0, scale, cfg.D * cfg.r).reshape(cfg.D, cfg.r),
-                rng.normal(0.0, scale, cfg.D),
-            ))
-        return cls(adapters)
+        return cls([Adapter(rng.normal(0.0, scale, cfg.r * cfg.D).reshape(cfg.r, cfg.D),
+                            rng.normal(0.0, scale, cfg.r),
+                            rng.normal(0.0, scale, cfg.D * cfg.r).reshape(cfg.D, cfg.r),
+                            rng.normal(0.0, scale, cfg.D))
+                    for _ in range(cfg.num_adapters)])
 
 
 def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,
@@ -192,27 +189,26 @@ def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,
     )
 
 
-def patchify(image: np.ndarray, p: int) -> np.ndarray:
-    """Split C x H x W into N row-major patches, channel-major flattened."""
-    image = as_f64(image)
-    c, h, w = image.shape
-    if h % p or w % p:
-        raise ShapeError(f"{h}x{w} image not divisible by patch side {p}")
-    gh, gw = h // p, w // p
-    # (C, gh, p, gw, p) -> (gh, gw, C, p, p) -> (N, C*p*p)
-    tiles = image.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4)
-    return tiles.reshape(gh * gw, c * p * p)
-
-
 def unpatchify(patches: np.ndarray, p: int, c: int, h: int, w: int) -> np.ndarray:
-    """Exact inverse of :func:`patchify`."""
-    gh, gw = h // p, w // p
-    tiles = as_f64(patches).reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4)
-    return tiles.reshape(c, h, w)
+    """Exact inverse of :func:`patchify_batch`: (..., N, C p^2) -> (..., C, H, W)."""
+    patches = as_f64(patches)
+    n = patches.ndim - 2
+    tiles = patches.reshape(*patches.shape[:n], h // p, w // p, c, p, p)
+    tiles = tiles.transpose(*range(n), n + 2, n, n + 3, n + 1, n + 4)
+    return tiles.reshape(*patches.shape[:n], c, h, w)
 
 
 def patchify_batch(images: np.ndarray, p: int) -> np.ndarray:
-    return np.stack([patchify(img, p) for img in as_f64(images)])
+    """Split (M, C, H, W) images into (M, N, C p^2) row-major patches,
+    each flattened channel-major."""
+    images = as_f64(images)
+    m, c, h, w = images.shape
+    if h % p or w % p:
+        raise ShapeError(f"{h}x{w} image not divisible by patch side {p}")
+    gh, gw = h // p, w // p
+    # (M, C, gh, p, gw, p) -> (M, gh, gw, C, p, p) -> (M, N, C*p*p)
+    tiles = images.reshape(m, c, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
+    return tiles.reshape(m, gh * gw, c * p * p)
 
 
 def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
@@ -239,27 +235,27 @@ def adapter_forward(tokens: np.ndarray, adapter: Adapter, activation: str = "rel
 
 
 def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
-    """Multi-head self attention over (..., T, D) tokens.
+    """Multi-head self attention over (..., T, D) tokens, all heads at once.
 
     Queries and keys for head h are built from the head's own D_h-slice;
     values are a general D_h x D projection of the full token, so a head can
-    read coordinates outside its slice.
+    read coordinates outside its slice. The cache holds every head, head
+    first: q, k and v as (L, ..., T, D_h), attn as (L, ..., T, T).
     """
     L = enc.w_q.shape[0]
-    head_outs, head_cache = [], []
-    scale = 1.0 / np.sqrt(d_h)
-    for h in range(L):
-        sl = tokens[..., h * d_h : (h + 1) * d_h]
-        q = _dot(sl, enc.w_q[h].T) + enc.b_q[h]
-        k = _dot(sl, enc.w_k[h].T) + enc.b_k[h]
-        v = _dot(tokens, enc.w_v[h].T) + enc.b_v[h]
-        logits = (q @ np.swapaxes(k, -1, -2)) * scale
-        attn = softmax_rows(logits)
-        head_outs.append(attn @ v)
-        head_cache.append({"q": q, "k": k, "v": v, "attn": attn})
-    concat = np.concatenate(head_outs, axis=-1)
+    lead = tokens.shape[:-2]
+    flat = tokens.reshape(-1, tokens.shape[-1])
+    # one GEMM per head, stacked: a single GEMM over all heads' columns
+    # would round differently for some batch sizes
+    by_head = flat.reshape(-1, L, d_h).transpose(1, 0, 2)  # (L, rows, D_h)
+    q = by_head @ np.swapaxes(enc.w_q, 1, 2) + enc.b_q[:, None, :]
+    k = by_head @ np.swapaxes(enc.w_k, 1, 2) + enc.b_k[:, None, :]
+    v = flat @ np.swapaxes(enc.w_v, 1, 2) + enc.b_v[:, None, :]
+    q, k, v = (x.reshape(L, *lead, -1, d_h) for x in (q, k, v))
+    attn = softmax_rows((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_h)))
+    concat = np.moveaxis(attn @ v, 0, -2).reshape(tokens.shape)
     out = _dot(concat, enc.w_msa.T)
-    return out, {"heads": head_cache, "concat": concat}
+    return out, {"q": q, "k": k, "v": v, "attn": attn}
 
 
 def _mlp_forward(z: np.ndarray, enc: EncoderParams):

@@ -73,9 +73,8 @@ class TestCriterion2Propagation:
         for sub in cache.sublayers:
             if not sub["is_msa"]:
                 continue
-            for hc in sub["core"]["heads"]:
-                diags = np.diagonal(hc["attn"], axis1=-2, axis2=-1)
-                worst_diag = min(worst_diag, float(diags.min()))
+            diags = np.diagonal(sub["core"]["attn"], axis1=-2, axis2=-1)  # every head
+            worst_diag = min(worst_diag, float(diags.min()))
         runtime = time.perf_counter() - t0
         with capsys.disabled():
             emit("criterion 2 (propagation fidelity <1e-2, attention diag >=0.999, <10s)",

@@ -260,22 +260,28 @@ class TestSweepCommand:
                   rows)
         assert (tmp_path / "expected.csv").read_bytes() == csv["1"]
 
-    @pytest.mark.parametrize("vary,values,setups", [
-        ("batch", "2,4,8", 2), ("noise", "0,0.3", 2), ("r", "2,4", 4),
-        ("layers", "1,2", 4)])
-    def test_each_distinct_setup_built_once(self, tiny_cfg_file, tmp_path,
-                                            monkeypatch, vary, values, setups):
-        import adapterleak.cli as cli
+    @pytest.mark.parametrize("vary,values,setups,backbones", [
+        ("batch", "2,4,8", 2, 1), ("noise", "0,0.3", 2, 1), ("r", "2,4", 4, 2),
+        ("layers", "1,2", 4, 1)])
+    def test_each_distinct_setup_built_once(self, tiny_cfg_file, tmp_path, monkeypatch,
+                                            vary, values, setups, backbones):
+        import adapterleak.flsim as flsim
 
-        built = []
-        real = cli.prepare_attack
+        built, crafted = [], []
+        real_setup, real_craft = flsim._setup_on, flsim.craft_backbone
 
-        def counting(args):
+        def counting_setup(pair, args):
             built.append(args)
-            return real(args)
+            return real_setup(pair, args)
 
-        monkeypatch.setattr(cli, "prepare_attack", counting)
+        def counting_craft(craft_cfg, model_cfg):
+            crafted.append((craft_cfg, model_cfg))
+            return real_craft(craft_cfg, model_cfg)
+
+        monkeypatch.setattr(flsim, "_setup_on", counting_setup)
+        monkeypatch.setattr(flsim, "craft_backbone", counting_craft)
         assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
                      "--values", values, "--seeds", "2",
                      "--out", str(tmp_path / "sweep")]) == 0
         assert len(built) == len(set(built)) == setups
+        assert len(crafted) == len(set(crafted)) == backbones

@@ -121,9 +121,9 @@ class TestBackboneIdentity:
         for s in range(DESK.num_adapters):
             if not cache.sublayers[s]["is_msa"]:
                 continue
-            for hc in cache.sublayers[s]["core"]["heads"]:
-                diags = np.diagonal(hc["attn"], axis1=-2, axis2=-1)
-                assert diags.min() >= 0.999
+            attn = cache.sublayers[s]["core"]["attn"]  # every head
+            diags = np.diagonal(attn, axis1=-2, axis2=-1)
+            assert diags.min() >= 0.999
 
     def test_propagation_fidelity_zero_adapters(self, crafted):
         _, bb, _ = crafted

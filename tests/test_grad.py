@@ -40,6 +40,19 @@ class TestBackward:
                                    tolerance=1e-6, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
+    @pytest.mark.parametrize("kw", [
+        dict(head_mode="class_token"), dict(adapter_activation="relu"), dict(L=4),
+        dict(L=8, adapter_activation="relu", head_mode="class_token")],
+        ids=["class_token", "relu", "4_heads", "8_heads_relu_class_token"])
+    def test_variant_matches_central_differences(self, kw):
+        cfg = tiny_cfg(**kw)
+        bb = random_backbone(cfg, Rng(31))
+        ads = AdapterSet.random(cfg, Rng(32), scale=0.2)
+        batch = synth_batch(3, cfg, seed=33, kind="uniform")
+        report = finite_diff_check(bb, ads, batch, cfg, h=1e-5,
+                                   tolerance=1e-6, workers=1)
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
     def test_relu_gate_zeroes_dead_neurons(self):
         cfg = tiny_cfg(adapter_activation="relu")
         bb = random_backbone(cfg, Rng(9))
@@ -162,12 +175,13 @@ class TestFiniteDiffCheck:
     def test_invalid_h_rejected(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
         with pytest.raises(ValueError):
-            finite_diff_gradients(bb, ads, batch, cfg, h=0.0)
+            finite_diff_gradients(forward(batch, bb, ads, cfg)[2], bb, ads, cfg, h=0.0)
 
     def test_threaded_matches_sequential(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
-        f1 = finite_diff_gradients(bb, ads, batch, cfg, workers=1).flat()
-        f2 = finite_diff_gradients(bb, ads, batch, cfg, workers=2).flat()
+        cache = forward(batch, bb, ads, cfg)[2]
+        f1 = finite_diff_gradients(cache, bb, ads, cfg, workers=1).flat()
+        f2 = finite_diff_gradients(cache, bb, ads, cfg, workers=2).flat()
         assert np.array_equal(f1, f2)
 
     def test_backbone_edited_in_place_is_checked_as_edited(self):
@@ -179,7 +193,7 @@ class TestFiniteDiffCheck:
         bb = random_backbone(cfg, rng.spawn(1))
         ads = AdapterSet.random(cfg, rng.spawn(2), scale=0.2)
         batch = synth_batch(2, cfg, seed=4, kind="uniform")
-        finite_diff_gradients(bb, ads, batch, cfg, workers=1)
+        finite_diff_gradients(forward(batch, bb, ads, cfg)[2], bb, ads, cfg, workers=1)
         for enc in bb.encoders:
             enc.b_mlp1[:] = 0.0
             enc.ln2_w *= 2.0
@@ -215,7 +229,7 @@ class TestUnmovedParameters:
         moved = grad._moved(cache, cfg, 1e-5)
         assert not self.unit_entries(moved).any()
         assert moved.b_up.all()
-        fd = finite_diff_gradients(bb, ads, batch, cfg, workers=1)
+        fd = finite_diff_gradients(cache, bb, ads, cfg, workers=1)
         entries = self.unit_entries(fd)
         assert np.all(entries == 0.0)
         for kind, pos in (("w_down", (self.J, 0)), ("w_down", (self.J, 5)),
@@ -398,7 +412,7 @@ class TestBlasCap:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(grad, "_suffix_losses", spy)
-        finite_diff_gradients(bb, ads, batch, cfg, workers=2)
+        finite_diff_gradients(forward(batch, bb, ads, cfg)[2], bb, ads, cfg, workers=2)
         assert {count for _, count in seen} == {1}
         assert threading.get_ident() not in {ident for ident, _ in seen}
         assert blas_threads() == before
@@ -413,7 +427,7 @@ class TestBlasCap:
 
         monkeypatch.setattr(grad, "_suffix_losses", boom)
         with pytest.raises(RuntimeError, match="suffix failed"):
-            finite_diff_gradients(bb, ads, batch, cfg, workers=2)
+            finite_diff_gradients(forward(batch, bb, ads, cfg)[2], bb, ads, cfg, workers=2)
         assert blas_threads() == before
 
     def test_uncapped_blas_falls_back_to_one_thread(self, monkeypatch, capsys):

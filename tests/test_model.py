@@ -30,23 +30,27 @@ class TestConfig:
             mdl.ModelConfig(**kw)
 
 
+def patchify(image, p):
+    return mdl.patchify_batch(image[None], p)[0]
+
+
 class TestPatchify:
     def test_patch_count_8x8(self):
         img = Rng(0).uniform(3 * 8 * 8).reshape(3, 8, 8)
-        patches = mdl.patchify(img, 4)
+        patches = patchify(img, 4)
         assert patches.shape == (4, 48)
 
     def test_patch_count_32x32(self):
         img = np.zeros((3, 32, 32))
-        assert mdl.patchify(img, 16).shape == (4, 768)
+        assert patchify(img, 16).shape == (4, 768)
 
     def test_patch_count_64x64(self):
         img = np.zeros((3, 64, 64))
-        assert mdl.patchify(img, 16).shape == (16, 768)
+        assert patchify(img, 16).shape == (16, 768)
 
     def test_channel_major_row_major_layout(self):
         img = np.arange(3 * 8 * 8, dtype=float).reshape(3, 8, 8)
-        patches = mdl.patchify(img, 4)
+        patches = patchify(img, 4)
         # patch 1 is the top-right 4x4 block; channel-major flattening
         assert patches[1][0] == img[0, 0, 4]
         assert patches[1][16] == img[1, 0, 4]
@@ -55,12 +59,19 @@ class TestPatchify:
     def test_bijection(self):
         rng = Rng(6)
         img = rng.uniform(3 * 8 * 8).reshape(3, 8, 8) * 2 - 1
-        back = mdl.unpatchify(mdl.patchify(img, 4), 4, 3, 8, 8)
+        back = mdl.unpatchify(patchify(img, 4), 4, 3, 8, 8)
         assert np.array_equal(back, img)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
-            mdl.patchify(np.zeros((3, 8, 8)), 3)
+            mdl.patchify_batch(np.zeros((2, 3, 8, 8)), 3)
+
+    def test_batch_is_per_image_patches(self):
+        images = Rng(7).uniform(5 * 3 * 8 * 12).reshape(5, 3, 8, 12)
+        batch = mdl.patchify_batch(images, 4)
+        assert batch.shape == (5, 6, 48)
+        for img, patches in zip(images, batch):
+            assert np.array_equal(mdl.unpatchify(patches, 4, 3, 8, 12), img)
 
 
 class TestEmbed:
@@ -86,7 +97,7 @@ class TestEmbed:
         bb, embed_info = craft_backbone(CraftConfig(seed=4), cfg)
         image = Rng(5).uniform(3 * 8 * 8).reshape(1, 3, 8, 8) * 2 - 1
         tokens = mdl.build_tokens(Batch(image, np.zeros(1)), bb, cfg)
-        truth = mdl.patchify(image[0], cfg.P)
+        truth = mdl.patchify_batch(image, cfg.P)[0]
         for t in range(1, cfg.N + 1):
             back = recover_patch(tokens[0, t], embed_info["e_pinv"], bb.pos[t])
             assert np.max(np.abs(back - truth[t - 1])) < 1e-12
@@ -98,8 +109,7 @@ class TestMsa:
         bb, _ = craft_backbone(CraftConfig(seed=5), cfg)
         token = Rng(7).normal(0, 10, 96).reshape(1, 1, 96)
         out, cache = mdl.msa_forward(token, bb.encoders[1], cfg.D_h)
-        assert np.array_equal(cache["heads"][0]["attn"],
-                              np.ones((1, 1, 1)))
+        assert np.array_equal(cache["attn"][0], np.ones((1, 1, 1)))
         assert np.max(np.abs(out - token)) < 1e-12
 
     def test_crafted_identity_on_random_tokens(self):

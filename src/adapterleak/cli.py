@@ -312,8 +312,8 @@ def cmd_sweep(args) -> int:
     cells = [(v, s) for v in values for s in seeds]
     experiments = [_sweep_cell(cfg, args.vary, v, s) for v, s in cells]
     # cells with equal setup inputs share one setup, built once and only read
-    setups = prepare_attacks(list(dict.fromkeys(args for args, _, _ in experiments)),
-                             thread_count())
+    distinct = list(dict.fromkeys(setup_args for setup_args, _, _ in experiments))
+    setups = prepare_attacks(distinct, thread_count())
 
     def run_cell(experiment):
         setup_args, fl, defense = experiment

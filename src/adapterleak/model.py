@@ -143,11 +143,15 @@ class AdapterSet:
 
     @classmethod
     def random(cls, cfg: ModelConfig, rng: Rng, scale: float = 0.1) -> "AdapterSet":
-        return cls([Adapter(rng.normal(0.0, scale, cfg.r * cfg.D).reshape(cfg.r, cfg.D),
-                            rng.normal(0.0, scale, cfg.r),
-                            rng.normal(0.0, scale, cfg.D * cfg.r).reshape(cfg.D, cfg.r),
-                            rng.normal(0.0, scale, cfg.D))
-                    for _ in range(cfg.num_adapters)])
+        adapters = []
+        for _ in range(cfg.num_adapters):
+            adapters.append(Adapter(
+                rng.normal(0.0, scale, cfg.r * cfg.D).reshape(cfg.r, cfg.D),
+                rng.normal(0.0, scale, cfg.r),
+                rng.normal(0.0, scale, cfg.D * cfg.r).reshape(cfg.D, cfg.r),
+                rng.normal(0.0, scale, cfg.D),
+            ))
+        return cls(adapters)
 
 
 def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,

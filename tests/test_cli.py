@@ -262,7 +262,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("vary,values,setups,backbones", [
         ("batch", "2,4,8", 2, 1), ("noise", "0,0.3", 2, 1), ("r", "2,4", 4, 2),
-        ("layers", "1,2", 4, 1)])
+        ("layers", "1,2", 4, 1)],
+        ids=["batch-2,4,8-2", "noise-0,0.3-2", "r-2,4-4", "layers-1,2-4"])
     def test_each_distinct_setup_built_once(self, tiny_cfg_file, tmp_path, monkeypatch,
                                             vary, values, setups, backbones):
         import adapterleak.flsim as flsim

@@ -10,7 +10,7 @@ from adapterleak.dataio import synth_batch
 from adapterleak.errors import ConfigError
 from adapterleak.grad import backward_adapters
 from adapterleak.model import AdapterSet, ModelConfig, forward, random_backbone
-from adapterleak.numerics import Rng
+from adapterleak.numerics import _PHI_SATURATION, Rng
 
 DESK = ModelConfig()
 
@@ -286,11 +286,15 @@ class TestSharedSetup:
 # below was digested once and must never move. "desk" is the crafted desk
 # setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the
 # perfbench rounds shape (r=4, round 1, 5 epochs, lr 1e-4), "gelu_class" a
-# random backbone with GELU adapters and the class-token head.
+# random backbone with GELU adapters and the class-token head, "mixed_mlp" a
+# random backbone whose encoders 0, 3 and 4 have every MLP unit saturated
+# while the other encoders keep live units.
+MIXED_SATURATED = (0, 3, 4)
 PIN_LOCAL_STEP = {
     "desk": ("fadcb1614e2e6cb5", "93d3139ffa2e18f7", "7e85b74e59d378c6"),
     "rounds_fedavg": ("6a42e50c1935cf9a", "95a652ed25406166", "6f149652e927db28"),
     "gelu_class": ("142b8ca1d98e1c24", "aaa88e6a259e31ab", "01d7993e8d08337d"),
+    "mixed_mlp": ("359cc336b192556a", "097478d85597dc53", "7636d017b7c3bdbc"),
 }
 
 
@@ -303,12 +307,27 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def mixed_backbone(mc: ModelConfig, rng: Rng):
+    """random_backbone with every MLP unit of MIXED_SATURATED's encoders
+    biased far past the GELU saturation point."""
+    bb = random_backbone(mc, rng)
+    for e in MIXED_SATURATED:
+        bb.encoders[e].b_mlp1 = np.maximum(bb.encoders[e].b_mlp1, 30.0)
+    return bb
+
+
 def _pinned_local_step(case: str) -> tuple[str, str, str]:
     if case == "gelu_class":
         mc = ModelConfig(adapter_activation="gelu", head_mode="class_token")
         bb = random_backbone(mc, Rng(21))
         ads = AdapterSet.random(mc, Rng(22), scale=0.1)
         batch = synth_batch(6, mc, seed=23, kind="uniform")
+        grads = flsim.local_step(batch, bb, ads, mc)
+    elif case == "mixed_mlp":
+        mc = ModelConfig()
+        bb = mixed_backbone(mc, Rng(31))
+        ads = AdapterSet.random(mc, Rng(32), scale=0.1)
+        batch = synth_batch(5, mc, seed=33, kind="uniform")
         grads = flsim.local_step(batch, bb, ads, mc)
     else:
         mc, rounds, rho = (DESK, 1, 0) if case == "desk" else (ModelConfig(r=4), 4, 1)
@@ -330,3 +349,13 @@ class TestLocalStepPinned:
     def test_bytes_unchanged(self, case):
         # (gradients, loss, logits)
         assert _pinned_local_step(case) == PIN_LOCAL_STEP[case]
+
+    def test_mixed_case_mixes(self):
+        # the mixed_mlp pin covers both MLP kinds in one pass
+        mc = ModelConfig()
+        _, _, cache = forward(synth_batch(5, mc, seed=33, kind="uniform"),
+                              mixed_backbone(mc, Rng(31)),
+                              AdapterSet.random(mc, Rng(32), scale=0.1), mc)
+        saturated = [bool(sub["core"]["pre"].min() >= _PHI_SATURATION)
+                     for sub in cache.sublayers if not sub["is_msa"]]
+        assert saturated == [e in MIXED_SATURATED for e in range(mc.num_encoders)]

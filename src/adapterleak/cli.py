@@ -274,7 +274,8 @@ def cmd_gradcheck(args) -> int:
     print(f"gradcheck {status}: max rel err {fmt(report.max_rel_err)} "
           f"(tolerance {fmt(report.tolerance)}, floor {fmt(report.floor)}) "
           f"over {report.n_params} parameters ({report.n_unmoved} unmoved, "
-          f"{report.n_refined} refined) in {report.runtime_s:.1f}s; "
+          f"{report.n_refined} refined, central max rel err "
+          f"{fmt(report.central_max_rel_err)}) in {report.runtime_s:.1f}s; "
           f"worst at {report.worst_param}")
     return 0 if report.passed else 3
 

@@ -2,7 +2,9 @@
 
 The backbone is frozen, so only adapter gradients are materialized, but
 activation gradients are propagated through every frozen layer (LayerNorm,
-softmax attention, GELU MLP, residuals) to reach the adapters below.
+softmax attention, GELU MLP, residuals) to reach the adapters below. It
+ends at adapter 0, below which nothing reads the token gradient, and skips
+the all-ones GELU derivative of MLPs the forward marked not ``live``.
 Attention reads the forward's head-first cache with stacked matmuls, and
 products with D- or 4D-wide outputs run as one GEMM over all tokens. On
 OpenBLAS both keep the bits of the per-head, per-image products on the
@@ -241,14 +243,17 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         d_v = d_act * act_grad(a_cache["v"])
         grads.b_down[s] += d_v.sum(axis=(0, 1))
         grads.w_down[s] += np.einsum("mtr,mtd->rd", d_v, a_cache["input"])
+        if s == 0:
+            break  # no adapter below reads the token gradient
         d_core = d_a_out + _dot(d_v, ad.w_down)
 
         enc = backbone.encoders[s // 2]
         if sub["is_msa"]:
             d_z = _msa_backward(d_core, sub["core"], enc, cfg.D_h)
         else:
-            mc = sub["core"]
-            d_pre = _dot(d_core, enc.w_mlp2) * gelu_grad(mc["pre"])
+            d_pre = _dot(d_core, enc.w_mlp2)
+            if sub["core"]["live"]:  # else GELU' is exactly 1.0 everywhere
+                d_pre *= gelu_grad(sub["core"]["pre"])
             d_z = _dot(d_pre, enc.w_mlp1)
         d_tokens = d_tokens + _ln_backward(d_z, sub["ln"])
 
@@ -544,6 +549,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
 @dataclass
 class GradCheckReport:
     max_rel_err: float
+    central_max_rel_err: float  # worst error of the central pass, before refinement
     worst_param: str
     n_params: int
     n_unmoved: int  # differenced without a suffix evaluation: exactly 0
@@ -581,6 +587,7 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
         return np.abs(analytic - fd) / denom
 
     rel = rel_err()
+    central_max = float(rel.max()) if rel.size else 0.0
     refine = rel >= tolerance if tolerance > 0 else np.zeros(rel.shape, bool)
     if refine.any():
         only = AdapterGradients.from_flat(refine, moved)
@@ -594,6 +601,7 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     passed = bool(max_rel < tolerance) if tolerance > 0 else bool(np.array_equal(analytic, fd))
     return GradCheckReport(
         max_rel_err=max_rel,
+        central_max_rel_err=central_max,
         worst_param=_describe_param(worst, cfg),
         n_params=analytic.size,
         n_unmoved=int(analytic.size - moved.flat().sum()),

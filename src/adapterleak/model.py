@@ -12,7 +12,9 @@ The forward pass records a cache that supports the hand-written backward
 pass in :mod:`adapterleak.grad` and exact suffix re-evaluation (rerunning
 from any adapter with modified parameters), which the finite-difference
 harness relies on. Attention runs all heads at once, and its cache holds
-q, k, v and attn stacked head first, (L, M, T, .).
+q, k, v and attn stacked head first, (L, M, T, .). An MLP with no
+pre-activation below GELU saturation (crafted backbones) skips the GELU,
+which is x * 1.0 = x there, and records ``live = False``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dataio import Batch
 from .errors import ConfigError, ShapeError
-from .numerics import Rng, as_f64, gelu, relu, softmax_rows
+from .numerics import _PHI_SATURATION, Rng, as_f64, gelu, relu, softmax_rows
 
 LN_EPS = 0.0  # crafted designs rely on pure population statistics
 
@@ -264,9 +266,9 @@ def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
 
 def _mlp_forward(z: np.ndarray, enc: EncoderParams):
     pre = _dot(z, enc.w_mlp1.T) + enc.b_mlp1
-    hidden = gelu(pre)
-    out = _dot(hidden, enc.w_mlp2.T) + enc.b_mlp2
-    return out, {"z": z, "pre": pre, "hidden": hidden}
+    live = bool((pre < _PHI_SATURATION).any())  # else GELU is x * 1.0 = x
+    out = _dot(gelu(pre) if live else pre, enc.w_mlp2.T) + enc.b_mlp2
+    return out, {"pre": pre, "live": live}
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -326,8 +328,7 @@ def _head(tokens, backbone, cfg, labels, record):
         pooled = zf[..., 0, :]
     logits = _dot(pooled, backbone.w_cls.T) + backbone.b_cls
     loss, probs, _ = cross_entropy(logits.reshape(-1, cfg.num_classes), labels)
-    record.update({"u": tokens, "ln": lnf_cache, "zf": zf, "pooled": pooled,
-                   "labels": np.asarray(labels)})
+    record.update({"ln": lnf_cache, "zf": zf, "labels": np.asarray(labels)})
     return logits, loss, probs
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,16 @@ class TestAttackCommand:
 class TestGradcheckCommand:
     def test_tiny_gradcheck_passes(self, tiny_cfg_file):
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0
+
+    def test_line_reports_central_error(self, tiny_cfg_file, capsys):
+        assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0
+        line = capsys.readouterr().out.strip()
+        m = re.search(r"gradcheck PASS: max rel err (\S+) .* over (\d+) parameters "
+                      r"\(\d+ unmoved, \d+ refined, central max rel err (\S+)\) "
+                      r"in \S+s; worst at (.*)$", line)
+        assert m, line
+        assert float(m.group(1)) <= float(m.group(3))
+        assert m.group(4).startswith(("w_down[", "b_down[", "w_up[", "b_up["))
 
 
 class TestSweepCommand:

@@ -53,6 +53,36 @@ class TestBackward:
                                    tolerance=1e-6, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_mixed_saturated_and_live_mlps_match_central_differences(self, activation):
+        cfg = tiny_cfg(num_encoders=3, adapter_activation=activation)
+        bb = random_backbone(cfg, Rng(41))
+        bb.encoders[1].b_mlp1 = np.maximum(bb.encoders[1].b_mlp1, 30.0)
+        ads = AdapterSet.random(cfg, Rng(42), scale=0.2)
+        batch = synth_batch(3, cfg, seed=43, kind="uniform")
+        _, _, cache = forward(batch, bb, ads, cfg)
+        assert [sub["core"]["live"] for sub in cache.sublayers[1::2]] == [True, False, True]
+        report = finite_diff_check(bb, ads, batch, cfg, h=1e-5,
+                                   tolerance=1e-6, workers=1)
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+    def test_backward_ends_at_adapter_0(self, monkeypatch):
+        # sublayer 0's core and LayerNorm backward would feed no adapter
+        cfg = tiny_cfg(num_encoders=6)
+        bb = random_backbone(cfg, Rng(44))
+        ads = AdapterSet.random(cfg, Rng(45), scale=0.2)
+        _, _, cache = forward(synth_batch(2, cfg, seed=46), bb, ads, cfg)
+        calls = {"_msa_backward": 0, "_ln_backward": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(grad, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(grad, name, counted)
+        backward_adapters(cache, bb, ads, cfg)
+        # one attention per encoder but the first; the final LayerNorm and
+        # one per sublayer but the first
+        assert calls == {"_msa_backward": 5, "_ln_backward": 12}
+
     def test_relu_gate_zeroes_dead_neurons(self):
         cfg = tiny_cfg(adapter_activation="relu")
         bb = random_backbone(cfg, Rng(9))
@@ -292,6 +322,7 @@ class TestRefinement:
         cfg, bb, ads, batch = tiny_setup
         report = finite_diff_check(bb, ads, batch, cfg, h=3e-4, workers=1)
         assert report.n_refined > 0
+        assert report.central_max_rel_err >= 1e-6 > report.max_rel_err
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     def test_scaled_analytic_entry_still_fails(self, tiny_setup, monkeypatch):

@@ -203,6 +203,67 @@ class TestAttackCommand:
             assert (outs["craft"] / name).read_bytes() == (outs["run"] / name).read_bytes()
 
 
+# The benchmark's rounds shape: the desk config with r = 4 and four FedAvg
+# rounds of four users, five local epochs each.
+ROUNDS_SHAPE = """
+[model]
+r = 4
+
+[craft]
+seed = 7
+
+[fl]
+users = 4
+batch_size = 16
+rounds = 4
+mode = fedavg
+local_epochs = 5
+seed = 11
+
+[plan]
+positions = all
+adapters_per_position = 3
+
+[data]
+kind = smooth
+"""
+
+# sha256 of archive bytes on the rounds shape, digested once: the adapter
+# archives `craft` writes and the gradient archive `run` writes.
+PIN_ADAPTER_ARCHIVES = {
+    "adapters_round0.plta": "2ea282ff2c47c217",
+    "adapters_round1.plta": "9853c32f1a086f1d",
+    "adapters_round2.plta": "e8b54bed2fba0c5c",
+    "adapters_round3.plta": "dcd11c0c7d615cb1",
+}
+PIN_GRADIENT_ARCHIVE = "a35c65b8eb10433c"
+
+
+class TestArchivesPinned:
+    @pytest.fixture()
+    def rounds_cfg_file(self, tmp_path):
+        path = tmp_path / "rounds.cfg"
+        path.write_text(ROUNDS_SHAPE)
+        return path
+
+    @staticmethod
+    def _digest(path: Path) -> str:
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    def test_craft_adapter_archives(self, rounds_cfg_file, tmp_path):
+        out = tmp_path / "craft"
+        assert main(["craft", "--config", str(rounds_cfg_file), "--out", str(out)]) == 0
+        assert {name: self._digest(out / name)
+                for name in PIN_ADAPTER_ARCHIVES} == PIN_ADAPTER_ARCHIVES
+
+    def test_run_gradient_archive(self, rounds_cfg_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(rounds_cfg_file), "--out", str(out)]) == 0
+        assert self._digest(out / "grads.plta") == PIN_GRADIENT_ARCHIVE
+
+
 class TestGradcheckCommand:
     def test_tiny_gradcheck_passes(self, tiny_cfg_file):
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -242,3 +243,18 @@ class TestTruncatedForward:
                                   cfg.num_adapters - 1)
         with pytest.raises(ShapeError):
             backward_adapters(cache, bb, ads, cfg)
+
+
+# AdapterSet.random's tensors, pinned: digested once, each adapter's w_down,
+# b_down, w_up and b_up in turn.
+PIN_RANDOM_ADAPTERS = "3768a368eaad3657"
+
+
+class TestRandomAdaptersPinned:
+    def test_tensors_unchanged(self):
+        ads = mdl.AdapterSet.random(mdl.ModelConfig(), Rng(32), 0.1)
+        h = hashlib.sha256()
+        for ad in ads:
+            for arr in (ad.w_down, ad.b_down, ad.w_up, ad.b_up):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest()[:16] == PIN_RANDOM_ADAPTERS

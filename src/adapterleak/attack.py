@@ -22,7 +22,7 @@ import numpy as np
 
 from .craft import AttackPlan
 from .errors import EmptyBinError
-from .grad import AdapterGradients
+from .model import AdapterSet
 
 PIXEL_SLACK = 0.1  # validity allows [-1 - slack, 1 + slack]
 
@@ -64,7 +64,7 @@ class BinHit:
     top: bool
 
 
-def detect_active_bins(grads: AdapterGradients, plan: AttackPlan,
+def detect_active_bins(grads: AdapterSet, plan: AttackPlan,
                        tol: float | None = None) -> list[BinHit]:
     """Neuron pairs whose bias-gradient difference indicates an occupied bin.
 
@@ -162,7 +162,7 @@ def validate(patch: RecoveredPatch, plan: AttackPlan) -> bool:
     return bool(lo < patch.stat_check < hi)
 
 
-def run_attack(grads: AdapterGradients, plan: AttackPlan, pos: np.ndarray,
+def run_attack(grads: AdapterSet, plan: AttackPlan, pos: np.ndarray,
                round_idx: int, m_expected: int,
                tol: float | None = None) -> ReconstructionReport:
     """One round of reconstruction from a gradient observation."""

@@ -47,7 +47,6 @@ class CraftConfig:
     margin: float = 50.0
     fingerprint_enabled: bool = False
     embed_mode: str = "identity_pad"
-    down_scale: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class CraftConfig:
             raise ConfigError(f"unknown position distribution {self.pos_dist!r}")
         if self.embed_mode not in ("identity_pad", "average_pool"):
             raise ConfigError(f"unknown embed mode {self.embed_mode!r}")
-        if not 0 < self.down_scale <= 1:
-            raise ConfigError("down_scale must lie in (0, 1]")
 
 
 @dataclass
@@ -413,6 +410,9 @@ def _probe_batch(plan: AttackPlan, pos: np.ndarray, t: int,
     return Batch(images, np.zeros(len(grid), dtype=np.int64))
 
 
+_DOWN_SCALE = 1e-6  # common factor of the crafted down-projection rows and biases
+
+
 def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
                    craft_cfg: CraftConfig, model_cfg: ModelConfig,
                    round_idx: int) -> AdapterSet:
@@ -428,7 +428,7 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     neurons a gradient path while perturbing propagation below every
     tolerance in play.
 
-    Weight rows and biases carry a common down_scale factor. Gating signs
+    Weight rows and biases carry a common factor ``_DOWN_SCALE``. Gating signs
     and the recovery ratio are invariant to it, but it shrinks the neuron
     activations and with them the up-projection's own gradient, so multi-
     epoch local training cannot rewrite the leak row that the
@@ -436,10 +436,8 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     """
     r = model_cfg.r
     adapters = AdapterSet.zeros(model_cfg)
-    for ad in adapters:
-        ad.w_up[0, :] = craft_cfg.epsilon_up
+    adapters.w_up[:, 0, :] = craft_cfg.epsilon_up
 
-    kappa = craft_cfg.down_scale
     no_adapters = AdapterSet.zeros(model_cfg)
     for t in plan.positions():
         row = gating_row(backbone.pos, t, plan, model_cfg, craft_cfg)
@@ -448,12 +446,12 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
         _, _, cache = forward(probe, backbone, no_adapters, model_cfg,
                               max(a.adapter for a in assigned))
         for assign in assigned:
-            ad = adapters[assign.adapter]
-            ad.w_down[:] = kappa * row
-            inputs = cache.adapter_input(assign.adapter)  # (k_t, N+1, D)
+            a = assign.adapter
+            adapters.w_down[a] = _DOWN_SCALE * row
+            inputs = cache.adapter_input(a)  # (k_t, N+1, D)
             for j in range(r):
                 q = assign.slot * r + j
-                ad.b_down[j] = -kappa * float(row @ inputs[q, t])
+                adapters.b_down[a, j] = -_DOWN_SCALE * float(row @ inputs[q, t])
     return adapters
 
 

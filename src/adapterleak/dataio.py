@@ -3,10 +3,10 @@
 Two normative byte layouts live here:
 
 * P6 binary PPM (maxval 255) for images.
-* PLTF tensor records: magic ``PLTF``, u16 version (little-endian), u8 dtype
-  (0 = float64), u8 rank, rank x u64 dims (little-endian), then the payload
-  as row-major little-endian float64. ``PLTA`` archives are a counted
-  sequence of named PLTF records.
+* ``PLTA`` archives: a counted sequence of named PLTF tensor records, the
+  only place PLTF records occur. A record is magic ``PLTF``, u16 version
+  (little-endian), u8 dtype (0 = float64), u8 rank, rank x u64 dims
+  (little-endian), then the payload as row-major little-endian float64.
 
 All round trips are bit-exact and all parsers reject trailing garbage.
 """
@@ -161,18 +161,6 @@ def _tensor_from(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     except ValueError as exc:  # e.g. (0, 2**63) or rank > 64: no ndarray has it
         raise FormatError(f"unsupported dims {dims}") from exc
     return data.astype(np.float64), offset + nbytes
-
-
-def write_tensor(t: np.ndarray, path) -> None:
-    Path(path).write_bytes(_tensor_bytes(t))
-
-
-def read_tensor(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    t, end = _tensor_from(buf, 0)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after tensor payload")
-    return t
 
 
 def write_tensor_archive(tensors: dict[str, np.ndarray], path) -> None:

@@ -20,7 +20,7 @@ from .craft import (AttackPlan, CraftConfig, build_attack_plan, craft_adapters,
                     craft_backbone, measure_fingerprint_delta)
 from .dataio import Batch, synth_batch
 from .errors import ConfigError
-from .grad import AdapterGradients, backward_adapters, parallel_map
+from .grad import backward_adapters, parallel_map
 from .metrics import ScoreReport, score_reconstruction
 from .model import AdapterSet, FrozenBackbone, ModelConfig, forward
 from .numerics import Rng
@@ -69,22 +69,14 @@ class DefenseConfig:
 
 
 def local_step(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
-               cfg: ModelConfig) -> AdapterGradients:
+               cfg: ModelConfig) -> AdapterSet:
     """One local gradient computation (single-step client)."""
     _, _, cache = forward(batch, backbone, adapters, cfg)
     return backward_adapters(cache, backbone, adapters, cfg)
 
 
-def _adapters_minus(base: AdapterSet, grads: AdapterGradients, factor: float) -> AdapterSet:
-    out = base.copy()
-    for a, adapter in enumerate(out):
-        for kind in ("w_down", "b_down", "w_up", "b_up"):
-            getattr(adapter, kind)[...] -= factor * getattr(grads, kind)[a]
-    return out
-
-
 def local_fedavg(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
-                 cfg: ModelConfig, epochs: int, lr: float) -> AdapterGradients:
+                 cfg: ModelConfig, epochs: int, lr: float) -> AdapterSet:
     """Multi-epoch local training; returns (w0 - w_final) / (lr * epochs).
 
     The cumulative update is tracked as a running gradient sum rather than
@@ -99,12 +91,12 @@ def local_fedavg(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
     first = local_step(batch, backbone, adapters, cfg)
     grad_sum = first.flat()
     for _ in range(epochs - 1):
-        current = _adapters_minus(adapters, AdapterGradients.from_flat(grad_sum, first), lr)
+        current = AdapterSet.from_flat(adapters.flat() - lr * grad_sum, adapters)
         grad_sum = grad_sum + local_step(batch, backbone, current, cfg).flat()
-    return AdapterGradients.from_flat(grad_sum * (1.0 / epochs), first)
+    return AdapterSet.from_flat(grad_sum * (1.0 / epochs), first)
 
 
-def apply_defense(g: AdapterGradients, d: DefenseConfig, rng: Rng) -> AdapterGradients:
+def apply_defense(g: AdapterSet, d: DefenseConfig, rng: Rng) -> AdapterSet:
     """Client-side gradient obfuscation; identity for kind 'none'."""
     if d.kind == "none":
         return g.copy()
@@ -135,10 +127,10 @@ def apply_defense(g: AdapterGradients, d: DefenseConfig, rng: Rng) -> AdapterGra
         frac = pos - base
         up = rng.uniform(n) < frac
         out = lo + (base + up) * step
-    return AdapterGradients.from_flat(out, g)
+    return AdapterSet.from_flat(out, g)
 
 
-def aggregate(grads: list[AdapterGradients]) -> AdapterGradients:
+def aggregate(grads: list[AdapterSet]) -> AdapterSet:
     """Coordinate-wise mean in user order."""
     if not grads:
         raise ConfigError("nothing to aggregate")
@@ -147,13 +139,10 @@ def aggregate(grads: list[AdapterGradients]) -> AdapterGradients:
         raise ConfigError("gradient shapes disagree across users")
     total = grads[0].copy()
     for g in grads[1:]:
-        total.w_down += g.w_down
-        total.b_down += g.b_down
-        total.w_up += g.w_up
-        total.b_up += g.b_up
+        for t, u in zip(total.tensors().values(), g.tensors().values()):
+            t += u
     inv = 1.0 / len(grads)
-    return AdapterGradients(total.w_down * inv, total.b_down * inv,
-                            total.w_up * inv, total.b_up * inv)
+    return AdapterSet(*(t * inv for t in total.tensors().values()))
 
 
 @dataclass
@@ -176,7 +165,7 @@ class RunResult:
     victim_batch: Batch
     recovered_map: dict[tuple[int, int], np.ndarray]
     oracle_count_union: int
-    victim_grads: AdapterGradients | None = None
+    victim_grads: AdapterSet | None = None
 
 
 def recovered_pixel_map(report: attack_mod.ReconstructionReport,

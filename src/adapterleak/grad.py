@@ -140,38 +140,6 @@ def parallel_map(fn, items, workers: int) -> list:
     return [fn(x) for x in items]
 
 
-@dataclass
-class AdapterGradients:
-    """Same shapes as the adapter parameters they differentiate."""
-
-    w_down: np.ndarray  # (A, r, D)
-    b_down: np.ndarray  # (A, r)
-    w_up: np.ndarray  # (A, D, r)
-    b_up: np.ndarray  # (A, D)
-
-    def copy(self) -> "AdapterGradients":
-        return AdapterGradients(self.w_down.copy(), self.b_down.copy(),
-                                self.w_up.copy(), self.b_up.copy())
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.w_down.ravel(), self.b_down.ravel(),
-                               self.w_up.ravel(), self.b_up.ravel()])
-
-    @classmethod
-    def from_flat(cls, v: np.ndarray, like: "AdapterGradients") -> "AdapterGradients":
-        out, pos = [], 0
-        for ref in (like.w_down, like.b_down, like.w_up, like.b_up):
-            out.append(v[pos : pos + ref.size].reshape(ref.shape))
-            pos += ref.size
-        return cls(*out)
-
-    @classmethod
-    def zeros(cls, cfg: ModelConfig) -> "AdapterGradients":
-        a, r, d = cfg.num_adapters, cfg.r, cfg.D
-        return cls(np.zeros((a, r, d)), np.zeros((a, r)),
-                   np.zeros((a, d, r)), np.zeros((a, d)))
-
-
 def _ln_backward(d_out: np.ndarray, ln_cache: dict) -> np.ndarray:
     """Backprop through y = xhat * w + b with population-variance xhat."""
     g = d_out * ln_cache["w"]
@@ -206,7 +174,7 @@ def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndar
 
 
 def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
-                      adapters: AdapterSet, cfg: ModelConfig) -> AdapterGradients:
+                      adapters: AdapterSet, cfg: ModelConfig) -> AdapterSet:
     """Exact gradients of the mean cross-entropy loss w.r.t. adapter parameters."""
     if cache.probs is None:
         raise ShapeError("cache was produced without recording; rerun forward")
@@ -214,7 +182,7 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         raise ShapeError("cache does not match the configured adapter count")
 
     m = cache.probs.shape[0]
-    grads = AdapterGradients.zeros(cfg)
+    grads = AdapterSet.zeros(cfg)
     act_grad = relu_grad if cfg.adapter_activation == "relu" else gelu_grad
 
     # d(mean CE)/d(logits) = (softmax - onehot) / M
@@ -233,19 +201,18 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
 
     for s in range(cfg.num_adapters - 1, -1, -1):
         sub = cache.sublayers[s]
-        ad = adapters[s]
         a_cache = sub["adapter"]
         d_a_out = d_tokens  # residual: tokens_out = u + a_out
         # adapter: out = in + act @ w_up.T + b_up
         grads.b_up[s] += d_a_out.sum(axis=(0, 1))
         grads.w_up[s] += np.einsum("mtr,mtd->rd", a_cache["act"], d_a_out).T
-        d_act = d_a_out @ ad.w_up  # per image: a flat GEMM rounds differently at r = 2
+        d_act = d_a_out @ adapters.w_up[s]  # per image: flat rounds differently at r=2
         d_v = d_act * act_grad(a_cache["v"])
         grads.b_down[s] += d_v.sum(axis=(0, 1))
         grads.w_down[s] += np.einsum("mtr,mtd->rd", d_v, a_cache["input"])
         if s == 0:
             break  # no adapter below reads the token gradient
-        d_core = d_a_out + _dot(d_v, ad.w_down)
+        d_core = d_a_out + _dot(d_v, adapters.w_down[s])
 
         enc = backbone.encoders[s // 2]
         if sub["is_msa"]:
@@ -408,16 +375,15 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
                 pre += plan.b1_live
                 pre *= normal_cdf(pre)  # gelu; Phi is exactly 1.0 where it saturates
                 core += pre @ plan.w2_live_t
-        ad = adapters[s]
-        np.dot(core, ad.w_down.T, out=v)
-        v += ad.b_down
+        np.dot(core, adapters.w_down[s].T, out=v)
+        v += adapters.b_down[s]
         if relu_mode:
             np.maximum(v, 0.0, out=v)
         else:
             v *= normal_cdf(v)
-        np.dot(v, ad.w_up.T, out=up)
+        np.dot(v, adapters.w_up[s].T, out=up)
         core += up
-        core += ad.b_up
+        core += adapters.b_up[s]
         tok2 += core  # adapter output + residual from the LN input
     _ln_normalize(tok2, z)
     zf = z.reshape(B, T, D)
@@ -428,10 +394,7 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
     return losses
 
 
-_KINDS = ("w_down", "b_down", "w_up", "b_up")
-
-
-def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterGradients:
+def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterSet:
     """True where a +h or -h step of the parameter changes the adapter output.
 
     A ``w_down[j, d]`` or ``b_down[j]`` step moves it only where it changes
@@ -440,8 +403,8 @@ def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterGradients:
     for bit, so the central difference is exactly 0.
     """
     act_fn = relu if cfg.adapter_activation == "relu" else gelu
-    zeros = AdapterGradients.zeros(cfg)
-    moved = AdapterGradients.from_flat(zeros.flat() != 0, zeros)
+    zeros = AdapterSet.zeros(cfg)
+    moved = AdapterSet.from_flat(zeros.flat() != 0, zeros)
     moved.b_up[:] = True
     for a in range(cfg.num_adapters):
         a_cache = cache.sublayers[a]["adapter"]
@@ -455,7 +418,7 @@ def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterGradients:
 
 
 def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
-                    base_out: np.ndarray, adapter, act_fn) -> np.ndarray:
+                    base_out: np.ndarray, w_up: np.ndarray, act_fn) -> np.ndarray:
     """(2n, M, T, D) adapter outputs for +h then -h single-entry perturbations.
 
     Uses the bottleneck structure: a perturbed output is the cached base
@@ -475,9 +438,9 @@ def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
             bump = inp[..., d_arr[i]] if d_arr is not None else 1.0
             for s_i, s in enumerate(signs):
                 delta = act_fn(v[..., j] + s * bump) - act[..., j]
-                out[i + s_i * n] += delta[..., None] * adapter.w_up[:, j]
+                out[i + s_i * n] += delta[..., None] * w_up[:, j]
     elif kind == "w_up":
-        d_arr, j_arr = np.divmod(idx, adapter.w_up.shape[1])
+        d_arr, j_arr = np.divmod(idx, w_up.shape[1])
         for i in range(n):
             for s_i, s in enumerate(signs):
                 out[i + s_i * n, ..., d_arr[i]] += s * act[..., j_arr[i]]
@@ -494,7 +457,7 @@ _FD_CHUNK = 24  # perturbed parameters per suffix stack
 def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
                           adapters: AdapterSet, cfg: ModelConfig, h: float = 1e-5,
                           workers: int | None = None,
-                          only: AdapterGradients | None = None) -> AdapterGradients:
+                          only: AdapterSet | None = None) -> AdapterSet:
     """Central-difference gradients for every adapter parameter, resuming
     from the batch's full forward ``cache``.
 
@@ -515,8 +478,8 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
 
     jobs = []
     for a in range(cfg.num_adapters):
-        for kind in _KINDS:
-            idx = np.flatnonzero(getattr(only, kind)[a])
+        for kind, mask in only.tensors().items():
+            idx = np.flatnonzero(mask[a])
             jobs += [(a, kind, idx[i : i + _FD_CHUNK])
                      for i in range(0, len(idx), _FD_CHUNK)]
 
@@ -530,7 +493,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
             ws = local.ws = _Workspace(rows_max, cfg)
         sub = cache.sublayers[a]
         variants = _build_variants(kind, idx, h, sub["adapter"], sub["a_out"],
-                                   adapters[a], act_fn)
+                                   adapters.w_up[a], act_fn)
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
         labels_tiled = np.tile(labels, flat.shape[0] // m)
@@ -540,7 +503,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
 
     results = parallel_map(run_job, jobs,
                            workers if workers is not None else thread_count())
-    fd = AdapterGradients.zeros(cfg)
+    fd = AdapterSet.zeros(cfg)
     for (a, kind, idx), vals in zip(jobs, results):
         getattr(fd, kind)[a].reshape(-1)[idx] = vals
     return fd
@@ -590,7 +553,7 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     central_max = float(rel.max()) if rel.size else 0.0
     refine = rel >= tolerance if tolerance > 0 else np.zeros(rel.shape, bool)
     if refine.any():
-        only = AdapterGradients.from_flat(refine, moved)
+        only = AdapterSet.from_flat(refine, moved)
         fd_2h = finite_diff_gradients(cache, backbone, adapters, cfg, 2 * h, workers,
                                       only).flat()
         # the stencil from the central differences at h and 2h
@@ -602,7 +565,7 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     return GradCheckReport(
         max_rel_err=max_rel,
         central_max_rel_err=central_max,
-        worst_param=_describe_param(worst, cfg),
+        worst_param=_describe_param(worst, moved),
         n_params=analytic.size,
         n_unmoved=int(analytic.size - moved.flat().sum()),
         n_refined=int(refine.sum()),
@@ -613,15 +576,11 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     )
 
 
-def _describe_param(flat_idx: int, cfg: ModelConfig) -> str:
-    a, r, d = cfg.num_adapters, cfg.r, cfg.D
-    blocks = [("w_down", a * r * d, (r, d)), ("b_down", a * r, (r,)),
-              ("w_up", a * d * r, (d, r)), ("b_up", a * d, (d,))]
-    for name, size, shape in blocks:
-        if flat_idx < size:
-            per = int(np.prod(shape))
-            adapter_idx, rem = divmod(flat_idx, per)
-            pos = tuple(int(x) for x in np.unravel_index(rem, shape))
-            return f"{name}[adapter={adapter_idx}, {pos}]"
-        flat_idx -= size
+def _describe_param(flat_idx: int, like: AdapterSet) -> str:
+    """Name of entry ``flat_idx`` of ``like.flat()``."""
+    for name, t in like.tensors().items():
+        if flat_idx < t.size:
+            adapter_idx, *pos = (int(x) for x in np.unravel_index(flat_idx, t.shape))
+            return f"{name}[adapter={adapter_idx}, {tuple(pos)}]"
+        flat_idx -= t.size
     return "?"

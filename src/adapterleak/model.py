@@ -15,11 +15,15 @@ harness relies on. Attention runs all heads at once, and its cache holds
 q, k, v and attn stacked head first, (L, M, T, .). An MLP with no
 pre-activation below GELU saturation (crafted backbones) skips the GELU,
 which is x * 1.0 = x there, and records ``live = False``.
+
+Adapter parameters and their gradients are one type, :class:`AdapterSet`:
+four tensors stacked on a leading adapter axis, read by ``adapter_forward``
+as adapter s of the set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -107,53 +111,54 @@ class FrozenBackbone:
 
 
 @dataclass
-class Adapter:
-    w_down: np.ndarray  # (r, D)
-    b_down: np.ndarray  # (r,)
-    w_up: np.ndarray  # (D, r)
-    b_up: np.ndarray  # (D,)
-
-
 class AdapterSet:
-    """The only trainable parameters: one down/up pair per inserted adapter."""
+    """Every adapter's parameters, stacked on a leading adapter axis.
 
-    def __init__(self, adapters: list[Adapter]):
-        self.adapters = adapters
+    The only trainable parameters. Their gradients have the same shapes and
+    use the same type. The field order is the flat order of ``flat`` and
+    ``from_flat`` and the entry order of the adapter and gradient archives.
+    """
+
+    w_down: np.ndarray  # (A, r, D)
+    b_down: np.ndarray  # (A, r)
+    w_up: np.ndarray  # (A, D, r)
+    b_up: np.ndarray  # (A, D)
 
     def __len__(self):
-        return len(self.adapters)
+        return len(self.w_down)
 
-    def __getitem__(self, i) -> Adapter:
-        return self.adapters[i]
-
-    def __iter__(self):
-        return iter(self.adapters)
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The four tensors by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def copy(self) -> "AdapterSet":
-        return AdapterSet([
-            Adapter(a.w_down.copy(), a.b_down.copy(), a.w_up.copy(), a.b_up.copy())
-            for a in self.adapters
-        ])
+        return AdapterSet(*(t.copy() for t in self.tensors().values()))
+
+    def flat(self) -> np.ndarray:
+        return np.concatenate([t.ravel() for t in self.tensors().values()])
+
+    @classmethod
+    def from_flat(cls, v: np.ndarray, like: "AdapterSet") -> "AdapterSet":
+        out, pos = [], 0
+        for ref in like.tensors().values():
+            out.append(v[pos : pos + ref.size].reshape(ref.shape))
+            pos += ref.size
+        return cls(*out)
 
     @classmethod
     def zeros(cls, cfg: ModelConfig) -> "AdapterSet":
-        return cls([
-            Adapter(np.zeros((cfg.r, cfg.D)), np.zeros(cfg.r),
-                    np.zeros((cfg.D, cfg.r)), np.zeros(cfg.D))
-            for _ in range(cfg.num_adapters)
-        ])
+        a, r, d = cfg.num_adapters, cfg.r, cfg.D
+        return cls(np.zeros((a, r, d)), np.zeros((a, r)),
+                   np.zeros((a, d, r)), np.zeros((a, d)))
 
     @classmethod
     def random(cls, cfg: ModelConfig, rng: Rng, scale: float = 0.1) -> "AdapterSet":
-        adapters = []
-        for _ in range(cfg.num_adapters):
-            adapters.append(Adapter(
-                rng.normal(0.0, scale, cfg.r * cfg.D).reshape(cfg.r, cfg.D),
-                rng.normal(0.0, scale, cfg.r),
-                rng.normal(0.0, scale, cfg.D * cfg.r).reshape(cfg.D, cfg.r),
-                rng.normal(0.0, scale, cfg.D),
-            ))
-        return cls(adapters)
+        """Normal draws, each adapter's four tensors in turn."""
+        out = cls.zeros(cfg)
+        for a in range(cfg.num_adapters):
+            for t in out.tensors().values():
+                t[a] = rng.normal(0.0, scale, t[a].size).reshape(t[a].shape)
+        return out
 
 
 def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,
@@ -231,12 +236,13 @@ def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return xhat * w + b, {"xhat": xhat, "inv_sd": inv_sd, "w": w}
 
 
-def adapter_forward(tokens: np.ndarray, adapter: Adapter, activation: str = "relu"):
-    """Bottleneck adapter with internal skip: in + W_up act(W_down in + b) + b_up."""
+def adapter_forward(tokens: np.ndarray, adapters: AdapterSet, s: int,
+                    activation: str = "relu"):
+    """Bottleneck adapter s with internal skip: in + W_up act(W_down in + b) + b_up."""
     act_fn = relu if activation == "relu" else gelu
-    v = _dot(tokens, adapter.w_down.T) + adapter.b_down
+    v = _dot(tokens, adapters.w_down[s].T) + adapters.b_down[s]
     act = act_fn(v)
-    out = tokens + _dot(act, adapter.w_up.T) + adapter.b_up
+    out = tokens + _dot(act, adapters.w_up[s].T) + adapters.b_up[s]
     return out, {"input": tokens, "v": v, "act": act}
 
 
@@ -312,7 +318,7 @@ def _run_sublayer(tokens, s, backbone, adapters, cfg, record):
         core, core_cache = msa_forward(z, enc, cfg.D_h)
     else:
         core, core_cache = _mlp_forward(z, enc)
-    a_out, a_cache = adapter_forward(core, adapters[s], cfg.adapter_activation)
+    a_out, a_cache = adapter_forward(core, adapters, s, cfg.adapter_activation)
     record.append({
         "u": tokens, "ln": ln_cache, "z": z, "is_msa": is_msa,
         "core": core_cache, "adapter": a_cache, "a_out": a_out,

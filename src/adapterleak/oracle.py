@@ -56,10 +56,6 @@ def isolated_bins(stats_mn: np.ndarray, plan: AttackPlan,
     return out
 
 
-def isolated_count(stats_mn: np.ndarray, plan: AttackPlan, round_idx: int) -> int:
-    return sum(len(v) for v in isolated_bins(stats_mn, plan, round_idx).values())
-
-
 def isolated_union(stats_mn: np.ndarray, plan: AttackPlan) -> int:
     """Distinct (position, image) pairs isolated in at least one round's grid."""
     seen = set()

@@ -7,12 +7,13 @@ others.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .dataio import read_tensor_archive, write_tensor_archive
 from .errors import FormatError
-from .grad import AdapterGradients
-from .model import Adapter, AdapterSet, EncoderParams, FrozenBackbone
+from .model import AdapterSet, EncoderParams, FrozenBackbone
 
 _ENC_FIELDS = ("ln1_w", "ln1_b", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
                "w_msa", "ln2_w", "ln2_b", "w_mlp1", "b_mlp1", "w_mlp2", "b_mlp2")
@@ -43,18 +44,19 @@ def _count(t: dict, name: str, low: int) -> int:
     return int(v)
 
 
-def _adapter_tensors(t: dict, kind: str) -> list[np.ndarray]:
-    """w_down, b_down, w_up, b_up, checked to agree on (A, r, D)."""
+def _adapter_tensors(t: dict, kind: str) -> AdapterSet:
+    """The adapter set's entries, checked to agree on (A, r, D)."""
     try:
-        w_down, b_down, w_up, b_up = (t[k] for k in ("w_down", "b_down", "w_up", "b_up"))
+        ads = AdapterSet(**{f.name: t[f.name] for f in fields(AdapterSet)})
     except KeyError as exc:
         raise FormatError(f"{kind} archive missing entry {exc}") from exc
-    if w_down.ndim != 3:
-        raise FormatError(f"{kind} w_down must be (A, r, D), got shape {w_down.shape}")
-    a, r, d = w_down.shape
-    if b_down.shape != (a, r) or w_up.shape != (a, d, r) or b_up.shape != (a, d):
+    if ads.w_down.ndim != 3:
+        raise FormatError(f"{kind} w_down must be (A, r, D), got shape {ads.w_down.shape}")
+    a, r, d = ads.w_down.shape
+    if (ads.b_down.shape != (a, r) or ads.w_up.shape != (a, d, r)
+            or ads.b_up.shape != (a, d)):
         raise FormatError(f"{kind} tensors disagree with (A, r, D) = {(a, r, d)}")
-    return [w_down, b_down, w_up, b_up]
+    return ads
 
 
 def read_backbone(path) -> FrozenBackbone:
@@ -75,32 +77,21 @@ def read_backbone(path) -> FrozenBackbone:
 
 
 def write_adapters(adapters: AdapterSet, path) -> None:
-    write_tensor_archive({
-        "w_down": np.stack([a.w_down for a in adapters]),
-        "b_down": np.stack([a.b_down for a in adapters]),
-        "w_up": np.stack([a.w_up for a in adapters]),
-        "b_up": np.stack([a.b_up for a in adapters]),
-    }, path)
+    write_tensor_archive(adapters.tensors(), path)
 
 
 def read_adapters(path) -> AdapterSet:
-    tensors = _adapter_tensors(read_tensor_archive(path), "adapter")
-    return AdapterSet([Adapter(*parts) for parts in zip(*tensors)])
+    return _adapter_tensors(read_tensor_archive(path), "adapter")
 
 
-def write_gradients(grads: AdapterGradients, batch_size: int, path) -> None:
-    write_tensor_archive({
-        "w_down": grads.w_down,
-        "b_down": grads.b_down,
-        "w_up": grads.w_up,
-        "b_up": grads.b_up,
-        "batch_size": np.array(float(batch_size)),
-    }, path)
+def write_gradients(grads: AdapterSet, batch_size: int, path) -> None:
+    write_tensor_archive({**grads.tensors(),
+                          "batch_size": np.array(float(batch_size))}, path)
 
 
-def read_gradients(path) -> tuple[AdapterGradients, int]:
+def read_gradients(path) -> tuple[AdapterSet, int]:
     t = read_tensor_archive(path)
-    grads = AdapterGradients(*_adapter_tensors(t, "gradient"))
+    grads = _adapter_tensors(t, "gradient")
     try:
         return grads, _count(t, "batch_size", 1)
     except KeyError as exc:

@@ -110,7 +110,8 @@ class TestCriterion3ExactBins:
         batch = Batch(np.stack(imgs), Rng(6).integers(0, 10, len(imgs)))
 
         stats_mn = content_statistics(batch.images, bb.embed, bb.pos, DESK)
-        assert oracle.isolated_count(stats_mn, plan, 0) == len(intervals)
+        isolated = oracle.isolated_bins(stats_mn, plan, 0)
+        assert sum(map(len, isolated.values())) == len(intervals)
         _, _, cache = forward(batch, bb, adapters, DESK)
         grads = backward_adapters(cache, bb, adapters, DESK)
         report = atk.run_attack(grads, plan, bb.pos, 0, batch.size)
@@ -136,7 +137,8 @@ class TestCriterion4OracleCoverage:
         for seed in SEEDS:
             res = run_desk(m=16, s_t=8, positions=(1,), seed=seed)
             stats_mn = oracle.true_statistics(res.victim_batch, res.backbone, DESK)
-            oracle_count = oracle.isolated_count(stats_mn, res.plan, 0)
+            isolated = oracle.isolated_bins(stats_mn, res.plan, 0)
+            oracle_count = sum(map(len, isolated.values()))
             matched = sum(1 for (_, t) in res.recovered_map if t == 1)
             diffs.append(matched - oracle_count)
         mean_abs = float(np.mean(np.abs(diffs)))

@@ -244,7 +244,8 @@ class TestCoverageCeiling:
                                  DefenseConfig())
             stats_mn = oracle.true_statistics(res.victim_batch, res.backbone,
                                               DESK)
-            oracle_count = oracle.isolated_count(stats_mn, res.plan, 0)
+            isolated = oracle.isolated_bins(stats_mn, res.plan, 0)
+            oracle_count = sum(map(len, isolated.values()))
             valid = len(res.merged.valid_patches)
             assert valid >= oracle_count           # isolated bins always land
             assert valid - oracle_count <= 1       # collisions rarely slip

@@ -276,7 +276,7 @@ class TestCraftedAdapters:
         batch = synth_batch(16, DESK, seed=91, kind="uniform")
         true_stats = content_statistics(batch.images, bb.embed, bb.pos, DESK)
         _, _, cache = forward(batch, bb, adapters, DESK)
-        kappa = cc.down_scale
+        kappa = cr._DOWN_SCALE
         assign = plan.adapters_for(1)[0]
         grid = plan.grid(1, 0)
         v = cache.sublayers[assign.adapter]["adapter"]["v"][:, 1, :] / kappa
@@ -302,8 +302,7 @@ class TestCraftedAdapters:
     def test_zero_epsilon_kills_down_projection_gradients(self, planned):
         cc, bb, ei, stats, plan, _ = planned
         adapters = cr.craft_adapters(plan, bb, cc, DESK, 0)
-        for ad in adapters:
-            ad.w_up[:] = 0.0  # epsilon row removed
+        adapters.w_up[:] = 0.0  # epsilon row removed
         batch = synth_batch(4, DESK, seed=93, kind="uniform")
         _, _, cache = forward(batch, bb, adapters, DESK)
         g = backward_adapters(cache, bb, adapters, DESK)
@@ -365,8 +364,9 @@ def _adapter_digest(adapters) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    for ad in adapters:
-        for arr in (ad.w_down, ad.b_down, ad.w_up, ad.b_up):
+    for a in range(len(adapters)):
+        for arr in (adapters.w_down[a], adapters.b_down[a], adapters.w_up[a],
+                    adapters.b_up[a]):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
 

@@ -138,59 +138,58 @@ def _smooth_reference(m, cfg, seed):
     return images, rng.integers(0, cfg.num_classes, m)
 
 
+def _one_record(path, t: np.ndarray) -> int:
+    """Write ``t`` as an archive's one record; return the record's offset."""
+    dataio.write_tensor_archive({"t": t}, path)
+    return path.read_bytes().index(b"PLTF")
+
+
 class TestTensorFile:
     def test_empty_tensor_round_trip(self, tmp_path):
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(np.empty(0), path)
-        out = dataio.read_tensor(path)
+        path = tmp_path / "t.plta"
+        _one_record(path, np.empty(0))
+        out = dataio.read_tensor_archive(path)["t"]
         assert out.shape == (0,)
 
     def test_random_3d_round_trip_bit_exact(self, tmp_path):
         rng = Rng(2)
         t = rng.normal(0, 1e9, 30).reshape(2, 3, 5)
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(t, path)
-        out = dataio.read_tensor(path)
+        path = tmp_path / "t.plta"
+        _one_record(path, t)
+        out = dataio.read_tensor_archive(path)["t"]
         assert out.shape == t.shape
         assert np.array_equal(out.view(np.uint64), t.view(np.uint64))
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(np.ones(4), path)
+        path = tmp_path / "t.plta"
+        _one_record(path, np.ones(4))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
-            dataio.read_tensor(path)
-
-    def test_trailing_garbage(self, tmp_path):
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(np.ones(4), path)
-        path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FormatError):
-            dataio.read_tensor(path)
+            dataio.read_tensor_archive(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(np.ones(2), path)
+        path = tmp_path / "t.plta"
+        record = _one_record(path, np.ones(2))
         raw = bytearray(path.read_bytes())
-        raw[0] = ord(b"Q")
+        raw[record] = ord(b"Q")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            dataio.read_tensor(path)
+            dataio.read_tensor_archive(path)
 
     def test_bad_version_and_dtype(self, tmp_path):
-        path = tmp_path / "t.pltf"
-        dataio.write_tensor(np.ones(2), path)
+        path = tmp_path / "t.plta"
+        record = _one_record(path, np.ones(2))
         raw = bytearray(path.read_bytes())
-        raw[4] = 9  # version little-endian low byte
+        raw[record + 4] = 9  # version little-endian low byte
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            dataio.read_tensor(path)
-        dataio.write_tensor(np.ones(2), path)
+            dataio.read_tensor_archive(path)
+        record = _one_record(path, np.ones(2))
         raw = bytearray(path.read_bytes())
-        raw[6] = 1  # dtype code
+        raw[record + 6] = 1  # dtype code
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            dataio.read_tensor(path)
+            dataio.read_tensor_archive(path)
 
     def test_archive_round_trip(self, tmp_path):
         rng = Rng(4)
@@ -265,11 +264,10 @@ class TestArchiveProperties:
     def test_arbitrary_bytes_parse_or_format_error(self, raw, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "fuzz.bin"
         path.write_bytes(raw)
-        for read in (dataio.read_tensor_archive, dataio.read_tensor):
-            try:
-                read(path)
-            except FormatError:
-                pass
+        try:
+            dataio.read_tensor_archive(path)
+        except FormatError:
+            pass
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(tensors=_tensors)

@@ -15,10 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "adapterleak"
 # Definitions with no caller in src/ that the program still needs.
 ALLOWED = {
     "metrics.ssim": "criterion 3 scores single images with it",
-    "oracle.isolated_count": "the acceptance oracle's per-round isolated-bin ceiling",
     "serialize.read_adapters": "reads the adapter archives that `craft` writes",
-    "dataio.read_tensor": "the PLTF single-record layout, paired with write_tensor",
-    "dataio.write_tensor": "the PLTF single-record layout, paired with read_tensor",
     "attack.group_patches": "fingerprint grouping of recovered patches, tested end to end",
 }
 

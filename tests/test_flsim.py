@@ -200,8 +200,9 @@ def _setup_digest(setup: flsim.AttackSetup) -> str:
     for enc in setup.backbone.encoders:
         arrays += list(vars(enc).values())
     for adapters in setup.adapters:
-        for ad in adapters:
-            arrays += [ad.w_down, ad.b_down, ad.w_up, ad.b_up]
+        for a in range(len(adapters)):
+            arrays += [adapters.w_down[a], adapters.b_down[a], adapters.w_up[a],
+                       adapters.b_up[a]]
     plan = setup.plan
     arrays += [plan.stats_mu, plan.stats_sigma, plan.content_rows,
                plan.correction_rows, plan.e_pinv, plan.fingerprint_rows,

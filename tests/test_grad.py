@@ -9,7 +9,7 @@ from adapterleak import grad
 from adapterleak.craft import CraftConfig, build_attack_plan, craft_adapters, craft_backbone
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import ConfigError
-from adapterleak.grad import (AdapterGradients, backward_adapters, blas_single_thread,
+from adapterleak.grad import (backward_adapters, blas_single_thread,
                               finite_diff_check, finite_diff_gradients, parallel_map)
 from adapterleak.model import (AdapterSet, ForwardCache, ModelConfig, cross_entropy,
                                forward, random_backbone)
@@ -88,8 +88,8 @@ class TestBackward:
         bb = random_backbone(cfg, Rng(9))
         ads = AdapterSet.random(cfg, Rng(10), scale=0.2)
         # force neuron 0 of adapter 1 to never fire
-        ads[1].w_down[0] = 0.0
-        ads[1].b_down[0] = -5.0
+        ads.w_down[1, 0] = 0.0
+        ads.b_down[1, 0] = -5.0
         batch = synth_batch(3, cfg, seed=4)
         _, _, cache = forward(batch, bb, ads, cfg)
         assert np.all(cache.sublayers[1]["adapter"]["v"][..., 0] < 0)
@@ -236,7 +236,7 @@ def brute_central(bb, ads, batch, cfg, a, kind, pos, h=1e-5):
     losses = []
     for step in (h, -h):
         pert = ads.copy()
-        getattr(pert[a], kind)[pos] += step
+        getattr(pert, kind)[a][pos] += step
         losses.append(forward(batch, bb, pert, cfg)[1])
     return (losses[0] - losses[1]) / (2.0 * h)
 
@@ -253,7 +253,7 @@ class TestUnmovedParameters:
         cfg = tiny_cfg(adapter_activation=activation)
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
-        ads[self.A].b_down[self.J] = -1e3
+        ads.b_down[self.A, self.J] = -1e3
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
         moved = grad._moved(cache, cfg, 1e-5)
@@ -275,8 +275,8 @@ class TestUnmovedParameters:
         cfg = tiny_cfg()
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
-        ads[self.A].w_down[self.J] = 0.0
-        ads[self.A].b_down[self.J] = -30.0  # Phi(-30) ~ 5e-198: tiny, not zero
+        ads.w_down[self.A, self.J] = 0.0
+        ads.b_down[self.A, self.J] = -30.0  # Phi(-30) ~ 5e-198: tiny, not zero
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
         act = cache.sublayers[self.A]["adapter"]["act"][..., self.J]
@@ -290,8 +290,8 @@ class TestUnmovedParameters:
         cfg = tiny_cfg(adapter_activation="relu")
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
-        ads[self.A].w_down[self.J] = 0.0
-        ads[self.A].b_down[self.J] = -0.5e-5  # a +h step crosses zero
+        ads.w_down[self.A, self.J] = 0.0
+        ads.b_down[self.A, self.J] = -0.5e-5  # a +h step crosses zero
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
         moved = grad._moved(cache, cfg, 1e-5)
@@ -334,7 +334,7 @@ class TestRefinement:
             flat = g.flat()
             k = int(np.argmax(np.abs(flat)))
             flat[k] *= 1.0 + 1e-5
-            return AdapterGradients.from_flat(flat, g)
+            return AdapterSet.from_flat(flat, g)
 
         monkeypatch.setattr(grad, "backward_adapters", mutated)
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
@@ -362,10 +362,10 @@ class TestThreadCount:
 class TestGradientContainers:
     def test_flat_round_trip(self):
         cfg = tiny_cfg()
-        g = AdapterGradients.zeros(cfg)
+        g = AdapterSet.zeros(cfg)
         g.w_down += 1.0
         g.b_up += 2.0
-        back = AdapterGradients.from_flat(g.flat(), g)
+        back = AdapterSet.from_flat(g.flat(), g)
         assert np.array_equal(back.w_down, g.w_down)
         assert np.array_equal(back.b_up, g.b_up)
 

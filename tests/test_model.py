@@ -126,18 +126,17 @@ class TestMsa:
 class TestAdapterForward:
     def test_zero_up_projection_is_skip(self):
         cfg = tiny_cfg()
-        ad = mdl.Adapter(Rng(1).normal(0, 1, 4 * 16).reshape(4, 16),
-                         Rng(2).normal(0, 1, 4),
-                         np.zeros((16, 4)), np.zeros(16))
+        ads = mdl.AdapterSet(Rng(1).normal(0, 1, 4 * 16).reshape(1, 4, 16),
+                             Rng(2).normal(0, 1, 4).reshape(1, 4),
+                             np.zeros((1, 16, 4)), np.zeros((1, 16)))
         tokens = Rng(3).normal(0, 1, 2 * 5 * 16).reshape(2, 5, 16)
-        out, _ = mdl.adapter_forward(tokens, ad, "relu")
+        out, _ = mdl.adapter_forward(tokens, ads, 0, "relu")
         assert np.array_equal(out, tokens)
 
     def test_all_zero_adapter_is_identity(self):
-        ad = mdl.Adapter(np.zeros((4, 16)), np.zeros(4), np.zeros((16, 4)),
-                         np.zeros(16))
+        ads = mdl.AdapterSet.zeros(tiny_cfg())
         tokens = Rng(4).normal(0, 1, 3 * 2 * 16).reshape(3, 2, 16)
-        out, _ = mdl.adapter_forward(tokens, ad, "relu")
+        out, _ = mdl.adapter_forward(tokens, ads, 1, "relu")
         assert np.array_equal(out, tokens)
 
 
@@ -184,8 +183,7 @@ class TestForward:
     def test_wrong_adapter_count_rejected(self):
         cfg = tiny_cfg()
         bb = mdl.random_backbone(cfg, Rng(16))
-        ads = mdl.AdapterSet.zeros(cfg)
-        ads.adapters.pop()
+        ads = mdl.AdapterSet.zeros(tiny_cfg(num_encoders=1))
         with pytest.raises(ShapeError):
             mdl.forward(synth_batch(2, cfg, seed=1), bb, ads, cfg)
 
@@ -254,7 +252,7 @@ class TestRandomAdaptersPinned:
     def test_tensors_unchanged(self):
         ads = mdl.AdapterSet.random(mdl.ModelConfig(), Rng(32), 0.1)
         h = hashlib.sha256()
-        for ad in ads:
-            for arr in (ad.w_down, ad.b_down, ad.w_up, ad.b_up):
+        for a in range(len(ads)):
+            for arr in (ads.w_down[a], ads.b_down[a], ads.w_up[a], ads.b_up[a]):
                 h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest()[:16] == PIN_RANDOM_ADAPTERS

@@ -167,6 +167,13 @@ class TestTensorFile:
         with pytest.raises(FormatError):
             dataio.read_tensor_archive(path)
 
+    def test_trailing_garbage(self, tmp_path):
+        path = tmp_path / "t.plta"
+        _one_record(path, np.ones(4))
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(FormatError):
+            dataio.read_tensor_archive(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.plta"
         record = _one_record(path, np.ones(2))

@@ -283,6 +283,56 @@ class TestSharedSetup:
         assert _setup_digest(setup) == before
 
 
+# run_experiment on four users with victim 2, digested once and never to
+# move: the victim's (defended) gradients, merged coverage and score. The
+# victim's noise comes from the defense stream's key rho * users + victim.
+PIN_RUN_EXPERIMENT = {
+    "gaussian_noise": "d707628f2b2bc624",
+    "stochastic_quantize": "8e7a14c87ce1f2b0",
+}
+
+
+class TestRunExperimentPinned:
+    ARGS = flsim.SetupArgs(DESK, CraftConfig(seed=7), 5, 2, (1, 3), 2)
+    DEFENSES = {
+        "gaussian_noise": flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=0.1),
+        "stochastic_quantize": flsim.DefenseConfig(kind="stochastic_quantize"),
+    }
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return flsim.prepare_attack(self.ARGS)
+
+    @pytest.mark.parametrize("defense", sorted(PIN_RUN_EXPERIMENT))
+    def test_bytes_unchanged(self, setup, defense):
+        import hashlib
+
+        from adapterleak.grad import blas_single_thread
+
+        fl = flsim.FLConfig(users=4, batch_size=8, rounds=2, local_epochs=2,
+                            victim_index=2, mode="fedavg", seed=5)
+        # the noise scale's norm is a BLAS dot product whose rounding
+        # depends on the BLAS thread count, so pin it at one thread, as
+        # sweep cells run
+        with blas_single_thread():
+            res = flsim.run_experiment(setup, fl, self.DEFENSES[defense])
+        h = hashlib.sha256(np.ascontiguousarray(res.victim_grads.flat()).tobytes())
+        h.update(repr((res.merged.coverage, repr(res.score))).encode())
+        assert h.hexdigest()[:16] == PIN_RUN_EXPERIMENT[defense]
+
+    def test_user_count_only_sets_keys(self, setup):
+        # without a defense the victim's share does not depend on how many
+        # users take part
+        results = [flsim.run_experiment(
+            setup, flsim.FLConfig(users=users, batch_size=8, rounds=2, seed=5),
+            flsim.DefenseConfig()) for users in (1, 2, 4)]
+        first = results[0]
+        for res in results[1:]:
+            assert res.victim_grads.flat().tobytes() == first.victim_grads.flat().tobytes()
+            assert repr(res.score) == repr(first.score)
+            assert res.merged.coverage == first.merged.coverage
+
+
 # local_step gradients and forward's loss and logits, pinned: each case
 # below was digested once and must never move. "desk" is the crafted desk
 # setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the

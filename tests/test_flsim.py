@@ -333,6 +333,26 @@ class TestRunExperimentPinned:
             assert res.merged.coverage == first.merged.coverage
 
 
+    def test_only_the_victim_trains(self, setup, monkeypatch):
+        # one batch and epochs x rounds local steps, however many users
+        calls = {"local_step": 0, "synth_batch": 0}
+
+        def counted(name):
+            fn = getattr(flsim, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(flsim, name, counted(name))
+        fl = flsim.FLConfig(users=4, batch_size=8, rounds=2, local_epochs=3,
+                            mode="fedavg", seed=5)
+        flsim.run_experiment(setup, fl, flsim.DefenseConfig())
+        assert calls == {"local_step": 6, "synth_batch": 1}
+
+
 # local_step gradients and forward's loss and logits, pinned: each case
 # below was digested once and must never move. "desk" is the crafted desk
 # setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the

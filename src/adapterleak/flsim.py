@@ -265,11 +265,11 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         raise ConfigError("the setup was built for another FL seed or round count")
     model_cfg, data_kind = setup.args.model, setup.args.data_kind
     backbone, plan = setup.backbone, setup.plan
-    data_rng = _data_rng(fl_cfg.seed)
     defense_rng = Rng(fl_cfg.seed).spawn(202)
 
     m = fl_cfg.batch_size
-    victim_batch = synth_batch(m, model_cfg, seed=int(data_rng.spawn(1).seed),
+    victim_batch = synth_batch(m, model_cfg,
+                               seed=int(_data_rng(fl_cfg.seed).spawn(1).seed),
                                kind=data_kind)
     stats_mn = oracle.true_statistics(victim_batch, backbone, model_cfg)
     truth = oracle.ground_truth_patches(victim_batch, model_cfg)

@@ -332,7 +332,6 @@ class TestRunExperimentPinned:
             assert repr(res.score) == repr(first.score)
             assert res.merged.coverage == first.merged.coverage
 
-
     def test_only_the_victim_trains(self, setup, monkeypatch):
         # one batch and epochs x rounds local steps, however many users
         calls = {"local_step": 0, "synth_batch": 0}

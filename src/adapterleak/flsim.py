@@ -12,6 +12,7 @@ already owns: batches and forward caches never cross that boundary.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +108,8 @@ def apply_defense(g: AdapterSet, d: DefenseConfig, rng: Rng) -> AdapterSet:
     if d.kind == "gaussian_noise":
         if d.noise_rel_sigma == 0.0:
             return g.copy()
-        norm = float(np.linalg.norm(flat))
+        # fsum rounds alike at every BLAS thread count; a BLAS dot product does not
+        norm = math.sqrt(math.fsum(flat * flat))
         sigma = d.noise_rel_sigma * norm / np.sqrt(n)
         out = flat + (rng.normal(0.0, sigma, n) if sigma > 0 else 0.0)
     elif d.kind == "topk_prune":

@@ -18,12 +18,21 @@ bit of its adapter's output (a dead unit's ``w_down``, ``b_down`` and
 ``w_up`` entries) gets its exact central difference, 0, without a suffix
 evaluation; the other perturbation variants are evaluated in stacked
 batches through a fused suffix path; and stacks are distributed over one
-worker thread per core (``PEFTLEAK_THREADS`` caps the pool). The fused
-suffix folds the frozen backbone into per-sublayer plans and a head plan,
-built afresh for every call, so the oracle always evaluates the backbone
-as it is now. It projects every head's queries and keys in one stacked
-matmul and runs one logits matmul, one softmax and one attention x V
-matmul for all heads; its GELU is the exact-Phi x * Phi(x) in one pass.
+worker thread per core (``PEFTLEAK_THREADS`` caps the pool).
+
+The fused suffix runs on the model's kernels: ``model.layer_normalize``,
+``numerics.softmax_rows`` and ``model.adapter_forward``. What it keeps of
+its own are folds of the frozen backbone, built afresh for every call so
+the oracle always evaluates the backbone as it is now: each LayerNorm's
+affine folded into the projections that read it (``_MsaPlan``,
+``_MlpPlan``, ``_HeadPlan``), and the MLP units certified GELU-saturated
+collapsed into one D x D product (``_MlpPlan``). Both round differently
+from the forward's literal order, so the forward, whose output bytes are
+pinned, cannot take them over: a crafted backbone's saturated MLP computes
+(z + gamma) - gamma with gamma = 1e4, which float64 does not round back
+to the collapsed product's z. The suffix projects every head's
+queries and keys in one stacked matmul and runs one logits matmul, one
+softmax and one attention x V matmul for all heads.
 
 ``parallel_map`` runs every thread pool of the package. While a pool runs,
 BLAS is capped at one thread (``blas_single_thread``), so pool threads and
@@ -37,20 +46,19 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import (AdapterSet, ForwardCache, FrozenBackbone, ModelConfig, _dot,
-                    cross_entropy, forward)
-from .numerics import gelu, gelu_grad, normal_cdf, relu, relu_grad
+                    adapter_forward, cross_entropy, forward, layer_normalize)
+from .numerics import gelu, gelu_grad, normal_cdf, relu, relu_grad, softmax_rows
 
 
 def thread_count() -> int:
@@ -232,27 +240,6 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    """Per-thread scratch buffers so suffix evaluation does not allocate."""
-
-    def __init__(self, rows: int, cfg: ModelConfig):
-        D = cfg.D
-        self.z = np.empty((rows, D))
-        self.core = np.empty((rows, D))
-        self.up = np.empty((rows, D))
-        self.concat = np.empty((rows, D))
-        self.v = np.empty((rows, cfg.r))
-
-
-def _ln_normalize(x2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """xhat of a LayerNorm on (rows, D) into ``out``; affine applied downstream."""
-    mu = x2.mean(axis=1)
-    np.subtract(x2, mu[:, None], out=out)
-    var = np.einsum("nd,nd->n", out, out) / x2.shape[1]
-    out *= (1.0 / np.sqrt(var))[:, None]
-    return out
-
-
 class _MlpPlan:
     """Per-encoder MLP evaluation plan for the suffix path.
 
@@ -319,19 +306,9 @@ class _HeadPlan:
         self.b_cls = backbone.ln_f_b @ backbone.w_cls.T + backbone.b_cls
 
 
-def _softmax_inplace(x: np.ndarray) -> np.ndarray:
-    """Softmax over the short last axis (T tokens), reduced column by column:
-    T - 1 elementwise passes beat numpy's reductions over a length-T axis."""
-    cols = [x[..., i : i + 1] for i in range(x.shape[-1])]
-    x -= reduce(np.maximum, cols)
-    np.exp(x, out=x)
-    x /= reduce(np.add, cols)
-    return x
-
-
 def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
                    adapters: AdapterSet, cfg: ModelConfig,
-                   labels_tiled: np.ndarray, ws: _Workspace) -> np.ndarray:
+                   labels_tiled: np.ndarray) -> np.ndarray:
     """Per-image losses for a (B, T, D) token stack resuming after ``start_sub``.
 
     ``plans[s]`` is sublayer s's ``_MsaPlan`` or ``_MlpPlan``, and the last
@@ -339,54 +316,35 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
     the running residual stream).
     """
     L, d_h = cfg.L, cfg.D_h
-    relu_mode = cfg.adapter_activation == "relu"
     B, T, D = tokens.shape
     rows = B * T
     tok2 = tokens.reshape(rows, D)
-    z = ws.z[:rows]
-    core = ws.core[:rows]
-    up = ws.up[:rows]
-    concat = ws.concat[:rows]
-    v = ws.v[:rows]
 
     def by_head(x):  # (rows, L*d_h) -> (L, B, T, d_h) view
         return x.reshape(B, T, L, d_h).transpose(2, 0, 1, 3)
 
     for s in range(start_sub + 1, cfg.num_adapters):
-        _ln_normalize(tok2, z)
+        z, _ = layer_normalize(tok2)
         plan = plans[s]
         if s % 2 == 0:
             qk = np.matmul(z.reshape(rows, L, d_h).transpose(1, 0, 2), plan.wqk_t)
             qk += plan.bqk
             qk = qk.reshape(L, B, T, 2 * d_h)
-            attn = _softmax_inplace(qk[..., :d_h] @ np.swapaxes(qk[..., d_h:], -1, -2))
+            attn = softmax_rows(qk[..., :d_h] @ np.swapaxes(qk[..., d_h:], -1, -2))
             vs = z @ plan.wv_all_t
             vs += plan.bv_all
-            np.matmul(attn, by_head(vs), out=by_head(concat))
-            np.dot(concat, plan.w_msa_t, out=core)
+            np.matmul(attn, by_head(vs), out=by_head(z))  # z is spent; reuse it
+            core = z @ plan.w_msa_t
         else:
-            if plan.w_lin_t is not None:
-                np.dot(z, plan.w_lin_t, out=core)
-                core += plan.b_lin
-            else:
-                core[:] = plan.b_lin
+            core = z @ plan.w_lin_t if plan.w_lin_t is not None else np.zeros((rows, D))
+            core += plan.b_lin
             if len(plan.live):
                 pre = z @ plan.w1_live_t
                 pre += plan.b1_live
                 pre *= normal_cdf(pre)  # gelu; Phi is exactly 1.0 where it saturates
                 core += pre @ plan.w2_live_t
-        np.dot(core, adapters.w_down[s].T, out=v)
-        v += adapters.b_down[s]
-        if relu_mode:
-            np.maximum(v, 0.0, out=v)
-        else:
-            v *= normal_cdf(v)
-        np.dot(v, adapters.w_up[s].T, out=up)
-        core += up
-        core += adapters.b_up[s]
-        tok2 += core  # adapter output + residual from the LN input
-    _ln_normalize(tok2, z)
-    zf = z.reshape(B, T, D)
+        tok2 += adapter_forward(core, adapters, s, cfg.adapter_activation)[0]
+    zf = layer_normalize(tok2)[0].reshape(B, T, D)
     pooled = zf.mean(axis=-2) if cfg.head_mode == "mean_pool" else zf[:, 0, :]
     head = plans[-1]
     logits = pooled @ head.w_cls_t + head.b_cls
@@ -483,21 +441,15 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
             jobs += [(a, kind, idx[i : i + _FD_CHUNK])
                      for i in range(0, len(idx), _FD_CHUNK)]
 
-    local = threading.local()
-    rows_max = 2 * _FD_CHUNK * m * (cfg.N + 1)
-
     def run_job(job):
         a, kind, idx = job
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _Workspace(rows_max, cfg)
         sub = cache.sublayers[a]
         variants = _build_variants(kind, idx, h, sub["adapter"], sub["a_out"],
                                    adapters.w_up[a], act_fn)
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
         labels_tiled = np.tile(labels, flat.shape[0] // m)
-        losses = _suffix_losses(flat, a, plans, adapters, cfg, labels_tiled, ws)
+        losses = _suffix_losses(flat, a, plans, adapters, cfg, labels_tiled)
         losses = losses.reshape(2, len(idx), m).mean(axis=-1)
         return (losses[0] - losses[1]) / (2.0 * h)
 

@@ -53,21 +53,6 @@ def _ssim_batch(a: np.ndarray, b: np.ndarray, window: int,
     return vals.reshape(vals.shape[0], -1).mean(axis=-1)
 
 
-def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
-    """Uniform-window SSIM averaged over channels and window positions.
-
-    Accepts (C, H, W) or (H, W) arrays; the window shrinks to the image if
-    needed so small patches still score.
-    """
-    a, b = as_f64(a), as_f64(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a = a[None]
-        b = b[None]
-    return float(_ssim_batch(a[None], b[None], window, data_range)[0])
-
-
 @dataclass
 class ScoreReport:
     per_patch_mse: list[float]

@@ -228,11 +228,19 @@ def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w_t).reshape(*lead, w_t.shape[-1])
 
 
+def layer_normalize(x: np.ndarray):
+    """(xhat, inv_sd) of a LayerNorm over the last axis, before its affine."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_sd = np.square(xhat).mean(axis=-1, keepdims=True)  # numpy's own var arithmetic
+    inv_sd += LN_EPS
+    np.sqrt(inv_sd, out=inv_sd)
+    np.divide(1.0, inv_sd, out=inv_sd)
+    xhat *= inv_sd
+    return xhat, inv_sd
+
+
 def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    d = x - x.mean(axis=-1, keepdims=True)
-    var = (d * d).mean(axis=-1, keepdims=True)  # numpy's own var arithmetic
-    inv_sd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = d * inv_sd
+    xhat, inv_sd = layer_normalize(x)
     return xhat * w + b, {"xhat": xhat, "inv_sd": inv_sd, "w": w}
 
 
@@ -240,9 +248,12 @@ def adapter_forward(tokens: np.ndarray, adapters: AdapterSet, s: int,
                     activation: str = "relu"):
     """Bottleneck adapter s with internal skip: in + W_up act(W_down in + b) + b_up."""
     act_fn = relu if activation == "relu" else gelu
-    v = _dot(tokens, adapters.w_down[s].T) + adapters.b_down[s]
+    v = _dot(tokens, adapters.w_down[s].T)
+    v += adapters.b_down[s]
     act = act_fn(v)
-    out = tokens + _dot(act, adapters.w_up[s].T) + adapters.b_up[s]
+    out = _dot(act, adapters.w_up[s].T)
+    out += tokens  # addition commutes: the bits of tokens + W_up act
+    out += adapters.b_up[s]
     return out, {"input": tokens, "v": v, "act": act}
 
 

@@ -26,11 +26,19 @@ def as_f64(a) -> np.ndarray:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction; rejects NaN input."""
     m = as_f64(m)
-    if np.isnan(m).any():
+    # The row max is taken column by column: a max is exact, so it equals
+    # m.max(-1) bit for bit, and T - 1 elementwise passes beat numpy's
+    # reduction over a short last axis. The sum stays numpy's row sum, which
+    # rounds differently from a column-by-column sum from T = 8 up.
+    row_max = m[..., :1].copy()
+    for i in range(1, m.shape[-1]):
+        np.maximum(row_max, m[..., i : i + 1], out=row_max)
+    if np.isnan(row_max).any():  # np.maximum propagates a NaN anywhere in the row
         raise ValueError("softmax_rows: NaN in input")
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(m, row_max)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def normal_cdf(x) -> np.ndarray:

@@ -20,11 +20,11 @@ from adapterleak.dataio import Batch, synth_batch
 from adapterleak.flsim import (DefenseConfig, FLConfig, SetupArgs, prepare_attack,
                                run_experiment)
 from adapterleak.grad import backward_adapters
-from adapterleak.metrics import ssim
 from adapterleak.model import (AdapterSet, ModelConfig, build_tokens, forward,
                                unpatchify)
 from adapterleak.numerics import Rng
 from adapterleak.stats import content_statistics, estimate_patch_stats
+from helpers import ssim
 
 DESK = ModelConfig()
 DESK_CFG_FILE = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "adapterleak"
 
 # Definitions with no caller in src/ that the program still needs.
 ALLOWED = {
-    "metrics.ssim": "criterion 3 scores single images with it",
     "serialize.read_adapters": "reads the adapter archives that `craft` writes",
     "attack.group_patches": "fingerprint grouping of recovered patches, tested end to end",
 }

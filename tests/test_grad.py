@@ -298,9 +298,12 @@ class TestUnmovedParameters:
         assert moved.b_down[self.A][self.J]
         assert not moved.w_up[self.A][:, self.J].any()  # act is 0 everywhere
 
-    @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    def test_fused_suffix_matches_forward(self, activation):
-        cfg = tiny_cfg(adapter_activation=activation)
+    @pytest.mark.parametrize("kw", [
+        dict(adapter_activation="gelu"), dict(adapter_activation="relu"),
+        dict(head_mode="class_token"), dict(H=16, W=16)],
+        ids=["gelu", "relu", "class_token", "17_tokens"])
+    def test_fused_suffix_matches_forward(self, kw):
+        cfg = tiny_cfg(**kw)
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
         batch = synth_batch(3, cfg, seed=3, kind="uniform")
@@ -309,10 +312,9 @@ class TestUnmovedParameters:
         encs = bb.encoders
         plans = [grad._MlpPlan(encs[s // 2]) if s % 2 else grad._MsaPlan(encs[s // 2])
                  for s in range(cfg.num_adapters)] + [grad._HeadPlan(bb)]
-        ws = grad._Workspace(batch.size * (cfg.N + 1), cfg)
         for a, sub in enumerate(cache.sublayers):
             tokens = sub["u"] + sub["a_out"]
-            losses = grad._suffix_losses(tokens, a, plans, ads, cfg, batch.labels, ws)
+            losses = grad._suffix_losses(tokens, a, plans, ads, cfg, batch.labels)
             assert np.max(np.abs(losses - expected)) < 1e-12, a
 
 

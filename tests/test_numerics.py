@@ -53,6 +53,17 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             nx.softmax_rows(np.array([[0.0, np.nan]]))
 
+    @pytest.mark.parametrize("t", [1, 2, 5, 8, 17])
+    def test_column_max_matches_row_reduction(self, t):
+        m = nx.Rng(t).normal(0, 20, 4 * 3 * t * t).reshape(4, 3, t, t)
+        e = np.exp(m - m.max(axis=-1, keepdims=True))
+        assert np.array_equal(nx.softmax_rows(m), e / e.sum(axis=-1, keepdims=True))
+        for col in (0, t // 2, t - 1):
+            bad = m.copy()
+            bad[1, 2, 0, col] = np.nan
+            with pytest.raises(ValueError):
+                nx.softmax_rows(bad)
+
 
 class TestLayerNorm:
     def test_two_point(self):

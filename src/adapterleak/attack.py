@@ -35,7 +35,6 @@ class RecoveredPatch:
     pixels: np.ndarray  # raw, unclamped
     stat_check: float
     valid: bool
-    fingerprint: np.ndarray | None = None
 
 
 @dataclass
@@ -103,7 +102,7 @@ def recover_embedding(dw_j: np.ndarray, db_j: float,
 
 
 def correct_embedding(y_raw: np.ndarray, e_pos_t: np.ndarray,
-                      rows: np.ndarray) -> tuple[np.ndarray, float, float]:
+                      rows: np.ndarray) -> np.ndarray:
     """Undo the per-token affine LayerNorm residue.
 
     Every adapter input equals scale * (y - offset_scalar) per token; the
@@ -114,8 +113,8 @@ def correct_embedding(y_raw: np.ndarray, e_pos_t: np.ndarray,
     coef, *_ = np.linalg.lstsq(a, y_raw[rows], rcond=None)
     scale, offset = float(coef[0]), float(coef[1])
     if scale == 0.0 or not np.isfinite(scale):
-        return y_raw.copy(), 1.0, 0.0
-    return (y_raw - offset) / scale, scale, offset
+        return y_raw.copy()
+    return (y_raw - offset) / scale
 
 
 def recover_patch(y: np.ndarray, e_pinv: np.ndarray, e_pos_t: np.ndarray) -> np.ndarray:
@@ -132,17 +131,6 @@ def patch_statistic(y: np.ndarray, e_pos_t: np.ndarray,
     """Recovered content statistic, evaluated on the embedding's row support."""
     rows = content_rows
     return float(e_pos_t[rows] @ (y[rows] - e_pos_t[rows]))
-
-
-def extract_fingerprint(y_raw: np.ndarray, scale: float, offset: float,
-                        e_pos_t: np.ndarray, plan: AttackPlan) -> np.ndarray:
-    """Source-image tag carried on the reserved coordinates.
-
-    The residual stream there holds (tag + E_pos_t) at half the content
-    blocks' gain, hence the factor 2 before removing the known encoding.
-    """
-    rows = plan.fingerprint_rows
-    return 2.0 * (y_raw[rows] - offset) / scale - e_pos_t[rows]
 
 
 def bin_bounds(plan: AttackPlan, t: int, round_idx: int, bin_index: int):
@@ -181,59 +169,16 @@ def run_attack(grads: AdapterSet, plan: AttackPlan, pos: np.ndarray,
         except EmptyBinError:
             continue
         e_pos_t = pos[hit.position]
-        y, scale, offset = correct_embedding(y_raw, e_pos_t, plan.correction_rows)
+        y = correct_embedding(y_raw, e_pos_t, plan.correction_rows)
         pixels = recover_patch(y, plan.e_pinv, e_pos_t)
         stat = patch_statistic(y, e_pos_t, plan.content_rows)
-        fp = None
-        if plan.fingerprint_enabled:
-            fp = extract_fingerprint(y_raw, scale, offset, e_pos_t, plan)
         patch = RecoveredPatch(
             position=hit.position, bin_index=hit.bin_index, round_idx=round_idx,
-            pixels=pixels, stat_check=stat, valid=False, fingerprint=fp)
+            pixels=pixels, stat_check=stat, valid=False)
         patch.valid = validate(patch, plan)
         patches.append(patch)
     return ReconstructionReport(patches=patches, n_positions=plan.n_patches,
                                 m_expected=m_expected, rounds=(round_idx,))
-
-
-def group_patches(patches: list[RecoveredPatch], mode: str = "fingerprint",
-                  delta: float | None = None,
-                  oracle_labels: list[int] | None = None) -> list[list[int]]:
-    """Group patch indices by source image.
-
-    oracle mode consumes externally supplied ground-truth labels
-    (evaluation only); fingerprint mode single-linkage clusters the
-    embedded tags at distance threshold delta.
-    """
-    if mode == "oracle":
-        if oracle_labels is None or len(oracle_labels) != len(patches):
-            raise ValueError("oracle grouping needs one label per patch")
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(oracle_labels):
-            groups.setdefault(lab, []).append(i)
-        return [groups[k] for k in sorted(groups)]
-    if mode != "fingerprint":
-        raise ValueError(f"unknown grouping mode {mode!r}")
-    tagged = [i for i, p in enumerate(patches) if p.fingerprint is not None]
-    if delta is None:
-        raise ValueError("fingerprint grouping needs a distance threshold")
-    parent = {i: i for i in tagged}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ii, i in enumerate(tagged):
-        for j in tagged[ii + 1 :]:
-            d = np.linalg.norm(patches[i].fingerprint - patches[j].fingerprint)
-            if d < delta:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in tagged:
-        clusters.setdefault(find(i), []).append(i)
-    return sorted(clusters.values(), key=lambda c: min(c))
 
 
 def _edge_distance(patch: RecoveredPatch, plan: AttackPlan) -> float:

@@ -39,7 +39,7 @@ _DEFAULTS = {
     },
     "craft": {
         "sigma_pos": "10.0", "pos_dist": "gaussian", "gamma": "1e4",
-        "epsilon_up": "1e-6", "margin": "50.0", "fingerprint_enabled": "false",
+        "epsilon_up": "1e-6", "margin": "50.0",
         "embed_mode": "identity_pad", "seed": "7",
     },
     "fl": {
@@ -238,7 +238,10 @@ def cmd_run(args) -> int:
 
 def cmd_attack(args) -> int:
     grads, m = read_gradients(args.grads)
-    plan = plan_from_json(Path(args.plan).read_text())
+    plan = plan_from_json(Path(args.plan).read_bytes())
+    if args.round is not None and not 0 <= args.round < plan.rounds:
+        raise ConfigError(f"--round {args.round} outside the plan's rounds "
+                          f"0..{plan.rounds - 1}")
     backbone = read_backbone(args.backbone)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,6 +309,8 @@ def _sweep_cell(cfg: ExperimentConfig, kind: str, value, seed: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = load_config(args.config)
     out = _prepare_out(args.out, cfg)
     values = _sweep_values(args.vary, args.values)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Batch
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .model import (AdapterSet, EncoderParams, FrozenBackbone, ModelConfig,
                     forward, unpatchify)
 from .numerics import Rng, inverse_normal_cdf, sample
@@ -45,7 +45,6 @@ class CraftConfig:
     gamma: float = 1e4
     epsilon_up: float = 1e-6
     margin: float = 50.0
-    fingerprint_enabled: bool = False
     embed_mode: str = "identity_pad"
     seed: int = 0
 
@@ -77,19 +76,13 @@ class AttackPlan:
     thresholds: dict[int, np.ndarray]  # position -> (R, k_t), strictly increasing rows
     rounds: int
     r: int
-    stats_mu: np.ndarray
     stats_sigma: np.ndarray
     content_rows: np.ndarray
     correction_rows: np.ndarray
     e_pinv: np.ndarray
     pixel_groups: np.ndarray | None
     embed_mode: str
-    fingerprint_enabled: bool
-    fingerprint_rows: np.ndarray
-    fingerprint_delta: float
     n_patches: int
-    d_h: int
-    patch_dim: int
 
     def positions(self) -> list[int]:
         return sorted(self.thresholds)
@@ -151,18 +144,15 @@ def craft_position_encodings(cfg: CraftConfig, n: int, d: int, d_h: int,
 def craft_embedding_matrix(cfg: CraftConfig, model_cfg: ModelConfig):
     """Embedding matrix, its pseudoinverse, and the content-row bookkeeping.
 
-    identity_pad: E = 0.5 [I; 0] with zeroed reserved rows; exact inverse.
+    identity_pad: E = 0.5 [I; 0]; exact inverse.
     average_pool: rows average disjoint pixel groups (spatial s x s blocks
     when the group size is a perfect square), recovering group means.
     """
     d, pdim = model_cfg.D, model_cfg.patch_dim
-    reserved = model_cfg.D_h if cfg.fingerprint_enabled else 0
-    usable = d - reserved
     mode = cfg.embed_mode
-    if mode == "identity_pad" and usable < pdim:
+    if mode == "identity_pad" and d < pdim:
         raise ConfigError(
-            f"identity_pad needs D - reserved >= {pdim}, have {usable}; "
-            f"use average_pool")
+            f"identity_pad needs D >= {pdim}, have {d}; use average_pool")
     if mode == "identity_pad":
         e = np.zeros((d, pdim))
         e[:pdim, :pdim] = 0.5 * np.eye(pdim)
@@ -171,10 +161,10 @@ def craft_embedding_matrix(cfg: CraftConfig, model_cfg: ModelConfig):
         groups = None
         content_rows = np.arange(pdim)
     else:
-        g = -(-pdim // usable)  # ceil
+        g = -(-pdim // d)  # ceil
         groups = _pixel_groups(model_cfg, g)
         n_groups = int(groups.max()) + 1
-        if n_groups > usable:
+        if n_groups > d:
             raise ConfigError("average_pool cannot fit the pixel groups")
         e = np.zeros((d, pdim))
         e_pinv = np.zeros((pdim, d))
@@ -247,33 +237,12 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
             model_cfg.num_classes, d),
         b_cls=np.zeros(model_cfg.num_classes),
     )
-    if cfg.fingerprint_enabled:
-        craft_fingerprint_head(backbone, model_cfg)
     embed_info = {
         "e_pinv": e_pinv,
         "content_rows": content_rows,
         "pixel_groups": groups,
     }
     return backbone, embed_info
-
-
-def craft_fingerprint_head(backbone: FrozenBackbone, model_cfg: ModelConfig) -> None:
-    """Make the first encoder's last head tag every token with patch 1 content.
-
-    Queries are constant (zero weights, bias = position 1's key), so every
-    token attends to position 1; the value projection copies coordinates
-    [0, D_h) of the attended token, and the identity output projection
-    routes this head's block to the reserved tail coordinates.
-    """
-    d_h, L = model_cfg.D_h, model_cfg.L
-    if model_cfg.patch_dim > model_cfg.D - d_h:
-        raise ConfigError("no reserved coordinates available for a fingerprint")
-    enc = backbone.encoders[0]
-    h = L - 1
-    enc.w_q[h] = 0.0
-    enc.b_q[h] = backbone.pos[1, h * d_h : (h + 1) * d_h]
-    enc.w_v[h] = 0.0
-    enc.w_v[h, :, :d_h] = np.eye(d_h)
 
 
 def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:
@@ -291,8 +260,7 @@ def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:
 def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
                       positions: list[int], adapters_per_position: int,
                       rounds: int, embed_info: dict,
-                      craft_cfg: CraftConfig,
-                      fingerprint_delta: float = 1.0) -> AttackPlan:
+                      craft_cfg: CraftConfig) -> AttackPlan:
     """Assign adapters to target positions and lay the threshold grids."""
     if not positions:
         raise ConfigError("no target positions")
@@ -327,12 +295,8 @@ def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
             grids[rho] = inverse_normal_cdf(q, mu_t, sigma_t)
         thresholds[t] = grids
 
-    d_h = model_cfg.D_h
     content_rows = embed_info["content_rows"]
-    reserved = np.arange(model_cfg.D - d_h, model_cfg.D) if craft_cfg.fingerprint_enabled \
-        else np.empty(0, dtype=int)
-    correction = np.setdiff1d(np.arange(model_cfg.D),
-                              np.concatenate([content_rows, reserved]))
+    correction = np.setdiff1d(np.arange(model_cfg.D), content_rows)
     if len(correction) < model_cfg.N + 2:
         raise ConfigError(
             "not enough content-free coordinates for embedding correction; "
@@ -342,19 +306,13 @@ def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
         thresholds=thresholds,
         rounds=rounds,
         r=model_cfg.r,
-        stats_mu=stats.mu.copy(),
         stats_sigma=stats.sigma.copy(),
         content_rows=np.asarray(content_rows, dtype=int),
         correction_rows=correction,
         e_pinv=embed_info["e_pinv"],
         pixel_groups=embed_info["pixel_groups"],
         embed_mode=craft_cfg.embed_mode,
-        fingerprint_enabled=craft_cfg.fingerprint_enabled,
-        fingerprint_rows=reserved,
-        fingerprint_delta=fingerprint_delta,
         n_patches=model_cfg.N,
-        d_h=d_h,
-        patch_dim=model_cfg.patch_dim,
     )
 
 
@@ -372,8 +330,7 @@ def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig
     blocking = -craft_cfg.margin * np.sqrt(model_cfg.D_h)
     w = np.zeros(d)
     w[plan.content_rows] = pos[t, plan.content_rows]
-    free = np.setdiff1d(np.arange(d), np.concatenate(
-        [plan.content_rows, plan.fingerprint_rows]))
+    free = np.setdiff1d(np.arange(d), plan.content_rows)
     others = [n for n in range(model_cfg.N + 1) if n != t]
     a_rows = [pos[t, free], np.ones(len(free))]
     rhs = [-w @ pos[t], -w.sum()]
@@ -455,70 +412,67 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     return adapters
 
 
-def measure_fingerprint_delta(public_images: np.ndarray, e: np.ndarray,
-                              model_cfg: ModelConfig) -> float:
-    """Clustering threshold: half the 5th-percentile inter-image tag distance.
-
-    The tag carried to the reserved coordinates is the first patch's content
-    embedding slice, so inter-image distances on public data bound how far
-    apart distinct images land; intra-image spread is orders smaller.
-    """
-    from .model import patchify_batch
-
-    d_h = model_cfg.D_h
-    patches = patchify_batch(public_images, model_cfg.P)
-    tags = (patches[:, 0, :] @ e.T)[:, :d_h]
-    m = tags.shape[0]
-    dists = [float(np.linalg.norm(tags[i] - tags[j]))
-             for i in range(m) for j in range(i + 1, m)]
-    if not dists:
-        return 1.0
-    return 0.5 * float(np.percentile(dists, 5))
-
-
 def plan_to_json(plan: AttackPlan) -> str:
     payload = {
         "assignments": [[a.adapter, a.position, a.slot] for a in plan.assignments],
         "thresholds": {str(t): g.tolist() for t, g in plan.thresholds.items()},
         "rounds": plan.rounds,
         "r": plan.r,
-        "stats_mu": plan.stats_mu.tolist(),
         "stats_sigma": plan.stats_sigma.tolist(),
         "content_rows": plan.content_rows.tolist(),
         "correction_rows": plan.correction_rows.tolist(),
         "e_pinv": plan.e_pinv.tolist(),
         "pixel_groups": None if plan.pixel_groups is None else plan.pixel_groups.tolist(),
         "embed_mode": plan.embed_mode,
-        "fingerprint_enabled": plan.fingerprint_enabled,
-        "fingerprint_rows": plan.fingerprint_rows.tolist(),
-        "fingerprint_delta": plan.fingerprint_delta,
         "n_patches": plan.n_patches,
-        "d_h": plan.d_h,
-        "patch_dim": plan.patch_dim,
     }
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def plan_from_json(text: str) -> AttackPlan:
-    obj = json.loads(text)
-    return AttackPlan(
-        assignments=[Assignment(*row) for row in obj["assignments"]],
-        thresholds={int(t): np.asarray(g, dtype=np.float64)
-                    for t, g in obj["thresholds"].items()},
-        rounds=obj["rounds"],
-        r=obj["r"],
-        stats_mu=np.asarray(obj["stats_mu"], dtype=np.float64),
-        stats_sigma=np.asarray(obj["stats_sigma"], dtype=np.float64),
-        content_rows=np.asarray(obj["content_rows"], dtype=int),
-        correction_rows=np.asarray(obj["correction_rows"], dtype=int),
-        e_pinv=np.asarray(obj["e_pinv"], dtype=np.float64),
-        pixel_groups=None if obj["pixel_groups"] is None
-        else np.asarray(obj["pixel_groups"], dtype=int),
-        embed_mode=obj["embed_mode"],
-        fingerprint_enabled=obj["fingerprint_enabled"],
-        fingerprint_rows=np.asarray(obj["fingerprint_rows"], dtype=int),
-        fingerprint_delta=obj["fingerprint_delta"],
-        n_patches=obj["n_patches"],
-        d_h=obj["d_h"],
-        patch_dim=obj["patch_dim"],
-    )
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _json_array(v, kinds: str, ndim: int) -> np.ndarray:
+    """A nested JSON list as an array of ``ndim`` dimensions whose numpy kind
+    is one of ``kinds``; empty lists pass whatever their kind."""
+    a = np.asarray(v)
+    if a.ndim != ndim or (a.size and a.dtype.kind not in kinds):
+        raise TypeError(f"expected a {ndim}-d array of kind {kinds!r}, got {v!r:.60}")
+    return a.astype(np.float64 if "f" in kinds else int)
+
+
+def plan_from_json(text: str | bytes) -> AttackPlan:
+    """The plan ``plan_to_json`` wrote (UTF-8 if bytes); FormatError for any
+    malformed input.
+
+    Keys the plan does not have are ignored, so a plan written by an earlier
+    version, which carried six more keys, still loads.
+    """
+    try:
+        obj = json.loads(text)
+        plan = AttackPlan(
+            assignments=[Assignment(*map(_json_int, row)) for row in obj["assignments"]],
+            thresholds={int(t): _json_array(g, "if", 2)
+                        for t, g in obj["thresholds"].items()},
+            rounds=_json_int(obj["rounds"]),
+            r=_json_int(obj["r"]),
+            stats_sigma=_json_array(obj["stats_sigma"], "if", 1),
+            content_rows=_json_array(obj["content_rows"], "i", 1),
+            correction_rows=_json_array(obj["correction_rows"], "i", 1),
+            e_pinv=_json_array(obj["e_pinv"], "if", 2),
+            pixel_groups=None if obj["pixel_groups"] is None
+            else _json_array(obj["pixel_groups"], "i", 1),
+            embed_mode=obj["embed_mode"],
+            n_patches=_json_int(obj["n_patches"]),
+        )
+        if not isinstance(plan.embed_mode, str):
+            raise TypeError(f"embed_mode must be a string, got {plan.embed_mode!r}")
+        for t, g in plan.thresholds.items():
+            if g.shape != (plan.rounds, len(plan.adapters_for(t)) * plan.r):
+                raise ValueError(f"position {t}'s grid is not rounds x (adapters * r)")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"malformed attack plan: {exc!r}") from None
+    return plan

@@ -20,7 +20,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import oracle
 from .craft import (AttackPlan, CraftConfig, build_attack_plan, craft_adapters,
-                    craft_backbone, measure_fingerprint_delta)
+                    craft_backbone)
 from .dataio import Batch, synth_batch
 from .errors import ConfigError
 from .grad import backward_adapters, parallel_map
@@ -250,11 +250,8 @@ def _setup_on(crafted: tuple, args: SetupArgs) -> AttackSetup:
                          seed=int(_data_rng(args.seed).spawn(0).seed),
                          kind=args.data_kind)
     stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos, mc)
-    fp_delta = 1.0
-    if cc.fingerprint_enabled:
-        fp_delta = measure_fingerprint_delta(public.images, backbone.embed, mc)
     plan = build_attack_plan(stats, mc, args.positions, args.adapters_per_position,
-                             args.rounds, embed_info, cc, fp_delta)
+                             args.rounds, embed_info, cc)
     adapters = tuple(craft_adapters(plan, backbone, cc, mc, rho)
                      for rho in range(args.rounds))
     return AttackSetup(args, backbone, plan, adapters)

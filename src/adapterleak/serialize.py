@@ -80,10 +80,6 @@ def write_adapters(adapters: AdapterSet, path) -> None:
     write_tensor_archive(adapters.tensors(), path)
 
 
-def read_adapters(path) -> AdapterSet:
-    return _adapter_tensors(read_tensor_archive(path), "adapter")
-
-
 def write_gradients(grads: AdapterSet, batch_size: int, path) -> None:
     write_tensor_archive({**grads.tensors(),
                           "batch_size": np.array(float(batch_size))}, path)

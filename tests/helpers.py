@@ -1,8 +1,11 @@
 """Helpers shared by test modules."""
 
+from adapterleak.dataio import read_tensor_archive
 from adapterleak.errors import ShapeError
 from adapterleak.metrics import _ssim_batch
+from adapterleak.model import AdapterSet
 from adapterleak.numerics import as_f64
+from adapterleak.serialize import _adapter_tensors
 
 
 def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
@@ -15,3 +18,9 @@ def ssim(a, b, window: int = 8, data_range: float = 2.0) -> float:
         a = a[None]
         b = b[None]
     return float(_ssim_batch(a[None], b[None], window, data_range)[0])
+
+
+def read_adapters(path) -> AdapterSet:
+    """The adapter set of an archive that ``serialize.write_adapters`` wrote,
+    checked by the same validation as the gradient reader."""
+    return _adapter_tensors(read_tensor_archive(path), "adapter")

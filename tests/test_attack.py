@@ -15,17 +15,12 @@ from adapterleak.stats import content_statistics, estimate_patch_stats
 DESK = ModelConfig()
 
 
-def make_pipeline(positions, s_t, seed=7, rounds=1, fingerprint=False):
-    cc = CraftConfig(seed=seed, fingerprint_enabled=fingerprint)
+def make_pipeline(positions, s_t, seed=7, rounds=1):
+    cc = CraftConfig(seed=seed)
     bb, ei = craft_backbone(cc, DESK)
     pub = synth_batch(256, DESK, seed=999, kind="uniform")
     stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
-    delta = 1.0
-    if fingerprint:
-        from adapterleak.craft import measure_fingerprint_delta
-
-        delta = measure_fingerprint_delta(pub.images, bb.embed, DESK)
-    plan = build_attack_plan(stats, DESK, positions, s_t, rounds, ei, cc, delta)
+    plan = build_attack_plan(stats, DESK, positions, s_t, rounds, ei, cc)
     return cc, bb, plan
 
 
@@ -175,58 +170,6 @@ class TestEndToEnd:
             position=patch.position, bin_index=patch.bin_index, round_idx=0,
             pixels=patch.pixels, stat_check=lo - 1.0, valid=False)
         assert not atk.validate(bad, plan)
-
-
-class TestGrouping:
-    def test_single_image_single_group(self):
-        patches = [atk.RecoveredPatch(1, 0, 0, np.zeros(48), 0.0, True,
-                                      fingerprint=np.zeros(4))]
-        assert atk.group_patches(patches, "fingerprint", delta=1.0) == [[0]]
-
-    def test_oracle_mode_groups_by_label(self):
-        patches = [atk.RecoveredPatch(t, 0, 0, np.zeros(48), 0.0, True)
-                   for t in (1, 2, 1, 2)]
-        groups = atk.group_patches(patches, "oracle", oracle_labels=[0, 0, 1, 1])
-        assert groups == [[0, 1], [2, 3]]
-
-    def test_fingerprint_mode_end_to_end(self):
-        cc, bb, plan = make_pipeline([2], 2, seed=9, fingerprint=True)
-        adapters = craft_adapters(plan, bb, cc, DESK, 0)
-        batch = bin_mid_batch(bb, plan, 2, rng_seed=70)
-        m = batch.size
-        _, _, cache = forward(batch, bb, adapters, DESK)
-        grads = backward_adapters(cache, bb, adapters, DESK)
-        report = atk.run_attack(grads, plan, bb.pos, 0, m)
-        valid_idx = [i for i, p in enumerate(report.patches) if p.valid]
-        groups = atk.group_patches([report.patches[i] for i in valid_idx],
-                                   "fingerprint", delta=plan.fingerprint_delta)
-        # distinct random images, one recovered patch each -> singleton groups
-        assert len(groups) == len(valid_idx)
-
-    def test_fingerprint_joins_same_image(self):
-        cc, bb, plan = make_pipeline([1, 2], 2, seed=10, fingerprint=True)
-        adapters = craft_adapters(plan, bb, cc, DESK, 0)
-        # one image recovered at two positions must land in one group
-        rng = Rng(30)
-        imgs = rng.uniform(2 * 3 * 8 * 8).reshape(2, 3, 8, 8) * 2 - 1
-        batch = Batch(imgs, np.array([0, 1]))
-        _, _, cache = forward(batch, bb, adapters, DESK)
-        grads = backward_adapters(cache, bb, adapters, DESK)
-        report = atk.run_attack(grads, plan, bb.pos, 0, 2)
-        stats_mn = content_statistics(batch.images, bb.embed, bb.pos, DESK)
-        labels = oracle.match_patches(report, stats_mn)
-        valid = report.valid_patches
-        by_image = {}
-        for p, lab in zip(valid, labels):
-            if lab is not None:
-                by_image.setdefault(lab, []).append(p)
-        multi = {k: v for k, v in by_image.items() if len(v) >= 2}
-        if not multi:
-            pytest.skip("no image recovered at two positions for this seed")
-        patches = [p for ps in multi.values() for p in ps]
-        groups = atk.group_patches(patches, "fingerprint",
-                                   delta=plan.fingerprint_delta)
-        assert len(groups) == len(multi)
 
 
 class TestCoverageCeiling:

@@ -180,6 +180,20 @@ class TestAttackCommand:
         matched = json.loads((matched_atk / "attack_summary.json").read_text())
         assert mismatched["patches_valid"] < matched["patches_valid"]
 
+    @pytest.mark.parametrize("round_idx", ["-1", "1", "7"])
+    def test_round_outside_plan_rejected(self, tiny_cfg_file, tmp_path, capsys,
+                                         round_idx):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(tiny_cfg_file), "--out", str(out)]) == 0
+        atk_out = tmp_path / "atk"
+        rc = main(["attack", "--grads", str(out / "grads.plta"),
+                   "--plan", str(out / "plan.json"),
+                   "--backbone", str(out / "backbone.plta"),
+                   "--out", str(atk_out), "--round", round_idx])
+        assert rc == 2
+        assert f"--round {round_idx} outside" in capsys.readouterr().err
+        assert not atk_out.exists()
+
     def test_craft_then_attack(self, tiny_cfg_file, tmp_path):
         craft_out = tmp_path / "craft"
         assert main(["craft", "--config", str(tiny_cfg_file),
@@ -289,6 +303,20 @@ class TestSweepCommand:
         assert lines[0] == "sweep_name,x_value,recovery_rate,mean_mse,mean_ssim"
         assert len(lines) == 3
         assert lines[1].startswith("batch,2,")
+
+    def test_zero_seeds_rejected(self, tiny_cfg_file, tmp_path, capsys, monkeypatch):
+        import adapterleak.cli as cli
+
+        def no_setup(*args):
+            raise AssertionError("a setup was built")
+
+        monkeypatch.setattr(cli, "prepare_attacks", no_setup)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(tiny_cfg_file), "--vary", "batch",
+                   "--values", "2,4", "--seeds", "0", "--out", str(out)])
+        assert rc == 2
+        assert "--seeds must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("vary,values", [("batch", "2,4"), ("noise", "0,0.3"),
                                              ("r", "2,4")])

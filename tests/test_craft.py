@@ -1,9 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from adapterleak import craft as cr
-from adapterleak.dataio import Batch, synth_batch
-from adapterleak.errors import ConfigError
+from adapterleak.dataio import synth_batch
+from adapterleak.errors import ConfigError, FormatError
 from adapterleak.grad import backward_adapters
 from adapterleak.model import AdapterSet, ModelConfig, build_tokens, forward
 from adapterleak.numerics import Rng, inverse_normal_cdf
@@ -149,48 +152,15 @@ class TestBackboneIdentity:
         assert np.max(sds) <= 0.02
 
 
-@pytest.fixture(scope="module")
-def fp_setup():
-    cc = cr.CraftConfig(seed=19, fingerprint_enabled=True)
-    bb, ei = cr.craft_backbone(cc, DESK)
-    return cc, bb, ei
-
-
-class TestFingerprintHead:
-
-    def test_identical_images_identical_fingerprints(self, fp_setup):
-        cc, bb, ei = fp_setup
-        img = synth_batch(1, DESK, seed=80, kind="uniform").images[0]
-        batch = Batch(np.stack([img, img]), np.array([0, 1]))
-        _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
-        tokens = cache.adapter_input(3)
-        fp = tokens[:, 1:, 72:]  # reserved tail of every patch token
-        assert np.max(np.abs(fp[0] - fp[1])) < 1e-6
-
-    def test_distinct_images_separated(self, fp_setup):
-        cc, bb, ei = fp_setup
-        batch = synth_batch(6, DESK, seed=81, kind="uniform")
-        _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
-        tails = cache.adapter_input(3)[:, 1, 72:]
-        dists = [np.linalg.norm(tails[i] - tails[j])
-                 for i in range(6) for j in range(i + 1, 6)]
-        delta = cr.measure_fingerprint_delta(batch.images, bb.embed, DESK)
-        assert min(dists) > delta
-
+class TestResidualTail:
     def test_disabled_tail_is_position_encoding(self, crafted):
         _, bb, _ = crafted
         batch = synth_batch(2, DESK, seed=82, kind="uniform")
-        y_true = build_tokens(batch, bb, DESK)
         _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
         tail = cache.adapter_input(5)[:, :, 72:]
         expected = np.broadcast_to(bb.pos[:, 72:], tail.shape)
         rel = np.linalg.norm(tail - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
         assert rel.max() < 1e-2
-
-    def test_requires_reserved_coordinates(self):
-        cfg = ModelConfig(D=48, L=4, num_encoders=2, P=4, C=3, H=8, W=8, r=4)
-        with pytest.raises(ConfigError):
-            cr.craft_backbone(cr.CraftConfig(seed=1, fingerprint_enabled=True), cfg)
 
 
 class TestAttackPlan:
@@ -250,13 +220,73 @@ class TestAttackPlan:
 
     def test_json_round_trip(self, planned):
         *_, plan, _ = planned
-        again = cr.plan_from_json(cr.plan_to_json(plan))
-        assert again.rounds == plan.rounds
-        for t in plan.positions():
-            assert np.array_equal(again.grid(t, 0), plan.grid(t, 0))
-        assert np.array_equal(again.e_pinv, plan.e_pinv)
-        assert [a.adapter for a in again.assignments] == \
-            [a.adapter for a in plan.assignments]
+        text = cr.plan_to_json(plan)
+        _assert_plans_equal(cr.plan_from_json(text), plan)
+        assert cr.plan_to_json(cr.plan_from_json(text)) == text
+
+    def test_json_round_trip_average_pool(self):
+        cfg = ModelConfig(D=32, L=4, num_encoders=2, P=4, C=3, H=8, W=8, r=4)
+        cc = cr.CraftConfig(seed=5, embed_mode="average_pool")
+        _, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
+        ei = {"e_pinv": e_pinv, "content_rows": content_rows, "pixel_groups": groups}
+        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5), count=10)
+        plan = cr.build_attack_plan(stats, cfg, [1, 3], 1, 2, ei, cc)
+        assert plan.pixel_groups is not None
+        text = cr.plan_to_json(plan)
+        _assert_plans_equal(cr.plan_from_json(text), plan)
+        assert cr.plan_to_json(cr.plan_from_json(text)) == text
+
+    def test_json_ignores_keys_of_earlier_plans(self, planned):
+        *_, plan, _ = planned
+        obj = json.loads(cr.plan_to_json(plan))
+        obj.update({"stats_mu": [0.0] * 5, "d_h": 24, "patch_dim": 48})
+        _assert_plans_equal(cr.plan_from_json(json.dumps(obj)), plan)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: "not json",
+        lambda obj: b"\xff{}",
+        lambda obj: "{}",
+        lambda obj: "[1, 2]",
+        lambda obj: {k: v for k, v in obj.items() if k != "e_pinv"},
+        lambda obj: {**obj, "assignments": 5},
+        lambda obj: {**obj, "assignments": [[0, 1]]},
+        lambda obj: {**obj, "rounds": "1"},
+        lambda obj: {**obj, "rounds": 2},
+        lambda obj: {**obj, "assignments": obj["assignments"][1:]},
+        lambda obj: {**obj, "thresholds": [1.0]},
+        lambda obj: {**obj, "thresholds": {"one": obj["thresholds"]["1"]}},
+        lambda obj: {**obj, "e_pinv": [[1.0], [1.0, 2.0]]},
+        lambda obj: {**obj, "content_rows": ["a", "b"]},
+        lambda obj: {**obj, "correction_rows": [0.5]},
+        lambda obj: {**obj, "pixel_groups": 3},
+        lambda obj: {**obj, "stats_sigma": None},
+        lambda obj: {**obj, "embed_mode": 7},
+    ], ids=["not_json", "not_utf8", "empty_object", "top_level_list", "missing_key",
+            "assignments_int", "assignment_short", "rounds_string",
+            "rounds_disagree_with_grids", "grid_wider_than_adapters",
+            "thresholds_list", "threshold_key_text", "e_pinv_ragged",
+            "content_rows_text", "correction_rows_float", "pixel_groups_scalar",
+            "stats_sigma_null", "embed_mode_int"])
+    def test_malformed_json_raises_format_error(self, planned, edit):
+        *_, plan, _ = planned
+        bad = edit(json.loads(cr.plan_to_json(plan)))
+        with pytest.raises(FormatError):
+            cr.plan_from_json(bad if isinstance(bad, (str, bytes)) else json.dumps(bad))
+
+
+def _assert_plans_equal(got: cr.AttackPlan, want: cr.AttackPlan) -> None:
+    """Every field equal; arrays, also the threshold grids, in dtype and value."""
+    for field in dataclasses.fields(cr.AttackPlan):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        pairs = [(a, b)]
+        if isinstance(b, dict):
+            assert a.keys() == b.keys(), field.name
+            pairs = [(a[k], b[k]) for k in b]
+        for x, y in pairs:
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+            else:
+                assert x == y, field.name
 
 
 class TestCraftedAdapters:

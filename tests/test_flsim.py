@@ -217,9 +217,8 @@ def _setup_digest(setup: flsim.AttackSetup) -> str:
             arrays += [adapters.w_down[a], adapters.b_down[a], adapters.w_up[a],
                        adapters.b_up[a]]
     plan = setup.plan
-    arrays += [plan.stats_mu, plan.stats_sigma, plan.content_rows,
-               plan.correction_rows, plan.e_pinv, plan.fingerprint_rows,
-               *plan.thresholds.values()]
+    arrays += [plan.stats_sigma, plan.content_rows, plan.correction_rows,
+               plan.e_pinv, *plan.thresholds.values()]
     for arr in arrays:
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(repr([vars(a) for a in plan.assignments]).encode())

@@ -7,8 +7,9 @@ from adapterleak.craft import CraftConfig, craft_backbone
 from adapterleak.errors import FormatError
 from adapterleak.model import AdapterSet, ModelConfig, random_backbone
 from adapterleak.numerics import Rng
-from adapterleak.serialize import (read_adapters, read_backbone, read_gradients,
-                                   write_adapters, write_backbone, write_gradients)
+from adapterleak.serialize import (read_backbone, read_gradients, write_adapters,
+                                   write_backbone, write_gradients)
+from helpers import read_adapters
 
 
 def test_backbone_round_trip(tmp_path):

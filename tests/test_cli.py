@@ -251,31 +251,70 @@ PIN_ADAPTER_ARCHIVES = {
     "adapters_round3.plta": "dcd11c0c7d615cb1",
 }
 PIN_GRADIENT_ARCHIVE = "a35c65b8eb10433c"
+# sha256 of the other files `run` writes on the rounds shape, and of the
+# offline `attack` outputs per --round and merged over all rounds. They guard
+# refactors that must keep every output byte. The merged offline numbers are
+# known to be wrong (ROADMAP 1(c): `run` writes only the last round's
+# gradients, which the merged attack decodes against every round's grid), so
+# that pin moves on purpose once 1(c) is fixed.
+PIN_RUN_OUTPUTS = {
+    "rounds.csv": "d620bf803f341377",
+    "summary.json": "f79b08a9b3be3e09",
+    "plan.json": "ad9b669a71800e1f",
+}
+PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
+    "0": ("ee97058568eff1fb", "1af13fd1b2d3a234"),
+    "1": ("2d4c2389b8d45e85", "5169e06a8fcfb807"),
+    "2": ("24584b4e0a6099d3", "161e6d3cd9a49b8e"),
+    "3": ("54c50fa024a5ff13", "189816d0a16ea261"),
+    "merged": ("c95fa7a2c95860f3", "2da8e3c7a5754561"),
+}
+
+
+def _digest(path: Path) -> str:
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 class TestArchivesPinned:
-    @pytest.fixture()
-    def rounds_cfg_file(self, tmp_path):
-        path = tmp_path / "rounds.cfg"
+    @pytest.fixture(scope="class")
+    def rounds_cfg_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rounds") / "rounds.cfg"
         path.write_text(ROUNDS_SHAPE)
         return path
 
-    @staticmethod
-    def _digest(path: Path) -> str:
-        import hashlib
-
-        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    @pytest.fixture(scope="class")
+    def rounds_run(self, rounds_cfg_file):
+        out = rounds_cfg_file.parent / "run"
+        assert main(["run", "--config", str(rounds_cfg_file), "--out", str(out)]) == 0
+        return out
 
     def test_craft_adapter_archives(self, rounds_cfg_file, tmp_path):
         out = tmp_path / "craft"
         assert main(["craft", "--config", str(rounds_cfg_file), "--out", str(out)]) == 0
-        assert {name: self._digest(out / name)
+        assert {name: _digest(out / name)
                 for name in PIN_ADAPTER_ARCHIVES} == PIN_ADAPTER_ARCHIVES
 
-    def test_run_gradient_archive(self, rounds_cfg_file, tmp_path):
-        out = tmp_path / "run"
-        assert main(["run", "--config", str(rounds_cfg_file), "--out", str(out)]) == 0
-        assert self._digest(out / "grads.plta") == PIN_GRADIENT_ARCHIVE
+    def test_run_gradient_archive(self, rounds_run):
+        assert _digest(rounds_run / "grads.plta") == PIN_GRADIENT_ARCHIVE
+
+    def test_run_outputs(self, rounds_run):
+        assert {name: _digest(rounds_run / name)
+                for name in PIN_RUN_OUTPUTS} == PIN_RUN_OUTPUTS
+
+    @pytest.mark.parametrize("round_idx", sorted(PIN_OFFLINE_ATTACK))
+    def test_offline_attack_outputs(self, rounds_run, tmp_path, round_idx):
+        argv = ["attack", "--grads", str(rounds_run / "grads.plta"),
+                "--plan", str(rounds_run / "plan.json"),
+                "--backbone", str(rounds_run / "backbone.plta"),
+                "--out", str(tmp_path / "atk")]
+        if round_idx != "merged":
+            argv += ["--round", round_idx]
+        assert main(argv) == 0
+        assert (_digest(tmp_path / "atk" / "patches.csv"),
+                _digest(tmp_path / "atk" / "attack_summary.json")) == \
+            PIN_OFFLINE_ATTACK[round_idx]
 
 
 class TestGradcheckCommand:

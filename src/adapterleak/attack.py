@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .craft import AttackPlan
+from .craft import AttackPlan, Bin
 from .errors import EmptyBinError
 from .model import AdapterSet
 
 PIXEL_SLACK = 0.1  # validity allows [-1 - slack, 1 + slack]
+DETECT_REL_TOL = 1e-9  # of a position's largest bias gradient
+MERGE_REL_TOL = 1e-4  # of the smallest statistic spread
 
 
 @dataclass
@@ -42,7 +44,6 @@ class ReconstructionReport:
     patches: list[RecoveredPatch]
     n_positions: int
     m_expected: int
-    rounds: tuple[int, ...]
 
     @property
     def valid_patches(self) -> list[RecoveredPatch]:
@@ -54,41 +55,26 @@ class ReconstructionReport:
         return len(self.valid_patches) / total if total else 0.0
 
 
-@dataclass
-class BinHit:
-    position: int
-    bin_index: int  # global interval index within the position's grid
-    adapter: int
-    neuron: int  # j; the pair is (j, j+1) or (j, implicit zero) at the top
-    top: bool
-
-
-def detect_active_bins(grads: AdapterSet, plan: AttackPlan,
-                       tol: float | None = None) -> list[BinHit]:
-    """Neuron pairs whose bias-gradient difference indicates an occupied bin.
+def detect_active_bins(grads: AdapterSet, plan: AttackPlan) -> list[tuple[int, Bin]]:
+    """(position, bin) for every bin whose neuron pair's bias-gradient
+    difference indicates an occupant.
 
     Empty bins give bit-identical consecutive bias gradients (the nested
     activation sets coincide), so any positive tolerance separates signal
-    from silence; the default is a small fraction of the grid's largest
-    bias gradient.
+    from silence; it is a small fraction of the position's largest bias
+    gradient.
     """
-    hits: list[BinHit] = []
-    r = plan.r
+    hits: list[tuple[int, Bin]] = []
     for t in plan.positions():
-        assigns = plan.adapters_for(t)
-        db_grid = np.concatenate([grads.b_down[a.adapter] for a in assigns])
-        scale = np.abs(db_grid).max()
-        t_tol = tol if tol is not None else 1e-9 * scale
+        scale = np.abs(grads.b_down[[a.adapter for a in plan.adapters_for(t)]]).max()
+        t_tol = DETECT_REL_TOL * scale
         if not np.isfinite(t_tol):
             continue
-        for a in assigns:
-            db = grads.b_down[a.adapter]
-            for j in range(r - 1):
-                if abs(db[j] - db[j + 1]) > t_tol:
-                    hits.append(BinHit(t, a.slot * r + j, a.adapter, j, top=False))
-        last = assigns[-1]
-        if abs(grads.b_down[last.adapter][r - 1]) > t_tol:
-            hits.append(BinHit(t, len(assigns) * r - 1, last.adapter, r - 1, top=True))
+        for b in plan.bins(t):
+            db = grads.b_down[b.adapter]
+            partner = 0.0 if b.top else db[b.neuron + 1]
+            if abs(db[b.neuron] - partner) > t_tol:
+                hits.append((t, b))
     return hits
 
 
@@ -126,18 +112,9 @@ def recover_patch(y: np.ndarray, e_pinv: np.ndarray, e_pos_t: np.ndarray) -> np.
     return e_pinv @ (y - e_pos_t)
 
 
-def patch_statistic(y: np.ndarray, e_pos_t: np.ndarray,
-                    content_rows: np.ndarray) -> float:
-    """Recovered content statistic, evaluated on the embedding's row support."""
-    rows = content_rows
+def patch_statistic(y: np.ndarray, e_pos_t: np.ndarray, rows: np.ndarray) -> float:
+    """Recovered content statistic, evaluated on the embedding's content rows."""
     return float(e_pos_t[rows] @ (y[rows] - e_pos_t[rows]))
-
-
-def bin_bounds(plan: AttackPlan, t: int, round_idx: int, bin_index: int):
-    grid = plan.grid(t, round_idx)
-    lo = grid[bin_index]
-    hi = grid[bin_index + 1] if bin_index + 1 < len(grid) else np.inf
-    return lo, hi
 
 
 def validate(patch: RecoveredPatch, plan: AttackPlan) -> bool:
@@ -146,50 +123,43 @@ def validate(patch: RecoveredPatch, plan: AttackPlan) -> bool:
         return False
     if np.any(np.abs(patch.pixels) > 1.0 + PIXEL_SLACK):
         return False
-    lo, hi = bin_bounds(plan, patch.position, patch.round_idx, patch.bin_index)
+    lo, hi = plan.bounds(patch.position, patch.round_idx, patch.bin_index)
     return bool(lo < patch.stat_check < hi)
 
 
 def run_attack(grads: AdapterSet, plan: AttackPlan, pos: np.ndarray,
-               round_idx: int, m_expected: int,
-               tol: float | None = None) -> ReconstructionReport:
+               round_idx: int, m_expected: int) -> ReconstructionReport:
     """One round of reconstruction from a gradient observation."""
     patches: list[RecoveredPatch] = []
-    for hit in detect_active_bins(grads, plan, tol):
-        a, j = hit.adapter, hit.neuron
-        if hit.top:
-            dw_j1 = np.zeros(grads.w_down.shape[-1])
-            db_j1 = 0.0
-        else:
-            dw_j1 = grads.w_down[a, j + 1]
-            db_j1 = float(grads.b_down[a, j + 1])
+    for t, b in detect_active_bins(grads, plan):
+        a, j = b.adapter, b.neuron
+        dw_j1 = np.zeros(grads.w_down.shape[-1]) if b.top else grads.w_down[a, j + 1]
+        db_j1 = 0.0 if b.top else float(grads.b_down[a, j + 1])
         try:
             y_raw = recover_embedding(grads.w_down[a, j], float(grads.b_down[a, j]),
                                       dw_j1, db_j1)
         except EmptyBinError:
             continue
-        e_pos_t = pos[hit.position]
+        e_pos_t = pos[t]
         y = correct_embedding(y_raw, e_pos_t, plan.correction_rows)
         pixels = recover_patch(y, plan.e_pinv, e_pos_t)
         stat = patch_statistic(y, e_pos_t, plan.content_rows)
         patch = RecoveredPatch(
-            position=hit.position, bin_index=hit.bin_index, round_idx=round_idx,
+            position=t, bin_index=b.q, round_idx=round_idx,
             pixels=pixels, stat_check=stat, valid=False)
         patch.valid = validate(patch, plan)
         patches.append(patch)
     return ReconstructionReport(patches=patches, n_positions=plan.n_patches,
-                                m_expected=m_expected, rounds=(round_idx,))
+                                m_expected=m_expected)
 
 
 def _edge_distance(patch: RecoveredPatch, plan: AttackPlan) -> float:
-    lo, hi = bin_bounds(plan, patch.position, patch.round_idx, patch.bin_index)
-    if not np.isfinite(hi):
-        hi = lo + 2.0 * abs(patch.stat_check - lo) + 1.0
+    lo, hi = plan.bounds(patch.position, patch.round_idx, patch.bin_index)
     return min(patch.stat_check - lo, hi - patch.stat_check)
 
 
-def merge_rounds(reports: list[ReconstructionReport], plan: AttackPlan,
-                 stat_tol: float | None = None) -> ReconstructionReport:
+def merge_rounds(reports: list[ReconstructionReport],
+                 plan: AttackPlan) -> ReconstructionReport:
     """Union of valid patches across rounds.
 
     Duplicates (same position, same source patch) are identified by
@@ -198,10 +168,8 @@ def merge_rounds(reports: list[ReconstructionReport], plan: AttackPlan,
     """
     if not reports:
         raise ValueError("nothing to merge")
-    base = reports[0]
-    if stat_tol is None:
-        sigma = plan.stats_sigma[plan.stats_sigma > 0]
-        stat_tol = 1e-4 * float(sigma.min()) if len(sigma) else 1e-6
+    sigma = plan.stats_sigma[plan.stats_sigma > 0]
+    stat_tol = MERGE_REL_TOL * float(sigma.min()) if len(sigma) else 1e-6
     kept: list[RecoveredPatch] = []
     ordered = sorted((p for rep in reports for p in rep.valid_patches),
                      key=lambda p: (p.position, p.stat_check))
@@ -212,7 +180,5 @@ def merge_rounds(reports: list[ReconstructionReport], plan: AttackPlan,
                 kept[-1] = p
             continue
         kept.append(p)
-    rounds = tuple(sorted({r for rep in reports for r in rep.rounds}))
-    return ReconstructionReport(patches=kept, n_positions=base.n_positions,
-                                m_expected=base.m_expected, rounds=rounds)
-
+    return ReconstructionReport(patches=kept, n_positions=reports[0].n_positions,
+                                m_expected=reports[0].m_expected)

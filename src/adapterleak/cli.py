@@ -243,11 +243,18 @@ def cmd_attack(args) -> int:
         raise ConfigError(f"--round {args.round} outside the plan's rounds "
                           f"0..{plan.rounds - 1}")
     backbone = read_backbone(args.backbone)
+    have = grads.w_down.shape
+    need = (1 + max(a.adapter for a in plan.assignments), plan.r, backbone.pos.shape[1])
+    if have[0] < need[0] or have[1:] != need[1:]:
+        raise ConfigError(f"gradient archive has (A, r, D) = {have}, but the plan and "
+                          f"backbone need ({need[0]} or more, {need[1]}, {need[2]})")
+    if not all(1 <= t < len(backbone.pos) for t in plan.positions()):
+        raise ConfigError(f"plan positions {plan.positions()} exceed the backbone's "
+                          f"{len(backbone.pos) - 1} patches")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for rho in range(plan.rounds) if args.round is None else [args.round]:
-        reports.append(attack_mod.run_attack(grads, plan, backbone.pos, rho, m))
+    reports = [attack_mod.run_attack(grads, plan, backbone.pos, rho, m)
+               for rho in (range(plan.rounds) if args.round is None else [args.round])]
     merged = reports[0] if len(reports) == 1 else attack_mod.merge_rounds(reports, plan)
     rows = [[p.position, p.bin_index, p.round_idx, int(p.valid), p.stat_check]
             for p in merged.patches]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,17 @@ class Assignment:
     slot: int
 
 
+@dataclass(frozen=True)
+class Bin:
+    """A pair-resolvable bin: neurons ``neuron`` and ``neuron + 1`` of ``adapter`` gate
+    at grid entries q = slot * r + neuron and q + 1; the top bin pairs r - 1 with zero."""
+
+    q: int
+    adapter: int
+    neuron: int
+    top: bool
+
+
 @dataclass
 class AttackPlan:
     """Everything the attack side needs beyond the observed gradients."""
@@ -93,6 +105,31 @@ class AttackPlan:
 
     def grid(self, t: int, round_idx: int) -> np.ndarray:
         return self.thresholds[t][round_idx]
+
+    def bins(self, t: int) -> tuple[Bin, ...]:
+        """Position t's S_t (r - 1) + 1 pair-resolvable bins, in grid order.
+
+        Neuron j of the adapter in slot s gates at ``grid[s * r + j]``. The
+        gap between two adapters' blocks is not resolvable: their neurons sit
+        at different depths, with different gradient prefactors.
+        """
+        return self._bins[t]
+
+    @cached_property
+    def _bins(self) -> dict[int, tuple[Bin, ...]]:
+        r, out = self.r, {}
+        for t in self.positions():
+            assigns = self.adapters_for(t)
+            last = assigns[-1]
+            out[t] = (*(Bin(a.slot * r + j, a.adapter, j, False)
+                        for a in assigns for j in range(r - 1)),
+                      Bin(last.slot * r + r - 1, last.adapter, r - 1, True))
+        return out
+
+    def bounds(self, t: int, round_idx: int, q: int):
+        """(lo, hi) of bin q in round ``round_idx``; hi is inf for the top bin."""
+        grid = self.grid(t, round_idx)
+        return grid[q], grid[q + 1] if q + 1 < len(grid) else np.inf
 
 
 def standardized_encoding(raw: np.ndarray, sigma: float) -> np.ndarray:
@@ -391,7 +428,6 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     epoch local training cannot rewrite the leak row that the
     pair-difference trick needs to stay uniform across neurons.
     """
-    r = model_cfg.r
     adapters = AdapterSet.zeros(model_cfg)
     adapters.w_up[:, 0, :] = craft_cfg.epsilon_up
 
@@ -403,12 +439,15 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
         _, _, cache = forward(probe, backbone, no_adapters, model_cfg,
                               max(a.adapter for a in assigned))
         for assign in assigned:
-            a = assign.adapter
-            adapters.w_down[a] = _DOWN_SCALE * row
-            inputs = cache.adapter_input(a)  # (k_t, N+1, D)
-            for j in range(r):
-                q = assign.slot * r + j
-                adapters.b_down[a, j] = -_DOWN_SCALE * float(row @ inputs[q, t])
+            adapters.w_down[assign.adapter] = _DOWN_SCALE * row
+        # a bin's two neurons gate at its two edges; each neuron once
+        edges = {}
+        for b in plan.bins(t):
+            edges[b.adapter, b.neuron] = b.q
+            if not b.top:
+                edges[b.adapter, b.neuron + 1] = b.q + 1
+        for (a, j), q in edges.items():  # adapter inputs are (k_t, N+1, D)
+            adapters.b_down[a, j] = -_DOWN_SCALE * float(row @ cache.adapter_input(a)[q, t])
     return adapters
 
 
@@ -449,7 +488,10 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
     malformed input.
 
     Keys the plan does not have are ignored, so a plan written by an earlier
-    version, which carried six more keys, still loads.
+    version, which carried six more keys, still loads. Every position must
+    have both a grid and assignments, its slots must be 0..n-1, and adapter
+    indices must be distinct and non-negative: ``AttackPlan.bins`` reads the
+    layout from them.
     """
     try:
         obj = json.loads(text)
@@ -470,9 +512,16 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
         )
         if not isinstance(plan.embed_mode, str):
             raise TypeError(f"embed_mode must be a string, got {plan.embed_mode!r}")
+        if {a.position for a in plan.assignments} != set(plan.thresholds):
+            raise ValueError("assigned positions and threshold grids differ")
+        adapters = [a.adapter for a in plan.assignments]
+        if min(adapters) < 0 or len(set(adapters)) < len(adapters):
+            raise ValueError(f"adapter indices {adapters} are negative or repeated")
         for t, g in plan.thresholds.items():
-            if g.shape != (plan.rounds, len(plan.adapters_for(t)) * plan.r):
-                raise ValueError(f"position {t}'s grid is not rounds x (adapters * r)")
+            slots = [a.slot for a in plan.adapters_for(t)]
+            if slots != list(range(len(slots))) or g.shape != (plan.rounds, len(slots) * plan.r):
+                raise ValueError(f"position {t}'s slots {slots} are not 0..n-1 or its "
+                                 f"grid is not rounds x (n * r)")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed attack plan: {exc!r}") from None
     return plan

@@ -13,6 +13,7 @@ from .errors import ShapeError
 from .numerics import as_f64
 
 GRAY = 0.0  # mid-gray placeholder in [-1, 1] for unrecovered patches
+RECOVERY_MSE = 0.05  # a recovered patch below this MSE counts as recovered
 
 
 def _windows(img: np.ndarray, win: int) -> np.ndarray:
@@ -63,8 +64,7 @@ class ScoreReport:
 
 
 def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
-                         truth: np.ndarray, p: int, c: int,
-                         threshold_mse: float = 0.05) -> ScoreReport:
+                         truth: np.ndarray, p: int, c: int) -> ScoreReport:
     """Score recovered patches against ground truth with gray placeholders.
 
     ``recovered`` maps (image, position) to a clamped pixel vector; ``truth``
@@ -86,7 +86,7 @@ def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
     mses = ((cand - ref) ** 2).mean(axis=1)
     ssims = _ssim_batch(cand.reshape(-1, c, p, p), ref.reshape(-1, c, p, p),
                         8, 2.0)
-    hits = int(np.count_nonzero(found & (mses < threshold_mse)))
+    hits = int(np.count_nonzero(found & (mses < RECOVERY_MSE)))
     mean_mse = float(np.mean(mses))
     return ScoreReport(
         per_patch_mse=mses.tolist(),

@@ -12,28 +12,10 @@ import numpy as np
 
 from .attack import ReconstructionReport
 from .craft import AttackPlan
-from .model import ModelConfig
+from .model import ModelConfig, patchify_batch
 from .stats import content_statistics
 
-
-def recoverable_intervals(plan: AttackPlan, t: int, round_idx: int):
-    """(lo, hi, bin_index) for every pair-resolvable interval of position t.
-
-    Consecutive-neuron pairs exist inside each adapter (r - 1 per slot) and
-    the grid's top neuron pairs with an implicit zero; the interval between
-    two adapters' blocks is not resolvable because the bins belong to
-    different depths.
-    """
-    grid = plan.grid(t, round_idx)
-    r = plan.r
-    n_slots = len(plan.adapters_for(t))
-    out = []
-    for s in range(n_slots):
-        for j in range(r - 1):
-            q = s * r + j
-            out.append((grid[q], grid[q + 1], q))
-    out.append((grid[-1], np.inf, n_slots * r - 1))
-    return out
+MATCH_STAT_TOL = 1e-2  # statistic distance that labels a patch with its image
 
 
 def true_statistics(batch, backbone, cfg: ModelConfig) -> np.ndarray:
@@ -48,26 +30,24 @@ def isolated_bins(stats_mn: np.ndarray, plan: AttackPlan,
     for t in plan.positions():
         s = stats_mn[:, t - 1]
         singles: dict[int, int] = {}
-        for lo, hi, q in recoverable_intervals(plan, t, round_idx):
+        for b in plan.bins(t):
+            lo, hi = plan.bounds(t, round_idx, b.q)
             members = np.flatnonzero((s > lo) & (s < hi))
             if len(members) == 1:
-                singles[q] = int(members[0])
+                singles[b.q] = int(members[0])
         out[t] = singles
     return out
 
 
 def isolated_union(stats_mn: np.ndarray, plan: AttackPlan) -> int:
     """Distinct (position, image) pairs isolated in at least one round's grid."""
-    seen = set()
-    for rho in range(plan.rounds):
-        for t, singles in isolated_bins(stats_mn, plan, rho).items():
-            for m in singles.values():
-                seen.add((t, m))
-    return len(seen)
+    return len({(t, m) for rho in range(plan.rounds)
+                for t, singles in isolated_bins(stats_mn, plan, rho).items()
+                for m in singles.values()})
 
 
-def match_patches(report: ReconstructionReport, stats_mn: np.ndarray,
-                  stat_tol: float = 1e-2) -> list[int | None]:
+def match_patches(report: ReconstructionReport,
+                  stats_mn: np.ndarray) -> list[int | None]:
     """Source image per valid recovered patch, by statistic proximity.
 
     Evaluation-side ground-truth matching; returns None where no image's
@@ -77,12 +57,10 @@ def match_patches(report: ReconstructionReport, stats_mn: np.ndarray,
     for p in report.valid_patches:
         diffs = np.abs(stats_mn[:, p.position - 1] - p.stat_check)
         m = int(np.argmin(diffs))
-        labels.append(m if diffs[m] < stat_tol else None)
+        labels.append(m if diffs[m] < MATCH_STAT_TOL else None)
     return labels
 
 
 def ground_truth_patches(batch, cfg: ModelConfig) -> np.ndarray:
     """(M, N, P^2 C) true patch pixel vectors."""
-    from .model import patchify_batch
-
     return patchify_batch(batch.images, cfg.P)

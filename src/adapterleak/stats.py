@@ -20,7 +20,6 @@ from .model import ModelConfig, patchify_batch
 class PatchStats:
     mu: np.ndarray  # (N+1,); entry 0 (class token) unused, kept for indexing
     sigma: np.ndarray  # (N+1,)
-    count: int
 
     def for_position(self, t: int) -> tuple[float, float]:
         return float(self.mu[t]), float(self.sigma[t])
@@ -49,4 +48,4 @@ def estimate_patch_stats(images: np.ndarray, e: np.ndarray, e_pos: np.ndarray,
     if np.any(sigma[1:] == 0.0):
         bad = int(np.flatnonzero(sigma[1:] == 0.0)[0]) + 1
         raise DegenerateStatsError(f"constant statistic at position {bad}")
-    return PatchStats(mu=mu, sigma=sigma, count=m)
+    return PatchStats(mu=mu, sigma=sigma)

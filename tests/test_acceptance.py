@@ -95,11 +95,11 @@ class TestCriterion3ExactBins:
         # inverse-design: one patch per recoverable bin, placed mid-bin via
         # the brute-force statistic oracle
         grid = plan.grid(1, 0)
-        intervals = oracle.recoverable_intervals(plan, 1, 0)
+        intervals = [plan.bounds(1, 0, b.q) for b in plan.bins(1)]
         epc = bb.pos[1, plan.content_rows]
         rng = Rng(5)
         imgs = []
-        for lo, hi, _ in intervals:
+        for lo, hi in intervals:
             target = 0.5 * (lo + hi) if np.isfinite(hi) else lo + 0.5 * (grid[1] - grid[0])
             x = (target / (0.5 * (epc @ epc))) * epc
             noise = rng.uniform(48) * 0.6 - 0.3

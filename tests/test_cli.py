@@ -194,6 +194,41 @@ class TestAttackCommand:
         assert f"--round {round_idx} outside" in capsys.readouterr().err
         assert not atk_out.exists()
 
+    @pytest.mark.parametrize("case", ["r4_gradients", "adapter_40", "position_9"])
+    def test_inputs_of_another_shape_rejected(self, tmp_path, capsys, case):
+        # a desk (r = 8) plan and backbone, and the gradients of an r = 4 run
+        # or of the desk run itself
+        desk = tmp_path / "desk"
+        assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(desk)]) == 0
+        grads = desk / "grads.plta"
+        plan = json.loads((desk / "plan.json").read_text())
+        if case == "r4_gradients":
+            r4_cfg = tmp_path / "r4.cfg"
+            r4_cfg.write_text(DESK_CFG_FILE.read_text().replace("r = 8", "r = 4"))
+            assert main(["run", "--config", str(r4_cfg), "--out", str(tmp_path / "r4")]) == 0
+            grads = tmp_path / "r4" / "grads.plta"
+        elif case == "adapter_40":
+            plan["assignments"][0][0] = 40
+        else:
+            plan["thresholds"]["9"] = plan["thresholds"].pop("4")
+            plan["assignments"] = [[a, 9 if t == 4 else t, s]
+                                   for a, t, s in plan["assignments"]]
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        atk_out = tmp_path / "atk"
+        rc = main(["attack", "--grads", str(grads), "--plan", str(tmp_path / "plan.json"),
+                   "--backbone", str(desk / "backbone.plta"), "--out", str(atk_out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        expected = {
+            "r4_gradients": "(A, r, D) = (12, 4, 96), but the plan and backbone "
+                            "need (12 or more, 8, 96)",
+            "adapter_40": "(A, r, D) = (12, 8, 96), but the plan and backbone "
+                          "need (41 or more, 8, 96)",
+            "position_9": "plan positions [1, 2, 3, 9] exceed the backbone's 4 patches",
+        }[case]
+        assert expected in err
+        assert not atk_out.exists()
+
     def test_craft_then_attack(self, tiny_cfg_file, tmp_path):
         craft_out = tmp_path / "craft"
         assert main(["craft", "--config", str(tiny_cfg_file),

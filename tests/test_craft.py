@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adapterleak import craft as cr
 from adapterleak.dataio import synth_batch
@@ -165,7 +167,7 @@ class TestResidualTail:
 
 class TestAttackPlan:
     def test_single_round_quantiles_match_inverse_cdf_oracle(self):
-        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5), count=10)
+        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
         cc, bb, ei = desk_crafted()
         plan = cr.build_attack_plan(stats, cfg, [1], 1, 1, ei, cc)
@@ -175,7 +177,7 @@ class TestAttackPlan:
         assert np.max(np.abs(grid - np.array([-0.8416, -0.2533, 0.2533, 0.8416]))) < 1e-4
 
     def test_interleaved_rounds_refine(self):
-        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5), count=10)
+        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
         cc, bb, ei = desk_crafted()
         plan = cr.build_attack_plan(stats, cfg, [1], 1, 2, ei, cc)
@@ -188,7 +190,7 @@ class TestAttackPlan:
         assert np.max(np.abs(union - expected)) < 1e-9
 
     def test_neuron_budget(self):
-        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5), count=10)
+        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(D=768, L=12, num_encoders=12, P=4, C=3, H=8, W=8, r=64)
         cc = cr.CraftConfig(seed=1)
         ei = {"e_pinv": np.zeros((48, 768)), "content_rows": np.arange(48),
@@ -214,7 +216,7 @@ class TestAttackPlan:
 
     def test_degenerate_stats_rejected(self, planned):
         cc, bb, ei, *_ = planned
-        bad = PatchStats(mu=np.zeros(5), sigma=np.zeros(5), count=10)
+        bad = PatchStats(mu=np.zeros(5), sigma=np.zeros(5))
         with pytest.raises(ConfigError):
             cr.build_attack_plan(bad, DESK, [1], 1, 1, ei, cc)
 
@@ -229,7 +231,7 @@ class TestAttackPlan:
         cc = cr.CraftConfig(seed=5, embed_mode="average_pool")
         _, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
         ei = {"e_pinv": e_pinv, "content_rows": content_rows, "pixel_groups": groups}
-        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5), count=10)
+        stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         plan = cr.build_attack_plan(stats, cfg, [1, 3], 1, 2, ei, cc)
         assert plan.pixel_groups is not None
         text = cr.plan_to_json(plan)
@@ -261,17 +263,81 @@ class TestAttackPlan:
         lambda obj: {**obj, "pixel_groups": 3},
         lambda obj: {**obj, "stats_sigma": None},
         lambda obj: {**obj, "embed_mode": 7},
+        lambda obj: _edit_assignment(obj, [1, 1, 1], [1, 1, 5]),
+        lambda obj: _edit_assignment(obj, [1, 1, 1], [-1, 1, 1]),
+        lambda obj: _edit_assignment(obj, [2, 2, 0], [0, 2, 0]),
+        lambda obj: {**obj, "thresholds": {t: g for t, g in obj["thresholds"].items()
+                                           if t != "4"}},
+        lambda obj: {**obj, "assignments": [a for a in obj["assignments"] if a[1] != 4]},
     ], ids=["not_json", "not_utf8", "empty_object", "top_level_list", "missing_key",
             "assignments_int", "assignment_short", "rounds_string",
             "rounds_disagree_with_grids", "grid_wider_than_adapters",
             "thresholds_list", "threshold_key_text", "e_pinv_ragged",
             "content_rows_text", "correction_rows_float", "pixel_groups_scalar",
-            "stats_sigma_null", "embed_mode_int"])
+            "stats_sigma_null", "embed_mode_int", "slot_gap", "adapter_negative",
+            "adapter_repeated", "assigned_position_without_grid",
+            "grid_without_assignments"])
     def test_malformed_json_raises_format_error(self, planned, edit):
         *_, plan, _ = planned
         bad = edit(json.loads(cr.plan_to_json(plan)))
         with pytest.raises(FormatError):
             cr.plan_from_json(bad if isinstance(bad, (str, bytes)) else json.dumps(bad))
+
+
+# 16 patch positions and 16 adapters, so a layout can fill every adapter
+LAYOUT_CFG = ModelConfig(H=16, W=16, num_encoders=8)
+
+
+@st.composite
+def _layouts(draw):
+    """A plan's inputs: r, adapters per position, positions, rounds and a
+    hand-made PatchStats."""
+    n = LAYOUT_CFG.N
+    s_t = draw(st.integers(1, 4))
+    positions = draw(st.lists(st.integers(1, n), min_size=1,
+                              max_size=LAYOUT_CFG.num_adapters // s_t, unique=True))
+    stats = PatchStats(
+        mu=draw(hnp.arrays(np.float64, n + 1, elements=st.floats(-50, 50))),
+        sigma=draw(hnp.arrays(np.float64, n + 1, elements=st.floats(0.01, 20))))
+    return draw(st.integers(2, 16)), s_t, positions, draw(st.integers(1, 4)), stats
+
+
+class TestBinLayout:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(layout=_layouts())
+    def test_bins_tile_each_grid(self, layout):
+        r, s_t, positions, rounds, stats = layout
+        cfg = dataclasses.replace(LAYOUT_CFG, r=r)
+        cc = cr.CraftConfig()
+        _, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
+        ei = {"e_pinv": e_pinv, "content_rows": content_rows, "pixel_groups": groups}
+        plan = cr.build_attack_plan(stats, cfg, positions, s_t, rounds, ei, cc)
+        loaded = cr.plan_from_json(cr.plan_to_json(plan))
+        for t in positions:
+            bins = plan.bins(t)
+            assert len(bins) == s_t * (r - 1) + 1
+            assert [b.q for b in bins] == sorted({b.q for b in bins})
+            tops = [b for b in bins if b.top]
+            last = plan.adapters_for(t)[-1]
+            assert tops == [bins[-1]]
+            assert (tops[0].adapter, tops[0].neuron) == (last.adapter, r - 1)
+            pairs = {(b.adapter, b.neuron) for b in bins if not b.top}
+            assert pairs == {(a.adapter, j) for a in plan.adapters_for(t)
+                             for j in range(r - 1)}
+            assert loaded.bins(t) == bins
+            for rho in range(rounds):
+                edges = [plan.bounds(t, rho, b.q) for b in bins]
+                assert all(lo < hi for lo, hi in edges)
+                assert all(hi <= lo for (_, hi), (lo, _) in zip(edges, edges[1:]))
+                assert np.isinf(edges[-1][1])
+                assert [loaded.bounds(t, rho, b.q) for b in bins] == edges
+
+
+def _edit_assignment(obj: dict, old: list[int], new: list[int]) -> dict:
+    """The plan's JSON with assignment ``old`` ([adapter, position, slot])
+    replaced by ``new``."""
+    assert old in obj["assignments"]
+    return {**obj, "assignments": [new if a == old else a for a in obj["assignments"]]}
 
 
 def _assert_plans_equal(got: cr.AttackPlan, want: cr.AttackPlan) -> None:

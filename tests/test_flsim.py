@@ -200,7 +200,7 @@ class TestRunExperiment:
             assert forbidden not in src, forbidden
         sig = inspect.signature(attack_module.run_attack)
         assert set(sig.parameters) == {"grads", "plan", "pos", "round_idx",
-                                       "m_expected", "tol"}
+                                       "m_expected"}
 
 
 def _setup_digest(setup: flsim.AttackSetup) -> str:

@@ -93,14 +93,15 @@ class TestRecoveryRate:
         truth = Rng(9).uniform(2 * 4 * 48).reshape(2, 4, 48)
         assert mx.score_reconstruction({}, truth, p=4, c=3).recovery_rate == 0.0
 
-    def test_threshold_monotone(self):
+    def test_threshold_monotone(self, monkeypatch):
         rng = Rng(10)
         truth = rng.uniform(2 * 4 * 48).reshape(2, 4, 48) * 2 - 1
         recovered = {(i, t + 1): np.clip(truth[i, t] + rng.uniform(48) * 0.3, -1, 1)
                      for i in range(2) for t in range(4)}
-        rates = [mx.score_reconstruction(recovered, truth, p=4, c=3,
-                                         threshold_mse=th).recovery_rate
-                 for th in (0.001, 0.01, 0.05, 1.0)]
+        rates = []
+        for th in (0.001, 0.01, 0.05, 1.0):
+            monkeypatch.setattr(mx, "RECOVERY_MSE", th)
+            rates.append(mx.score_reconstruction(recovered, truth, p=4, c=3).recovery_rate)
         assert all(r1 <= r2 for r1, r2 in zip(rates, rates[1:]))
 
     def test_score_report_gray_fill(self):
@@ -203,15 +204,16 @@ class TestScoringPinned:
     @pytest.mark.parametrize("p", [2, 3, 4, 8, 12, 16])
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_score_reconstruction_matches_reference(self, p, c, kind):
+    def test_score_reconstruction_matches_reference(self, p, c, kind, monkeypatch):
         gen = np.random.default_rng([p, c, KINDS.index(kind)])
         for _ in range(2):
             m, n = int(gen.integers(1, 4)), int(gen.integers(1, 5))
             truth = gen.uniform(-1, 1, (m, n, c * p * p))
             recovered = _recovery(kind, truth, gen)
             for th in (0.05, 0.005):
+                monkeypatch.setattr(mx, "RECOVERY_MSE", th)
                 _assert_reports_identical(
-                    mx.score_reconstruction(recovered, truth, p, c, threshold_mse=th),
+                    mx.score_reconstruction(recovered, truth, p, c),
                     _ref_score(recovered, truth, p, c, threshold_mse=th))
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 4, 4), (1, 12, 12), (3, 16, 16),

@@ -361,12 +361,14 @@ class TestRunExperimentPinned:
 # local_step gradients and forward's loss and logits, pinned: each case
 # below was digested once and must never move. "desk" is the crafted desk
 # setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the
-# perfbench rounds shape (r=4, round 1, 5 epochs, lr 1e-4), "gelu_class" a
-# random backbone with GELU adapters and the class-token head, "mixed_mlp" a
-# random backbone whose encoders 0, 3 and 4 have every MLP unit saturated
-# while the other encoders keep live units.
+# perfbench rounds shape (r=4, round 1, 5 epochs, lr 1e-4), "d64_class" a
+# crafted D=64, L=2 (D_h=32), r=2 class-token setup's round 1 under 2 FedAvg
+# epochs, "gelu_class" a random backbone with GELU adapters and the
+# class-token head, "mixed_mlp" a random backbone whose encoders 0, 3 and 4
+# have every MLP unit saturated while the other encoders keep live units.
 MIXED_SATURATED = (0, 3, 4)
 PIN_LOCAL_STEP = {
+    "d64_class": ("6fe69a02ed406eab", "69870034091fd832", "52cb00de1248a31f"),
     "desk": ("fadcb1614e2e6cb5", "93d3139ffa2e18f7", "7e85b74e59d378c6"),
     "rounds_fedavg": ("6a42e50c1935cf9a", "95a652ed25406166", "6f149652e927db28"),
     "gelu_class": ("142b8ca1d98e1c24", "aaa88e6a259e31ab", "01d7993e8d08337d"),
@@ -406,16 +408,21 @@ def _pinned_local_step(case: str) -> tuple[str, str, str]:
         batch = synth_batch(5, mc, seed=33, kind="uniform")
         grads = flsim.local_step(batch, bb, ads, mc)
     else:
-        mc, rounds, rho = (DESK, 1, 0) if case == "desk" else (ModelConfig(r=4), 4, 1)
+        # crafted setups: (model, rounds, round, FedAvg epochs or None)
+        mc, rounds, rho, epochs = {
+            "desk": (DESK, 1, 0, None),
+            "rounds_fedavg": (ModelConfig(r=4), 4, 1, 5),
+            "d64_class": (ModelConfig(D=64, L=2, r=2, head_mode="class_token"), 2, 1, 2),
+        }[case]
         setup = flsim.prepare_attack(flsim.SetupArgs(mc, CraftConfig(seed=7), 11, rounds,
                                                      (1, 2, 3, 4), 3))
         bb, ads = setup.backbone, setup.adapters[rho]
         batch = synth_batch(16, mc, seed=int(flsim._data_rng(11).spawn(1).seed),
                             kind="smooth")
-        if case == "desk":
+        if epochs is None:
             grads = flsim.local_step(batch, bb, ads, mc)
         else:
-            grads = flsim.local_fedavg(batch, bb, ads, mc, epochs=5, lr=1e-4)
+            grads = flsim.local_fedavg(batch, bb, ads, mc, epochs=epochs, lr=1e-4)
     logits, loss, _ = forward(batch, bb, ads, mc)
     return _digest(grads.flat()), _digest(loss), _digest(logits)
 

@@ -251,6 +251,14 @@ def cmd_attack(args) -> int:
     if not all(1 <= t < len(backbone.pos) for t in plan.positions()):
         raise ConfigError(f"plan positions {plan.positions()} exceed the backbone's "
                           f"{len(backbone.pos) - 1} patches")
+    if plan.e_pinv.shape != backbone.embed.shape[::-1]:
+        raise ConfigError(f"plan e_pinv has shape {plan.e_pinv.shape}, but the backbone "
+                          f"needs (patch_dim, D) = {backbone.embed.shape[::-1]}")
+    for name in ("content_rows", "correction_rows"):
+        rows = getattr(plan, name)
+        if len(rows) and not 0 <= rows.min() <= rows.max() < need[2]:
+            raise ConfigError(f"plan {name} span {rows.min()}..{rows.max()}, outside "
+                              f"the backbone's D = {need[2]} coordinates")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports = [attack_mod.run_attack(grads, plan, backbone.pos, rho, m)

@@ -5,10 +5,15 @@ activation gradients are propagated through every frozen layer (LayerNorm,
 softmax attention, GELU MLP, residuals) to reach the adapters below. It
 ends at adapter 0, below which nothing reads the token gradient, and skips
 the all-ones GELU derivative of MLPs the forward marked not ``live``.
-Attention reads the forward's head-first cache with stacked matmuls, and
-products with D- or 4D-wide outputs run as one GEMM over all tokens. On
-OpenBLAS both keep the bits of the per-head, per-image products on the
-checked shapes (``tests/test_flsim.py`` pins them).
+Attention reads the forward's head-first cache with stacked matmuls.
+Products with frozen encoder matrices go through ``EncoderParams.matmul``
+as in the forward: a crafted backbone's 0/1 selectors are column copies,
+bit for bit (the rule and its argument are in :mod:`adapterleak.model`),
+and any other matrix is one GEMM over all tokens, per head for the stacked
+Q, K and V weights. The adapter's D-wide ``w_down`` product is one GEMM
+over all tokens too. On OpenBLAS these keep the bits of the per-head,
+per-image products on the checked shapes (``tests/test_flsim.py`` pins
+them).
 
 ``finite_diff_check`` is the independent oracle: central differences of the
 batch loss with respect to every adapter parameter. Four things keep the
@@ -160,7 +165,7 @@ def _ln_backward(d_out: np.ndarray, ln_cache: dict) -> np.ndarray:
 def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndarray:
     q, k, v, attn = (core_cache[n] for n in ("q", "k", "v", "attn"))
     L = attn.shape[0]
-    d_concat = _dot(d_out, enc.w_msa)
+    d_concat = enc.matmul(d_out, "w_msa")
     d_heads = np.moveaxis(d_concat.reshape(*d_out.shape[:-1], L, d_h), -2, 0)
     d_attn = d_heads @ np.swapaxes(v, -1, -2)
     d_v = np.swapaxes(attn, -1, -2) @ d_heads
@@ -170,8 +175,9 @@ def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndar
     d_q = d_logits @ k * scale
     d_k = np.swapaxes(d_logits, -1, -2) @ q * scale
     by_rows = (L, -1, d_h)
-    d_from_v = d_v.reshape(by_rows) @ enc.w_v  # (L, rows, D)
-    d_from_qk = d_q.reshape(by_rows) @ enc.w_q + d_k.reshape(by_rows) @ enc.w_k
+    d_from_v = enc.matmul(d_v.reshape(by_rows), "w_v")  # (L, rows, D)
+    d_from_qk = (enc.matmul(d_q.reshape(by_rows), "w_q")
+                 + enc.matmul(d_k.reshape(by_rows), "w_k"))
     # heads are added one by one, V part then Q/K slice: summing the V
     # parts in one GEMM would round differently
     d_tokens = np.zeros(d_from_v.shape[1:])
@@ -226,10 +232,10 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         if sub["is_msa"]:
             d_z = _msa_backward(d_core, sub["core"], enc, cfg.D_h)
         else:
-            d_pre = _dot(d_core, enc.w_mlp2)
+            d_pre = enc.matmul(d_core, "w_mlp2")
             if sub["core"]["live"]:  # else GELU' is exactly 1.0 everywhere
                 d_pre *= gelu_grad(sub["core"]["pre"])
-            d_z = _dot(d_pre, enc.w_mlp1)
+            d_z = enc.matmul(d_pre, "w_mlp1")
         d_tokens = d_tokens + _ln_backward(d_z, sub["ln"])
 
     return grads

@@ -16,6 +16,18 @@ q, k, v and attn stacked head first, (L, M, T, .). An MLP with no
 pre-activation below GELU saturation (crafted backbones) skips the GELU,
 which is x * 1.0 = x there, and records ``live = False``.
 
+Products with frozen encoder matrices go through ``EncoderParams.matmul``,
+here and in the backward pass. A crafted backbone's are 0/1 selectors, at
+most one 1 per column of the right operand: w_q = w_k = I, w_v picks each
+head's slice, w_msa = I, w_mlp1 = [I; 0], w_mlp2 = [I 0]. For finite x,
+x @ W is then a column copy, bit for bit. Each output column is x_src * 1
+plus terms x_i * 0 = +-0, summed from +0.0 as BLAS sums: that is
+x_src + 0.0 (the + 0.0 turns -0.0 into the +0.0 BLAS returns), or +0.0
+where no source exists. A non-finite x_i makes x_i * 0 NaN in every
+column, so such an x takes the GEMM, as does any other matrix; a nonzero
+count rejects a dense one. Each matrix is inspected once per
+``EncoderParams`` and again only after its field is reassigned.
+
 Adapter parameters and their gradients are one type, :class:`AdapterSet`:
 four tensors stacked on a leading adapter axis, read by ``adapter_forward``
 as adapter s of the set.
@@ -96,6 +108,24 @@ class EncoderParams:
     b_mlp1: np.ndarray
     w_mlp2: np.ndarray  # (D, 4D)
     b_mlp2: np.ndarray
+
+    def matmul(self, x: np.ndarray, name: str, transpose: bool = False) -> np.ndarray:
+        """x @ W for the weight field ``name``, or x @ W.T with ``transpose``
+        (W's last two axes swapped, so a stacked W multiplies head by head).
+
+        A 0/1 selector W is applied as a column copy when x is finite; it is
+        detected once per array and again after the field is reassigned.
+        Any other W, or a non-finite x, takes the GEMM.
+        """
+        w = getattr(self, name)
+        m = np.swapaxes(w, -1, -2) if transpose else w
+        cache = self.__dict__.setdefault("_selectors", {})
+        hit = cache.get((name, transpose))
+        if hit is None or hit[0] is not w:
+            hit = cache[name, transpose] = (w, _selector(m))
+        if hit[1] is not None and np.isfinite(x).all():
+            return _copy_columns(x, hit[1])
+        return _dot(x, m) if m.ndim == 2 else x @ m
 
 
 @dataclass
@@ -228,6 +258,57 @@ def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w_t).reshape(*lead, w_t.shape[-1])
 
 
+@dataclass(frozen=True)
+class _Selector:
+    """x @ m for a 0/1 matrix m with at most one 1 per column.
+
+    Each move (at, cols, src) copies input columns ``src`` of x[at] to output
+    columns ``cols`` of out[at]; the other output columns are 0 (none when
+    ``full``). A 2-D m has one move, at ``...``; a stacked m, whose leading
+    axis has length ``stack`` (0 for a 2-D m), has one move per head.
+    """
+
+    stack: int
+    width: int
+    full: bool
+    moves: tuple
+
+
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """A contiguous ascending index run as a slice, anything else as is."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
+
+
+def _selector(m: np.ndarray) -> _Selector | None:
+    """The :class:`_Selector` of a (n, k) or stacked (S, n, k) 0/1 matrix m,
+    or None when m is not one."""
+    n, k = m.shape[-2:]
+    if np.count_nonzero(m) > m.size // n:  # dense: more than one per column
+        return None
+    mats = m.reshape(-1, n, k)
+    if not ((mats == 0) | (mats == 1)).all() or (mats.sum(axis=-2) > 1).any():
+        return None
+    pairs = [np.nonzero(mat.T) for mat in mats]  # (cols, src) per matrix
+    at = [...] if m.ndim == 2 else range(len(mats))
+    moves = tuple((a, _as_slice(c), _as_slice(r)) for a, (c, r) in zip(at, pairs))
+    full = all(len(c) == k for c, _ in pairs)
+    return _Selector(m.shape[0] if m.ndim == 3 else 0, k, full, moves)
+
+
+def _copy_columns(x: np.ndarray, sel: _Selector) -> np.ndarray:
+    """x @ m for m with selector ``sel`` and finite x, bit for bit: the
+    selected columns, then + 0.0 (the module docstring says why)."""
+    lead = (sel.stack, x.shape[-2]) if sel.stack else x.shape[:-1]
+    out = (np.empty if sel.full else np.zeros)((*lead, sel.width))
+    for at, cols, src in sel.moves:
+        # a 2-D x feeds every head of a stacked m
+        out[at][..., cols] = (x if x.ndim == 2 else x[at])[..., src]
+    out += 0.0
+    return out
+
+
 def layer_normalize(x: np.ndarray):
     """(xhat, inv_sd) of a LayerNorm over the last axis, before its affine."""
     xhat = x - x.mean(axis=-1, keepdims=True)
@@ -271,20 +352,20 @@ def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
     # one GEMM per head, stacked: a single GEMM over all heads' columns
     # would round differently for some batch sizes
     by_head = flat.reshape(-1, L, d_h).transpose(1, 0, 2)  # (L, rows, D_h)
-    q = by_head @ np.swapaxes(enc.w_q, 1, 2) + enc.b_q[:, None, :]
-    k = by_head @ np.swapaxes(enc.w_k, 1, 2) + enc.b_k[:, None, :]
-    v = flat @ np.swapaxes(enc.w_v, 1, 2) + enc.b_v[:, None, :]
+    q = enc.matmul(by_head, "w_q", transpose=True) + enc.b_q[:, None, :]
+    k = enc.matmul(by_head, "w_k", transpose=True) + enc.b_k[:, None, :]
+    v = enc.matmul(flat, "w_v", transpose=True) + enc.b_v[:, None, :]
     q, k, v = (x.reshape(L, *lead, -1, d_h) for x in (q, k, v))
     attn = softmax_rows((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_h)))
     concat = np.moveaxis(attn @ v, 0, -2).reshape(tokens.shape)
-    out = _dot(concat, enc.w_msa.T)
+    out = enc.matmul(concat, "w_msa", transpose=True)
     return out, {"q": q, "k": k, "v": v, "attn": attn}
 
 
 def _mlp_forward(z: np.ndarray, enc: EncoderParams):
-    pre = _dot(z, enc.w_mlp1.T) + enc.b_mlp1
+    pre = enc.matmul(z, "w_mlp1", transpose=True) + enc.b_mlp1
     live = bool((pre < _PHI_SATURATION).any())  # else GELU is x * 1.0 = x
-    out = _dot(gelu(pre) if live else pre, enc.w_mlp2.T) + enc.b_mlp2
+    out = enc.matmul(gelu(pre) if live else pre, "w_mlp2", transpose=True) + enc.b_mlp2
     return out, {"pre": pre, "live": live}
 
 

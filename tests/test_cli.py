@@ -229,6 +229,36 @@ class TestAttackCommand:
         assert expected in err
         assert not atk_out.exists()
 
+    @pytest.mark.parametrize("case", ["e_pinv_d64", "content_row_96",
+                                      "correction_row_negative"])
+    def test_embedding_fields_of_another_width_rejected(self, tmp_path, capsys, case):
+        # the desk run's (D = 96) own gradients and backbone, with a plan whose
+        # embedding fields fit D = 64 or point outside 0..95
+        desk = tmp_path / "desk"
+        assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(desk)]) == 0
+        plan = json.loads((desk / "plan.json").read_text())
+        if case == "e_pinv_d64":
+            plan["e_pinv"] = [row[:64] for row in plan["e_pinv"]]
+        elif case == "content_row_96":
+            plan["content_rows"][-1] = 96
+        else:
+            plan["correction_rows"][0] = -1
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        atk_out = tmp_path / "atk"
+        rc = main(["attack", "--grads", str(desk / "grads.plta"),
+                   "--plan", str(tmp_path / "plan.json"),
+                   "--backbone", str(desk / "backbone.plta"), "--out", str(atk_out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        expected = {
+            "e_pinv_d64": "plan e_pinv has shape (48, 64), but the backbone needs "
+                          "(patch_dim, D) = (48, 96)",
+            "content_row_96": "plan content_rows span",
+            "correction_row_negative": "plan correction_rows span -1..",
+        }[case]
+        assert expected in err
+        assert not atk_out.exists()
+
     def test_craft_then_attack(self, tiny_cfg_file, tmp_path):
         craft_out = tmp_path / "craft"
         assert main(["craft", "--config", str(tiny_cfg_file),

@@ -1,14 +1,16 @@
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adapterleak import attack as attack_module
 from adapterleak import flsim
 from adapterleak.craft import CraftConfig
 from adapterleak.dataio import synth_batch
 from adapterleak.errors import ConfigError
-from adapterleak.grad import backward_adapters
+from adapterleak.grad import backward_adapters, blas_single_thread
 from adapterleak.model import AdapterSet, ModelConfig, forward, random_backbone
 from adapterleak.numerics import _PHI_SATURATION, Rng
 
@@ -211,7 +213,7 @@ def _setup_digest(setup: flsim.AttackSetup) -> str:
               setup.backbone.ln_f_w, setup.backbone.ln_f_b, setup.backbone.w_cls,
               setup.backbone.b_cls]
     for enc in setup.backbone.encoders:
-        arrays += list(vars(enc).values())
+        arrays += [getattr(enc, f.name) for f in fields(enc)]
     for adapters in setup.adapters:
         for a in range(len(adapters)):
             arrays += [adapters.w_down[a], adapters.b_down[a], adapters.w_up[a],
@@ -293,6 +295,42 @@ class TestSharedSetup:
             sys.setswitchinterval(interval)
         assert concurrent == serial * 2
         assert _setup_digest(setup) == before
+
+
+@st.composite
+def _small_experiments(draw):
+    """(SetupArgs, FLConfig, DefenseConfig) of a small crafted experiment."""
+    mc = ModelConfig(D=draw(st.sampled_from([64, 96])), r=draw(st.integers(2, 8)),
+                     num_encoders=draw(st.integers(2, 3)))
+    s_t = draw(st.integers(1, 2))
+    positions = draw(st.lists(st.integers(1, mc.N), min_size=1,
+                              max_size=mc.num_adapters // s_t, unique=True))
+    rounds = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    args = flsim.SetupArgs(mc, CraftConfig(seed=draw(st.integers(0, 2**16))), seed,
+                           rounds, tuple(positions), s_t, public_count=64)
+    users = draw(st.integers(1, 3))
+    fl = flsim.FLConfig(users=users, batch_size=draw(st.integers(1, 8)), rounds=rounds,
+                        local_epochs=draw(st.integers(1, 3)),
+                        victim_index=draw(st.integers(0, users - 1)),
+                        mode=draw(st.sampled_from(["single_step", "fedavg"])), seed=seed)
+    defense = draw(st.sampled_from([
+        flsim.DefenseConfig(),
+        flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=1e-3)]))
+    return args, fl, defense
+
+
+class TestBlasThreadsInvariant:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(experiment=_small_experiments())
+    def test_victim_gradients_same_inside_blas_cap(self, experiment):
+        # ROADMAP item 2: the BLAS thread count never moves a victim's bits
+        args, fl, defense = experiment
+        setup = flsim.prepare_attack(args)
+        outside = flsim.run_experiment(setup, fl, defense).victim_grads.flat()
+        with blas_single_thread():
+            inside = flsim.run_experiment(setup, fl, defense).victim_grads.flat()
+        assert outside.tobytes() == inside.tobytes()
 
 
 # run_experiment on four users with victim 2, digested once and never to

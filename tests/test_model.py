@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adapterleak import model as mdl
 from adapterleak.craft import CraftConfig, craft_backbone
@@ -256,3 +259,129 @@ class TestRandomAdaptersPinned:
             for arr in (ads.w_down[a], ads.b_down[a], ads.w_up[a], ads.b_up[a]):
                 h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest()[:16] == PIN_RANDOM_ADAPTERS
+
+
+# x entries for the selector product: signed zeros, subnormals, values near
+# 1e300 and ordinary floats
+_X_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e300, -1e300,
+                     -9.9e299]),
+    st.floats(-1e3, 1e3))
+_WEIGHTS = ("w_q", "w_k", "w_v", "w_msa", "w_mlp1", "w_mlp2")
+
+
+@st.composite
+def _selectors(draw):
+    """A 0/1 selector m, in the x @ m orientation: the crafted backbone's
+    kinds (identity, [I; 0], [I 0], per-head slices), a permutation, or
+    columns with a random source or none."""
+    kind = draw(st.sampled_from(["identity", "eye_over_zero", "eye_beside_zero",
+                                 "head_slice", "permutation", "empty_columns"]))
+    n = draw(st.integers(1, 8))
+    extra = draw(st.integers(1, 8))
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "eye_over_zero":
+        return np.eye(n + extra, n)
+    if kind == "eye_beside_zero":
+        return np.eye(n, n + extra)
+    if kind == "head_slice":
+        heads = draw(st.integers(1, 4))
+        m = np.zeros((heads, n, heads * n))
+        for h in range(heads):
+            m[h, :, h * n:(h + 1) * n] = np.eye(n)
+        return np.swapaxes(m, 1, 2).copy() if draw(st.booleans()) else m
+    if kind == "permutation":
+        return np.eye(n)[:, draw(st.permutations(range(n)))]
+    src = draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=8))
+    m = np.zeros((n, len(src)))
+    for j, i in enumerate(src):
+        if i >= 0:
+            m[i, j] = 1.0
+    return m
+
+
+def _enc_with(w: np.ndarray, transpose: bool) -> mdl.EncoderParams:
+    """EncoderParams whose w_msa is m = w (or m.T with ``transpose``) and
+    whose other fields are placeholders."""
+    names = [f.name for f in dataclasses.fields(mdl.EncoderParams)]
+    enc = mdl.EncoderParams(**{name: np.zeros(1) for name in names})
+    enc.w_msa = np.swapaxes(w, -1, -2).copy() if transpose else w
+    return enc
+
+
+def _gemm(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m as the forward and backward compute it without selectors."""
+    return mdl._dot(x, m) if m.ndim == 2 else x @ m
+
+
+@st.composite
+def _products(draw):
+    """(m, x): a selector and an input; a stacked m gets a 2-D x or one x
+    per head, a 2-D m a 2-D x or a (batch, tokens, n) x."""
+    m = draw(_selectors())
+    rows = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (len(m),) if m.ndim == 3 else (2,)]))
+    x = draw(hnp.arrays(np.float64, (*lead, rows, m.shape[-2]), elements=_X_VALUES))
+    return m, x
+
+
+class TestSelectorProduct:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_products(), transpose=st.booleans(), data=st.data())
+    def test_copy_is_the_gemm_bit_for_bit(self, case, transpose, data):
+        m, x = case
+        assert mdl._selector(m) is not None
+        enc = _enc_with(m, transpose)
+        want = _gemm(x, m)
+        got = enc.matmul(x, "w_msa", transpose)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a non-finite entry anywhere in x spreads through the GEMM's columns
+        bad = x.copy()
+        bad.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+        with np.errstate(invalid="ignore"):
+            assert enc.matmul(bad, "w_msa", transpose).tobytes() == _gemm(bad, m).tobytes()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(m=_selectors(), data=st.data())
+    def test_other_matrices_not_detected(self, m, data):
+        n, k = m.shape[-2:]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+        for value in (2.0, -1.0):
+            bad = m.copy()
+            bad[..., i, j] = value
+            assert mdl._selector(bad) is None
+        if n > 1:
+            two = m.copy()
+            two[..., :, j] = 0.0
+            two[..., [i, (i + 1) % n], j] = 1.0
+            assert mdl._selector(two) is None
+
+    @pytest.mark.parametrize("cfg", [mdl.ModelConfig(),
+                                     mdl.ModelConfig(D=64, L=2, r=2)])
+    def test_crafted_matrices_detected_random_not(self, cfg):
+        # a change that loses the crafted selectors, or takes a dense matrix
+        # for one, fails here rather than only in wall time or bytes
+        crafted, _ = craft_backbone(CraftConfig(seed=7), cfg)
+        dense = mdl.random_backbone(cfg, Rng(3))
+        for enc, want in ((e, True) for e in crafted.encoders):
+            for name in _WEIGHTS:
+                w = getattr(enc, name)
+                for m in (w, np.swapaxes(w, -1, -2)):
+                    assert (mdl._selector(m) is not None) == want, name
+        for enc in dense.encoders:
+            for name in _WEIGHTS:
+                w = getattr(enc, name)
+                for m in (w, np.swapaxes(w, -1, -2)):
+                    assert mdl._selector(m) is None, name
+
+    def test_reassigned_weight_detected_again(self):
+        cfg = mdl.ModelConfig()
+        enc = craft_backbone(CraftConfig(seed=7), cfg)[0].encoders[0]
+        x = Rng(5).normal(0.0, 1.0, 7 * cfg.D).reshape(7, cfg.D)
+        assert enc.matmul(x, "w_msa", True).tobytes() == (x + 0.0).tobytes()
+        enc.w_msa = Rng(6).normal(0.0, 1.0, cfg.D * cfg.D).reshape(cfg.D, cfg.D)
+        assert enc.matmul(x, "w_msa", True).tobytes() == mdl._dot(x, enc.w_msa.T).tobytes()
+        enc.w_msa = np.eye(cfg.D)[::-1].copy()
+        assert enc.matmul(x, "w_msa", True).tobytes() == (x[:, ::-1] + 0.0).tobytes()

@@ -301,12 +301,12 @@ def _selectors(draw):
     return m
 
 
-def _enc_with(w: np.ndarray, transpose: bool) -> mdl.EncoderParams:
-    """EncoderParams whose w_msa is m = w (or m.T with ``transpose``) and
-    whose other fields are placeholders."""
+def _enc_with(m: np.ndarray, transpose: bool) -> mdl.EncoderParams:
+    """EncoderParams whose ``matmul(x, "w_msa", transpose)`` is x @ m; its
+    other fields are placeholders."""
     names = [f.name for f in dataclasses.fields(mdl.EncoderParams)]
     enc = mdl.EncoderParams(**{name: np.zeros(1) for name in names})
-    enc.w_msa = np.swapaxes(w, -1, -2).copy() if transpose else w
+    enc.w_msa = np.swapaxes(m, -1, -2).copy() if transpose else m
     return enc
 
 
@@ -365,16 +365,12 @@ class TestSelectorProduct:
         # for one, fails here rather than only in wall time or bytes
         crafted, _ = craft_backbone(CraftConfig(seed=7), cfg)
         dense = mdl.random_backbone(cfg, Rng(3))
-        for enc, want in ((e, True) for e in crafted.encoders):
-            for name in _WEIGHTS:
-                w = getattr(enc, name)
-                for m in (w, np.swapaxes(w, -1, -2)):
-                    assert (mdl._selector(m) is not None) == want, name
-        for enc in dense.encoders:
-            for name in _WEIGHTS:
-                w = getattr(enc, name)
-                for m in (w, np.swapaxes(w, -1, -2)):
-                    assert mdl._selector(m) is None, name
+        for backbone, want in ((crafted, True), (dense, False)):
+            for enc in backbone.encoders:
+                for name in _WEIGHTS:
+                    w = getattr(enc, name)
+                    for m in (w, np.swapaxes(w, -1, -2)):
+                        assert (mdl._selector(m) is not None) == want, name
 
     def test_reassigned_weight_detected_again(self):
         cfg = mdl.ModelConfig()

@@ -1,11 +1,14 @@
 """Reconstruction from observed adapter gradients.
 
-The attack sees nothing but the gradient tensors and the plan/backbone it
-crafted itself. Per round it locates active bins from bias-gradient
-differences of consecutive neurons, recovers the token embedding from the
-matching weight-gradient pair, undoes the residual per-token LayerNorm
-scale with a two-parameter regression on content-free coordinates, inverts
-the embedding to pixels, and filters candidates through validity checks.
+The attack sees nothing but the gradient tensors and the plan and backbone
+the server crafted itself. The backbone's embedding matrix E is the one
+record of the embedding layout (``craft.embedding_layout`` reads it back),
+and its position encodings are the offsets the attack subtracts. Per round
+it locates active bins from bias-gradient differences of consecutive
+neurons, recovers the token embedding from the matching weight-gradient
+pair, undoes the residual per-token LayerNorm scale with a two-parameter
+regression on content-free coordinates, inverts E to pixels, and filters
+candidates through validity checks.
 
 Pairs are taken within one adapter only: the per-token gradient prefactor
 is shared across an adapter's neurons (the up-projection leaks every
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .craft import AttackPlan, Bin
+from .craft import AttackPlan, Bin, embedding_layout
 from .errors import EmptyBinError
-from .model import AdapterSet
+from .model import AdapterSet, FrozenBackbone
 
 PIXEL_SLACK = 0.1  # validity allows [-1 - slack, 1 + slack]
 DETECT_REL_TOL = 1e-9  # of a position's largest bias gradient
@@ -127,9 +130,11 @@ def validate(patch: RecoveredPatch, plan: AttackPlan) -> bool:
     return bool(lo < patch.stat_check < hi)
 
 
-def run_attack(grads: AdapterSet, plan: AttackPlan, pos: np.ndarray,
+def run_attack(grads: AdapterSet, plan: AttackPlan, backbone: FrozenBackbone,
                round_idx: int, m_expected: int) -> ReconstructionReport:
     """One round of reconstruction from a gradient observation."""
+    pos = backbone.pos
+    layout = embedding_layout(backbone.embed, len(pos) - 1)
     patches: list[RecoveredPatch] = []
     for t, b in detect_active_bins(grads, plan):
         a, j = b.adapter, b.neuron
@@ -141,15 +146,15 @@ def run_attack(grads: AdapterSet, plan: AttackPlan, pos: np.ndarray,
         except EmptyBinError:
             continue
         e_pos_t = pos[t]
-        y = correct_embedding(y_raw, e_pos_t, plan.correction_rows)
-        pixels = recover_patch(y, plan.e_pinv, e_pos_t)
-        stat = patch_statistic(y, e_pos_t, plan.content_rows)
+        y = correct_embedding(y_raw, e_pos_t, layout.correction_rows)
+        pixels = recover_patch(y, layout.e_pinv, e_pos_t)
+        stat = patch_statistic(y, e_pos_t, layout.content_rows)
         patch = RecoveredPatch(
             position=t, bin_index=b.q, round_idx=round_idx,
             pixels=pixels, stat_check=stat, valid=False)
         patch.valid = validate(patch, plan)
         patches.append(patch)
-    return ReconstructionReport(patches=patches, n_positions=plan.n_patches,
+    return ReconstructionReport(patches=patches, n_positions=len(pos) - 1,
                                 m_expected=m_expected)
 
 

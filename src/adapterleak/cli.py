@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import attack as attack_mod
-from .craft import CraftConfig, plan_from_json, plan_to_json
+from .craft import CraftConfig, embedding_layout, plan_from_json, plan_to_json
 from .dataio import denormalize, save_ppm, synth_batch
 from .errors import ConfigError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
@@ -251,17 +251,13 @@ def cmd_attack(args) -> int:
     if not all(1 <= t < len(backbone.pos) for t in plan.positions()):
         raise ConfigError(f"plan positions {plan.positions()} exceed the backbone's "
                           f"{len(backbone.pos) - 1} patches")
-    if plan.e_pinv.shape != backbone.embed.shape[::-1]:
-        raise ConfigError(f"plan e_pinv has shape {plan.e_pinv.shape}, but the backbone "
-                          f"needs (patch_dim, D) = {backbone.embed.shape[::-1]}")
-    for name in ("content_rows", "correction_rows"):
-        rows = getattr(plan, name)
-        if len(rows) and not 0 <= rows.min() <= rows.max() < need[2]:
-            raise ConfigError(f"plan {name} span {rows.min()}..{rows.max()}, outside "
-                              f"the backbone's D = {need[2]} coordinates")
+    if backbone.embed.ndim != 2 or len(backbone.embed) != need[2]:
+        raise ConfigError(f"backbone embedding has shape {backbone.embed.shape}, but its "
+                          f"position encodings need (D, patch_dim) with D = {need[2]}")
+    embedding_layout(backbone.embed, len(backbone.pos) - 1)  # ConfigError unless crafted
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = [attack_mod.run_attack(grads, plan, backbone.pos, rho, m)
+    reports = [attack_mod.run_attack(grads, plan, backbone, rho, m)
                for rho in (range(plan.rounds) if args.round is None else [args.round])]
     merged = reports[0] if len(reports) == 1 else attack_mod.merge_rounds(reports, plan)
     rows = [[p.position, p.bin_index, p.round_idx, int(p.valid), p.stat_check]

@@ -82,19 +82,14 @@ class Bin:
 
 @dataclass
 class AttackPlan:
-    """Everything the attack side needs beyond the observed gradients."""
+    """Everything the attack side needs beyond the observed gradients and the
+    backbone: which adapters gate which positions, and at what thresholds."""
 
     assignments: list[Assignment]
     thresholds: dict[int, np.ndarray]  # position -> (R, k_t), strictly increasing rows
     rounds: int
     r: int
     stats_sigma: np.ndarray
-    content_rows: np.ndarray
-    correction_rows: np.ndarray
-    e_pinv: np.ndarray
-    pixel_groups: np.ndarray | None
-    embed_mode: str
-    n_patches: int
 
     def positions(self) -> list[int]:
         return sorted(self.thresholds)
@@ -178,39 +173,26 @@ def craft_position_encodings(cfg: CraftConfig, n: int, d: int, d_h: int,
         f"increase sigma_pos or the head dimension")
 
 
-def craft_embedding_matrix(cfg: CraftConfig, model_cfg: ModelConfig):
-    """Embedding matrix, its pseudoinverse, and the content-row bookkeeping.
+def craft_embedding_matrix(cfg: CraftConfig, model_cfg: ModelConfig) -> np.ndarray:
+    """Embedding matrix E: row g averages pixel group g at weight 0.5.
 
-    identity_pad: E = 0.5 [I; 0]; exact inverse.
-    average_pool: rows average disjoint pixel groups (spatial s x s blocks
-    when the group size is a perfect square), recovering group means.
+    identity_pad: every pixel is its own group, E = 0.5 [I; 0].
+    average_pool: disjoint pixel groups (spatial s x s blocks when the group
+    size is a perfect square), so E^+ recovers group means.
     """
     d, pdim = model_cfg.D, model_cfg.patch_dim
-    mode = cfg.embed_mode
-    if mode == "identity_pad" and d < pdim:
-        raise ConfigError(
-            f"identity_pad needs D >= {pdim}, have {d}; use average_pool")
-    if mode == "identity_pad":
-        e = np.zeros((d, pdim))
-        e[:pdim, :pdim] = 0.5 * np.eye(pdim)
-        e_pinv = np.zeros((pdim, d))
-        e_pinv[:pdim, :pdim] = 2.0 * np.eye(pdim)
-        groups = None
-        content_rows = np.arange(pdim)
+    if cfg.embed_mode == "identity_pad":
+        if d < pdim:
+            raise ConfigError(
+                f"identity_pad needs D >= {pdim}, have {d}; use average_pool")
+        groups = np.arange(pdim)
     else:
-        g = -(-pdim // d)  # ceil
-        groups = _pixel_groups(model_cfg, g)
-        n_groups = int(groups.max()) + 1
-        if n_groups > d:
-            raise ConfigError("average_pool cannot fit the pixel groups")
-        e = np.zeros((d, pdim))
-        e_pinv = np.zeros((pdim, d))
-        for gi in range(n_groups):
-            members = np.flatnonzero(groups == gi)
-            e[gi, members] = 0.5 / len(members)
-            e_pinv[members, gi] = 2.0
-        content_rows = np.arange(n_groups)
-    return e, e_pinv, content_rows, groups
+        # group size ceil(pdim / D) leaves at most D groups
+        groups = _pixel_groups(model_cfg, -(-pdim // d))
+    sizes = np.bincount(groups)
+    e = np.zeros((d, pdim))
+    e[groups, np.arange(pdim)] = 0.5 / sizes[groups]
+    return e
 
 
 def _pixel_groups(model_cfg: ModelConfig, g: int) -> np.ndarray:
@@ -227,16 +209,53 @@ def _pixel_groups(model_cfg: ModelConfig, g: int) -> np.ndarray:
     return idx // g
 
 
-def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
+@dataclass(frozen=True)
+class EmbeddingLayout:
+    """Which token coordinates carry pixels, and how to read them back."""
+
+    content_rows: np.ndarray  # rows of E that read some pixel
+    correction_rows: np.ndarray  # the other rows: pure position encoding
+    e_pinv: np.ndarray  # (patch_dim, D) pseudoinverse of E
+    pixel_groups: np.ndarray  # per pixel, the one row that reads it
+
+
+def embedding_layout(embed: np.ndarray, n_patches: int) -> EmbeddingLayout:
+    """The layout of a crafted embedding matrix E, read from its sparsity.
+
+    Every pixel of a crafted E feeds exactly one row, at weight 0.5 / (the
+    row's pixel count), so E^+ = [E != 0]^T / 0.5. ConfigError for an E with
+    a pixel that feeds no row or several, or with fewer than n_patches + 2
+    content-free rows, which the gating rows and the attack's LayerNorm
+    correction need.
+    """
+    reads = embed != 0
+    per_pixel = reads.sum(axis=0)
+    if np.any(per_pixel != 1):
+        p = int(np.flatnonzero(per_pixel != 1)[0])
+        raise ConfigError(f"the embedding is not a crafted one: pixel {p} feeds "
+                          f"{per_pixel[p]} rows, not 1")
+    content = reads.any(axis=1)
+    correction = np.flatnonzero(~content)
+    if len(correction) < n_patches + 2:
+        raise ConfigError(
+            f"{len(correction)} content-free coordinates, {n_patches + 2} needed for "
+            f"the embedding correction; shrink the patch or grow D")
+    return EmbeddingLayout(content_rows=np.flatnonzero(content),
+                           correction_rows=correction,
+                           e_pinv=np.ascontiguousarray(reads.T) / 0.5,
+                           pixel_groups=reads.argmax(axis=0))
+
+
+def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig) -> FrozenBackbone:
     """Frozen backbone realizing near-identity propagation of the embeddings.
 
-    Returns (backbone, embed_info) where embed_info carries the embedding
-    pseudoinverse and row bookkeeping for the attack plan.
+    The backbone is the one record of the embedding layout: the attack reads
+    it back with ``embedding_layout(backbone.embed, ...)``.
     """
     d, d_h, L = model_cfg.D, model_cfg.D_h, model_cfg.L
     rng = Rng(cfg.seed)
     pos = craft_position_encodings(cfg, model_cfg.N, d, d_h, rng.spawn(1))
-    e, e_pinv, content_rows, groups = craft_embedding_matrix(cfg, model_cfg)
+    e = craft_embedding_matrix(cfg, model_cfg)
 
     sigma_vec = np.full(d, cfg.sigma_pos)
     zeros = np.zeros(d)
@@ -263,7 +282,7 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
         ))
 
     head_rng = rng.spawn(2)
-    backbone = FrozenBackbone(
+    return FrozenBackbone(
         embed=e,
         class_token=np.zeros(d),
         pos=pos,
@@ -274,12 +293,6 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig):
             model_cfg.num_classes, d),
         b_cls=np.zeros(model_cfg.num_classes),
     )
-    embed_info = {
-        "e_pinv": e_pinv,
-        "content_rows": content_rows,
-        "pixel_groups": groups,
-    }
-    return backbone, embed_info
 
 
 def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:
@@ -296,8 +309,7 @@ def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:
 
 def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
                       positions: list[int], adapters_per_position: int,
-                      rounds: int, embed_info: dict,
-                      craft_cfg: CraftConfig) -> AttackPlan:
+                      rounds: int) -> AttackPlan:
     """Assign adapters to target positions and lay the threshold grids."""
     if not positions:
         raise ConfigError("no target positions")
@@ -331,30 +343,17 @@ def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
             q = interleaved_quantiles(k_t, rounds, rho)
             grids[rho] = inverse_normal_cdf(q, mu_t, sigma_t)
         thresholds[t] = grids
-
-    content_rows = embed_info["content_rows"]
-    correction = np.setdiff1d(np.arange(model_cfg.D), content_rows)
-    if len(correction) < model_cfg.N + 2:
-        raise ConfigError(
-            "not enough content-free coordinates for embedding correction; "
-            "shrink the patch or grow D")
     return AttackPlan(
         assignments=assignments,
         thresholds=thresholds,
         rounds=rounds,
         r=model_cfg.r,
         stats_sigma=stats.sigma.copy(),
-        content_rows=np.asarray(content_rows, dtype=int),
-        correction_rows=correction,
-        e_pinv=embed_info["e_pinv"],
-        pixel_groups=embed_info["pixel_groups"],
-        embed_mode=craft_cfg.embed_mode,
-        n_patches=model_cfg.N,
     )
 
 
-def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig,
-               craft_cfg: CraftConfig) -> np.ndarray:
+def gating_row(pos: np.ndarray, t: int, layout: EmbeddingLayout,
+               model_cfg: ModelConfig, craft_cfg: CraftConfig) -> np.ndarray:
     """Down-projection weight row for target position t.
 
     Content coordinates copy E_pos_t so the row measures the statistic;
@@ -366,8 +365,8 @@ def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig
     d = model_cfg.D
     blocking = -craft_cfg.margin * np.sqrt(model_cfg.D_h)
     w = np.zeros(d)
-    w[plan.content_rows] = pos[t, plan.content_rows]
-    free = np.setdiff1d(np.arange(d), plan.content_rows)
+    w[layout.content_rows] = pos[t, layout.content_rows]
+    free = layout.correction_rows
     others = [n for n in range(model_cfg.N + 1) if n != t]
     a_rows = [pos[t, free], np.ones(len(free))]
     rhs = [-w @ pos[t], -w.sum()]
@@ -375,8 +374,6 @@ def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig
         a_rows.append(pos[n, free])
         rhs.append(blocking - w @ pos[n])
     a = np.stack(a_rows)
-    if len(free) < len(rhs):
-        raise ConfigError("not enough free coordinates to orthogonalize the row")
     gram = a @ a.T
     try:
         coef = np.linalg.solve(gram, np.asarray(rhs))
@@ -386,20 +383,17 @@ def gating_row(pos: np.ndarray, t: int, plan: AttackPlan, model_cfg: ModelConfig
     return w
 
 
-def _probe_batch(plan: AttackPlan, pos: np.ndarray, t: int,
+def _probe_batch(plan: AttackPlan, layout: EmbeddingLayout, pos: np.ndarray, t: int,
                  model_cfg: ModelConfig, round_idx: int) -> Batch:
     """Synthetic images placing one probe patch at position t per threshold."""
-    epc = pos[t, plan.content_rows]
+    epc = pos[t, layout.content_rows]
     grid = plan.grid(t, round_idx)
     patches = np.zeros((len(grid), model_cfg.N, model_cfg.patch_dim))
     # content x with statistic exactly c: x = c / (0.5 ||epc||^2) * epc,
-    # mapped back through the embedding's row structure
+    # spread over the pixels each content row reads
     for i, c in enumerate(grid):
         x = (c / (0.5 * (epc @ epc))) * epc
-        if plan.embed_mode == "identity_pad":
-            patches[i, t - 1, : len(epc)] = x
-        else:
-            patches[i, t - 1] = x[plan.pixel_groups]
+        patches[i, t - 1] = x[layout.pixel_groups]
     images = unpatchify(patches, model_cfg.P, model_cfg.C, model_cfg.H, model_cfg.W)
     return Batch(images, np.zeros(len(grid), dtype=np.int64))
 
@@ -432,10 +426,11 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     adapters.w_up[:, 0, :] = craft_cfg.epsilon_up
 
     no_adapters = AdapterSet.zeros(model_cfg)
+    layout = embedding_layout(backbone.embed, model_cfg.N)
     for t in plan.positions():
-        row = gating_row(backbone.pos, t, plan, model_cfg, craft_cfg)
+        row = gating_row(backbone.pos, t, layout, model_cfg, craft_cfg)
         assigned = plan.adapters_for(t)
-        probe = _probe_batch(plan, backbone.pos, t, model_cfg, round_idx)
+        probe = _probe_batch(plan, layout, backbone.pos, t, model_cfg, round_idx)
         _, _, cache = forward(probe, backbone, no_adapters, model_cfg,
                               max(a.adapter for a in assigned))
         for assign in assigned:
@@ -458,12 +453,6 @@ def plan_to_json(plan: AttackPlan) -> str:
         "rounds": plan.rounds,
         "r": plan.r,
         "stats_sigma": plan.stats_sigma.tolist(),
-        "content_rows": plan.content_rows.tolist(),
-        "correction_rows": plan.correction_rows.tolist(),
-        "e_pinv": plan.e_pinv.tolist(),
-        "pixel_groups": None if plan.pixel_groups is None else plan.pixel_groups.tolist(),
-        "embed_mode": plan.embed_mode,
-        "n_patches": plan.n_patches,
     }
     return json.dumps(payload, indent=1, sort_keys=True)
 
@@ -474,21 +463,22 @@ def _json_int(v) -> int:
     return v
 
 
-def _json_array(v, kinds: str, ndim: int) -> np.ndarray:
-    """A nested JSON list as an array of ``ndim`` dimensions whose numpy kind
-    is one of ``kinds``; empty lists pass whatever their kind."""
+def _json_floats(v, ndim: int) -> np.ndarray:
+    """A nested JSON list of numbers as a float64 array of ``ndim``
+    dimensions; empty lists pass whatever their kind."""
     a = np.asarray(v)
-    if a.ndim != ndim or (a.size and a.dtype.kind not in kinds):
-        raise TypeError(f"expected a {ndim}-d array of kind {kinds!r}, got {v!r:.60}")
-    return a.astype(np.float64 if "f" in kinds else int)
+    if a.ndim != ndim or (a.size and a.dtype.kind not in "if"):
+        raise TypeError(f"expected a {ndim}-d array of numbers, got {v!r:.60}")
+    return a.astype(np.float64)
 
 
 def plan_from_json(text: str | bytes) -> AttackPlan:
     """The plan ``plan_to_json`` wrote (UTF-8 if bytes); FormatError for any
     malformed input.
 
-    Keys the plan does not have are ignored, so a plan written by an earlier
-    version, which carried six more keys, still loads. Every position must
+    Keys the plan does not have are ignored, so plans written by earlier
+    versions, which carried more keys (among them the embedding layout, now
+    read from the backbone), still load. Every position must
     have both a grid and assignments, its slots must be 0..n-1, and adapter
     indices must be distinct and non-negative: ``AttackPlan.bins`` reads the
     layout from them.
@@ -497,21 +487,12 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
         obj = json.loads(text)
         plan = AttackPlan(
             assignments=[Assignment(*map(_json_int, row)) for row in obj["assignments"]],
-            thresholds={int(t): _json_array(g, "if", 2)
+            thresholds={int(t): _json_floats(g, 2)
                         for t, g in obj["thresholds"].items()},
             rounds=_json_int(obj["rounds"]),
             r=_json_int(obj["r"]),
-            stats_sigma=_json_array(obj["stats_sigma"], "if", 1),
-            content_rows=_json_array(obj["content_rows"], "i", 1),
-            correction_rows=_json_array(obj["correction_rows"], "i", 1),
-            e_pinv=_json_array(obj["e_pinv"], "if", 2),
-            pixel_groups=None if obj["pixel_groups"] is None
-            else _json_array(obj["pixel_groups"], "i", 1),
-            embed_mode=obj["embed_mode"],
-            n_patches=_json_int(obj["n_patches"]),
+            stats_sigma=_json_floats(obj["stats_sigma"], 1),
         )
-        if not isinstance(plan.embed_mode, str):
-            raise TypeError(f"embed_mode must be a string, got {plan.embed_mode!r}")
         if {a.position for a in plan.assignments} != set(plan.thresholds):
             raise ValueError("assigned positions and threshold grids differ")
         adapters = [a.adapter for a in plan.assignments]

@@ -243,15 +243,18 @@ def prepare_attacks(distinct: list[SetupArgs], workers: int) -> dict[SetupArgs, 
         lambda args: _setup_on(crafted[args.craft, args.model], args), distinct, workers)))
 
 
-def _setup_on(crafted: tuple, args: SetupArgs) -> AttackSetup:
+def _setup_on(backbone: FrozenBackbone, args: SetupArgs) -> AttackSetup:
     mc, cc = args.model, args.craft
-    backbone, embed_info = crafted
+    if mc.adapter_activation != "relu":
+        raise ConfigError(
+            f"adapter_activation = {mc.adapter_activation}: the attack reads bias-gradient "
+            f"differences of ReLU-gated adapter neurons, which only relu adapters have")
     public = synth_batch(args.public_count, mc,
                          seed=int(_data_rng(args.seed).spawn(0).seed),
                          kind=args.data_kind)
     stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos, mc)
     plan = build_attack_plan(stats, mc, args.positions, args.adapters_per_position,
-                             args.rounds, embed_info, cc)
+                             args.rounds)
     adapters = tuple(craft_adapters(plan, backbone, cc, mc, rho)
                      for rho in range(args.rounds))
     return AttackSetup(args, backbone, plan, adapters)
@@ -289,7 +292,7 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         # share keeps the protocol's aggregation step, which perfbench's
         # traced runs require to be called
         aggregate([victim_grads])
-        report = attack_mod.run_attack(victim_grads, plan, backbone.pos, rho, m)
+        report = attack_mod.run_attack(victim_grads, plan, backbone, rho, m)
         merged = report if merged is None else attack_mod.merge_rounds(
             [merged, report], plan)
         rec_map = recovered_pixel_map(merged, stats_mn)

@@ -1,4 +1,4 @@
-"""Reconstruction scoring: MSE, PSNR, SSIM, recovery rate, report emission."""
+"""Reconstruction scoring: MSE, SSIM, recovery rate, report emission."""
 
 from __future__ import annotations
 
@@ -56,10 +56,8 @@ def _ssim_batch(a: np.ndarray, b: np.ndarray, window: int,
 
 @dataclass
 class ScoreReport:
-    per_patch_mse: list[float]
     mean_mse: float
     mean_ssim: float
-    psnr_db: float
     recovery_rate: float
 
 
@@ -87,12 +85,9 @@ def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
     ssims = _ssim_batch(cand.reshape(-1, c, p, p), ref.reshape(-1, c, p, p),
                         8, 2.0)
     hits = int(np.count_nonzero(found & (mses < RECOVERY_MSE)))
-    mean_mse = float(np.mean(mses))
     return ScoreReport(
-        per_patch_mse=mses.tolist(),
-        mean_mse=mean_mse,
+        mean_mse=float(np.mean(mses)),
         mean_ssim=float(np.mean(ssims)),
-        psnr_db=math.inf if mean_mse == 0 else 10.0 * math.log10(4.0 / mean_mse),
         recovery_rate=hits / (m * n),
     )
 

@@ -15,7 +15,7 @@ from adapterleak import attack as atk
 from adapterleak import oracle
 from adapterleak.cli import main
 from adapterleak.craft import (CraftConfig, build_attack_plan, craft_adapters,
-                               craft_backbone)
+                               craft_backbone, embedding_layout)
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.flsim import (DefenseConfig, FLConfig, SetupArgs, prepare_attack,
                                run_experiment)
@@ -60,7 +60,7 @@ def monotone_ok(values, direction: str, tol_pp: float = 0.02) -> bool:
 class TestCriterion2Propagation:
     def test_fidelity_and_attention(self, capsys):
         t0 = time.perf_counter()
-        bb, _ = craft_backbone(CraftConfig(seed=7), DESK)
+        bb = craft_backbone(CraftConfig(seed=7), DESK)
         batch = synth_batch(16, DESK, seed=11, kind="smooth")
         y = build_tokens(batch, bb, DESK)
         _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
@@ -86,17 +86,17 @@ class TestCriterion2Propagation:
 class TestCriterion3ExactBins:
     def test_isolated_bin_recovery_exact(self, capsys):
         cc = CraftConfig(seed=7)
-        bb, ei = craft_backbone(cc, DESK)
+        bb = craft_backbone(cc, DESK)
         pub = synth_batch(256, DESK, seed=999, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
-        plan = build_attack_plan(stats, DESK, [1], 2, 1, ei, cc)
+        plan = build_attack_plan(stats, DESK, [1], 2, 1)
         adapters = craft_adapters(plan, bb, cc, DESK, 0)
 
         # inverse-design: one patch per recoverable bin, placed mid-bin via
         # the brute-force statistic oracle
         grid = plan.grid(1, 0)
         intervals = [plan.bounds(1, 0, b.q) for b in plan.bins(1)]
-        epc = bb.pos[1, plan.content_rows]
+        epc = bb.pos[1, embedding_layout(bb.embed, DESK.N).content_rows]
         rng = Rng(5)
         imgs = []
         for lo, hi in intervals:
@@ -114,7 +114,7 @@ class TestCriterion3ExactBins:
         assert sum(map(len, isolated.values())) == len(intervals)
         _, _, cache = forward(batch, bb, adapters, DESK)
         grads = backward_adapters(cache, bb, adapters, DESK)
-        report = atk.run_attack(grads, plan, bb.pos, 0, batch.size)
+        report = atk.run_attack(grads, plan, bb, 0, batch.size)
         labels = oracle.match_patches(report, stats_mn)
         truth = oracle.ground_truth_patches(batch, DESK)
         maes, ssims = [], []

@@ -4,7 +4,7 @@ import pytest
 from adapterleak import attack as atk
 from adapterleak import oracle
 from adapterleak.craft import (CraftConfig, build_attack_plan, craft_adapters,
-                               craft_backbone)
+                               craft_backbone, embedding_layout)
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import EmptyBinError
 from adapterleak.grad import backward_adapters
@@ -17,10 +17,10 @@ DESK = ModelConfig()
 
 def make_pipeline(positions, s_t, seed=7, rounds=1):
     cc = CraftConfig(seed=seed)
-    bb, ei = craft_backbone(cc, DESK)
+    bb = craft_backbone(cc, DESK)
     pub = synth_batch(256, DESK, seed=999, kind="uniform")
     stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
-    plan = build_attack_plan(stats, DESK, positions, s_t, rounds, ei, cc)
+    plan = build_attack_plan(stats, DESK, positions, s_t, rounds)
     return cc, bb, plan
 
 
@@ -32,7 +32,7 @@ def bin_mid_batch(bb, plan, t, rng_seed=5, extra_positions_random=True):
         lo, hi = plan.bounds(t, 0, b.q)
         mids.append(lo + 0.6 * (grid[1] - grid[0]) if not np.isfinite(hi)
                     else 0.5 * (lo + hi))
-    epc = bb.pos[t, plan.content_rows]
+    epc = bb.pos[t, embedding_layout(bb.embed, DESK.N).content_rows]
     rng = Rng(rng_seed)
     imgs = np.empty((len(mids), 3, 8, 8))
     for i, c in enumerate(mids):
@@ -53,7 +53,7 @@ def isolated_run():
     batch = bin_mid_batch(bb, plan, 1)
     _, _, cache = forward(batch, bb, adapters, DESK)
     grads = backward_adapters(cache, bb, adapters, DESK)
-    report = atk.run_attack(grads, plan, bb.pos, 0, batch.size)
+    report = atk.run_attack(grads, plan, bb, 0, batch.size)
     return cc, bb, plan, batch, grads, report
 
 
@@ -81,16 +81,17 @@ class TestRecoverEmbedding:
 
 class TestRecoverPatch:
     def test_pure_position_encoding_gives_zero(self, isolated_run):
-        _, bb, plan, *_ = isolated_run
-        x = atk.recover_patch(bb.pos[1].copy(), plan.e_pinv, bb.pos[1])
+        _, bb, *_ = isolated_run
+        e_pinv = embedding_layout(bb.embed, DESK.N).e_pinv
+        x = atk.recover_patch(bb.pos[1].copy(), e_pinv, bb.pos[1])
         assert np.max(np.abs(x)) < 1e-12
 
     def test_exact_embedding_exact_pixels(self, isolated_run):
-        _, bb, plan, *_ = isolated_run
+        _, bb, *_ = isolated_run
         rng = Rng(6)
         x = rng.uniform(48) * 2 - 1
         y = bb.embed @ x + bb.pos[2]
-        back = atk.recover_patch(y, plan.e_pinv, bb.pos[2])
+        back = atk.recover_patch(y, embedding_layout(bb.embed, DESK.N).e_pinv, bb.pos[2])
         assert np.max(np.abs(back - x)) < 1e-12
 
 
@@ -146,7 +147,7 @@ class TestEndToEnd:
             stats_mn = content_statistics(batch.images, bb.embed, bb.pos, DESK)
             _, _, cache = forward(batch, bb, adapters, DESK)
             grads = backward_adapters(cache, bb, adapters, DESK)
-            report = atk.run_attack(grads, plan, bb.pos, 0, batch.size)
+            report = atk.run_attack(grads, plan, bb, 0, batch.size)
             accepted = {p.bin_index for p in report.valid_patches}
             for b in plan.bins(1):
                 lo, hi = plan.bounds(1, 0, b.q)
@@ -206,18 +207,18 @@ class TestMerge:
 
     def test_disjoint_coverage_adds(self, isolated_run):
         _, _, plan, *_ , report = isolated_run
-        a = atk.ReconstructionReport(report.valid_patches[:3], plan.n_patches,
+        a = atk.ReconstructionReport(report.valid_patches[:3], report.n_positions,
                                      report.m_expected)
-        b = atk.ReconstructionReport(report.valid_patches[3:6], plan.n_patches,
+        b = atk.ReconstructionReport(report.valid_patches[3:6], report.n_positions,
                                      report.m_expected)
         merged = atk.merge_rounds([a, b], plan)
         assert len(merged.valid_patches) == 6
 
     def test_merge_order_invariant(self, isolated_run):
         _, _, plan, *_ , report = isolated_run
-        a = atk.ReconstructionReport(report.valid_patches[:4], plan.n_patches,
+        a = atk.ReconstructionReport(report.valid_patches[:4], report.n_positions,
                                      report.m_expected)
-        b = atk.ReconstructionReport(report.valid_patches[2:8], plan.n_patches,
+        b = atk.ReconstructionReport(report.valid_patches[2:8], report.n_positions,
                                      report.m_expected)
         ab = atk.merge_rounds([a, b], plan)
         ba = atk.merge_rounds([b, a], plan)
@@ -227,10 +228,10 @@ class TestMerge:
     def test_multi_round_coverage_nondecreasing(self):
         cfg4 = ModelConfig(r=4)
         cc = CraftConfig(seed=12)
-        bb, ei = craft_backbone(cc, cfg4)
+        bb = craft_backbone(cc, cfg4)
         pub = synth_batch(256, cfg4, seed=995, kind="smooth")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg4)
-        plan = build_attack_plan(stats, cfg4, [1], 3, 4, ei, cc)
+        plan = build_attack_plan(stats, cfg4, [1], 3, 4)
         batch = synth_batch(12, cfg4, seed=44, kind="smooth")
         merged = None
         prev = -1.0
@@ -238,7 +239,7 @@ class TestMerge:
             adapters = craft_adapters(plan, bb, cc, cfg4, rho)
             _, _, cache = forward(batch, bb, adapters, cfg4)
             grads = backward_adapters(cache, bb, adapters, cfg4)
-            rep = atk.run_attack(grads, plan, bb.pos, rho, batch.size)
+            rep = atk.run_attack(grads, plan, bb, rho, batch.size)
             merged = rep if merged is None else atk.merge_rounds([merged, rep], plan)
             assert merged.coverage >= prev
             prev = merged.coverage

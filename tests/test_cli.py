@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from adapterleak.cli import libc_mallopt, load_config, main
+from adapterleak.craft import embedding_layout
 from adapterleak.errors import ConfigError
+from adapterleak.serialize import read_backbone, write_backbone
 
 TINY = """
 [model]
@@ -123,6 +125,19 @@ class TestRunCommand:
         assert set(summary) >= {"config_hash", "rounds", "coverage", "mean_mse",
                                 "mean_ssim"}
 
+    @pytest.mark.parametrize("command", ["craft", "run", "sweep"])
+    def test_gelu_adapters_rejected(self, tmp_path, capsys, command):
+        # the attack reads bias gradients of ReLU-gated neurons; GELU
+        # adapters would make every experiment recover nothing, silently
+        cfg = tmp_path / "gelu.cfg"
+        cfg.write_text(DESK_CFG_FILE.read_text().replace(
+            "num_classes = 10", "num_classes = 10\nadapter_activation = gelu"))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--vary", "batch", "--values", "4"]
+        assert main(argv) == 2
+        assert "adapter_activation = gelu" in capsys.readouterr().err
+
     def test_report_command(self, tiny_cfg_file, tmp_path):
         out = tmp_path / "run"
         main(["run", "--config", str(tiny_cfg_file), "--out", str(out)])
@@ -231,12 +246,18 @@ class TestAttackCommand:
 
     @pytest.mark.parametrize("case", ["e_pinv_d64", "content_row_96",
                                       "correction_row_negative"])
-    def test_embedding_fields_of_another_width_rejected(self, tmp_path, capsys, case):
-        # the desk run's (D = 96) own gradients and backbone, with a plan whose
-        # embedding fields fit D = 64 or point outside 0..95
+    def test_embedding_fields_of_earlier_plans_ignored(self, tmp_path, case):
+        # a plan in the earlier format carries the embedding layout too; the
+        # attack reads the layout from the backbone, so even a layout that
+        # fits D = 64 or points outside 0..95 changes no output byte
         desk = tmp_path / "desk"
         assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(desk)]) == 0
         plan = json.loads((desk / "plan.json").read_text())
+        layout = embedding_layout(read_backbone(desk / "backbone.plta").embed, 4)
+        plan.update({"content_rows": layout.content_rows.tolist(),
+                     "correction_rows": layout.correction_rows.tolist(),
+                     "e_pinv": layout.e_pinv.tolist(), "pixel_groups": None,
+                     "embed_mode": "identity_pad", "n_patches": 4})
         if case == "e_pinv_d64":
             plan["e_pinv"] = [row[:64] for row in plan["e_pinv"]]
         elif case == "content_row_96":
@@ -244,19 +265,37 @@ class TestAttackCommand:
         else:
             plan["correction_rows"][0] = -1
         (tmp_path / "plan.json").write_text(json.dumps(plan))
+        outs = {}
+        for name, plan_path in (("own", desk / "plan.json"), ("edited", tmp_path / "plan.json")):
+            outs[name] = tmp_path / name
+            assert main(["attack", "--grads", str(desk / "grads.plta"),
+                         "--plan", str(plan_path), "--backbone", str(desk / "backbone.plta"),
+                         "--out", str(outs[name])]) == 0
+        for name in ("patches.csv", "attack_summary.json"):
+            assert (outs["edited"] / name).read_bytes() == (outs["own"] / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["pixel_read_twice", "embed_d64"])
+    def test_embedding_not_crafted_rejected(self, tmp_path, capsys, case):
+        # the desk run's backbone with an embedding that reads pixel 0 into
+        # two rows, or with the 64-row embedding of a D = 64 backbone
+        desk = tmp_path / "desk"
+        assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(desk)]) == 0
+        backbone = read_backbone(desk / "backbone.plta")
+        if case == "pixel_read_twice":
+            backbone.embed[60, 0] = 0.5
+        else:
+            backbone.embed = backbone.embed[:64]
+        write_backbone(backbone, tmp_path / "backbone.plta")
         atk_out = tmp_path / "atk"
         rc = main(["attack", "--grads", str(desk / "grads.plta"),
-                   "--plan", str(tmp_path / "plan.json"),
-                   "--backbone", str(desk / "backbone.plta"), "--out", str(atk_out)])
+                   "--plan", str(desk / "plan.json"),
+                   "--backbone", str(tmp_path / "backbone.plta"), "--out", str(atk_out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        expected = {
-            "e_pinv_d64": "plan e_pinv has shape (48, 64), but the backbone needs "
-                          "(patch_dim, D) = (48, 96)",
-            "content_row_96": "plan content_rows span",
-            "correction_row_negative": "plan correction_rows span -1..",
-        }[case]
-        assert expected in err
+        assert {
+            "pixel_read_twice": "the embedding is not a crafted one: pixel 0 feeds 2 rows",
+            "embed_d64": "backbone embedding has shape (64, 48), but its position "
+                         "encodings need (D, patch_dim) with D = 96",
+        }[case] in capsys.readouterr().err
         assert not atk_out.exists()
 
     def test_craft_then_attack(self, tiny_cfg_file, tmp_path):
@@ -325,7 +364,7 @@ PIN_GRADIENT_ARCHIVE = "a35c65b8eb10433c"
 PIN_RUN_OUTPUTS = {
     "rounds.csv": "d620bf803f341377",
     "summary.json": "f79b08a9b3be3e09",
-    "plan.json": "ad9b669a71800e1f",
+    "plan.json": "f2490e76c2e3efbc",
 }
 PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
     "0": ("ee97058568eff1fb", "1af13fd1b2d3a234"),

@@ -12,6 +12,7 @@ from adapterleak.errors import ConfigError, FormatError
 from adapterleak.grad import backward_adapters
 from adapterleak.model import AdapterSet, ModelConfig, build_tokens, forward
 from adapterleak.numerics import Rng, inverse_normal_cdf
+from adapterleak.serialize import read_backbone, write_backbone
 from adapterleak.stats import PatchStats, content_statistics, estimate_patch_stats
 
 DESK = ModelConfig()
@@ -19,8 +20,8 @@ DESK = ModelConfig()
 
 def desk_crafted(seed=7, **kw):
     cc = cr.CraftConfig(seed=seed, **kw)
-    bb, ei = cr.craft_backbone(cc, DESK)
-    return cc, bb, ei
+    bb = cr.craft_backbone(cc, DESK)
+    return cc, bb
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +31,17 @@ def crafted():
 
 @pytest.fixture(scope="module")
 def planned(crafted):
-    cc, bb, ei = crafted
+    cc, bb = crafted
     pub = synth_batch(256, DESK, seed=999, kind="uniform")
     stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
-    plan = cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 2, 1, ei, cc)
+    plan = cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 2, 1)
     adapters = cr.craft_adapters(plan, bb, cc, DESK, 0)
-    return cc, bb, ei, stats, plan, adapters
+    return cc, bb, stats, plan, adapters
 
 
 class TestPositionEncodings:
     def test_standardized_and_margin(self, crafted):
-        cc, bb, _ = crafted
+        cc, bb = crafted
         pos = bb.pos
         assert pos.shape == (5, 96)
         assert np.max(np.abs(pos.mean(axis=1))) < 1e-12
@@ -78,24 +79,27 @@ class TestPositionEncodings:
 
 class TestEmbeddingMatrix:
     def test_identity_pad_exact_recovery(self, crafted):
-        _, bb, ei = crafted
+        _, bb = crafted
         rng = Rng(9)
         x = rng.uniform(48) * 2 - 1
         y = bb.embed @ x
-        assert np.max(np.abs(ei["e_pinv"] @ y - x)) < 1e-12
+        e_pinv = cr.embedding_layout(bb.embed, DESK.N).e_pinv
+        assert np.max(np.abs(e_pinv @ y - x)) < 1e-12
 
     def test_zero_maps_to_zero(self, crafted):
-        _, bb, _ = crafted
+        _, bb = crafted
         assert np.all(bb.embed @ np.zeros(48) == 0.0)
 
     def test_average_pool_two_by_two_means(self):
-        cfg = ModelConfig(D=48, L=4, num_encoders=2, P=8, C=3, H=8, W=8, r=4)
+        # D = 56: group size ceil(192 / 56) = 4, and 8 content-free rows
+        cfg = ModelConfig(D=56, L=4, num_encoders=2, P=8, C=3, H=8, W=8, r=4)
         cc = cr.CraftConfig(seed=5, embed_mode="average_pool")
-        e, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
-        assert len(content_rows) == 48  # 192 pixels / group size 4
+        e = cr.craft_embedding_matrix(cc, cfg)
+        layout = cr.embedding_layout(e, cfg.N)
+        assert len(layout.content_rows) == 48  # 192 pixels / group size 4
         rng = Rng(11)
         x = rng.uniform(cfg.patch_dim) * 2 - 1
-        recovered = e_pinv @ (e @ x)
+        recovered = layout.e_pinv @ (e @ x)
         # oracle: spatial 2x2 block means per channel
         img = x.reshape(3, 8, 8)
         means = img.reshape(3, 4, 2, 4, 2).mean(axis=(2, 4))
@@ -108,9 +112,80 @@ class TestEmbeddingMatrix:
             cr.craft_embedding_matrix(cr.CraftConfig(seed=1), cfg)
 
 
+@st.composite
+def _embedding_cases(draw):
+    """A model config (one encoder, one head) and its craft config, over
+    both embed modes; D may leave too few content-free rows."""
+    p, c, k = draw(st.integers(1, 6)), draw(st.sampled_from([1, 3])), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["identity_pad", "average_pool"]))
+    pdim, n = p * p * c, k * k
+    # identity_pad: N to N + 8 free rows. average_pool: D from pdim // 4 to
+    # pdim + N + 7, drawn downward from the top so that shrunk draws pool
+    # little and leave free rows
+    if mode == "identity_pad":
+        d = pdim + draw(st.integers(n, n + 8))
+    else:
+        top = max(1, pdim - 1 + draw(st.integers(0, n + 8)))
+        d = top - draw(st.integers(0, top - max(1, pdim // 4)))
+    cfg = ModelConfig(D=d, L=1, num_encoders=1, P=p, C=c, H=p * k, W=p * k, r=2,
+                      num_classes=2)
+    return cfg, cr.CraftConfig(seed=draw(st.integers(0, 3)), embed_mode=mode, margin=1.0)
+
+
+class TestEmbeddingLayout:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(case=_embedding_cases(), data=st.data())
+    def test_layout_inverts_the_crafted_embedding(self, case, data, tmp_path_factory):
+        cfg, cc = case
+        e = cr.craft_embedding_matrix(cc, cfg)
+        n_content = int(np.count_nonzero(np.abs(e).sum(axis=1)))
+        if cfg.D - n_content < cfg.N + 2:
+            with pytest.raises(ConfigError, match="content-free coordinates"):
+                cr.embedding_layout(e, cfg.N)
+            return
+        layout = cr.embedding_layout(e, cfg.N)
+        pdim = cfg.patch_dim
+        assert len(layout.content_rows) == n_content
+        assert sorted([*layout.content_rows, *layout.correction_rows]) == list(range(cfg.D))
+        x = Rng(data.draw(st.integers(0, 99))).uniform(pdim) * 2 - 1
+        back = layout.e_pinv @ (e @ x)
+        if cc.embed_mode == "identity_pad":
+            assert np.array_equal(layout.pixel_groups, np.arange(pdim))
+            assert np.max(np.abs(back - x)) < 1e-12
+        else:
+            groups = layout.pixel_groups
+            assert np.array_equal(groups, cr._pixel_groups(cfg, -(-pdim // cfg.D)))
+            means = np.array([x[groups == groups[i]].mean() for i in range(pdim)])
+            assert np.max(np.abs(back - means)) < 1e-12
+
+        bb = cr.craft_backbone(cc, cfg)
+        path = tmp_path_factory.getbasetemp() / "layout_bb.plta"
+        write_backbone(bb, path)
+        again = cr.embedding_layout(read_backbone(path).embed, cfg.N)
+        for name in ("content_rows", "correction_rows", "e_pinv", "pixel_groups"):
+            a, b = getattr(again, name), getattr(layout, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+        pixel = data.draw(st.integers(0, pdim - 1))
+        empty = e.copy()
+        empty[:, pixel] = 0.0
+        doubled = e.copy()
+        doubled[layout.correction_rows[0], pixel] = 0.25
+        for bad in (empty, doubled):
+            with pytest.raises(ConfigError, match=f"pixel {pixel} feeds"):
+                cr.embedding_layout(bad, cfg.N)
+
+    def test_too_few_content_free_rows(self):
+        # identity_pad with D = 48 and 4x4x3 patches leaves no content-free row
+        cfg = ModelConfig(D=48, L=4)
+        e = cr.craft_embedding_matrix(cr.CraftConfig(), cfg)
+        with pytest.raises(ConfigError, match="0 content-free coordinates, 6 needed"):
+            cr.embedding_layout(e, cfg.N)
+
+
 class TestBackboneIdentity:
     def test_mlp_identity_within_operating_range(self, crafted):
-        cc, bb, _ = crafted
+        cc, bb = crafted
         enc = bb.encoders[0]
         rng = Rng(13)
         y = rng.normal(0, cc.gamma / 20.0, 96)  # bounded well inside gamma/2
@@ -131,7 +206,7 @@ class TestBackboneIdentity:
             assert diags.min() >= 0.999
 
     def test_propagation_fidelity_zero_adapters(self, crafted):
-        _, bb, _ = crafted
+        _, bb = crafted
         batch = synth_batch(8, DESK, seed=78, kind="uniform")
         y_true = build_tokens(batch, bb, DESK)
         _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
@@ -142,7 +217,7 @@ class TestBackboneIdentity:
 
     def test_ln1_statistics_invariant(self, crafted):
         # over 1000 random patches: mean |token mean| small, std near sigma
-        cc, bb, _ = crafted
+        cc, bb = crafted
         rng = Rng(15)
         mus, sds = [], []
         for _ in range(1000):
@@ -156,7 +231,7 @@ class TestBackboneIdentity:
 
 class TestResidualTail:
     def test_disabled_tail_is_position_encoding(self, crafted):
-        _, bb, _ = crafted
+        _, bb = crafted
         batch = synth_batch(2, DESK, seed=82, kind="uniform")
         _, _, cache = forward(batch, bb, AdapterSet.zeros(DESK), DESK)
         tail = cache.adapter_input(5)[:, :, 72:]
@@ -169,8 +244,7 @@ class TestAttackPlan:
     def test_single_round_quantiles_match_inverse_cdf_oracle(self):
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
-        cc, bb, ei = desk_crafted()
-        plan = cr.build_attack_plan(stats, cfg, [1], 1, 1, ei, cc)
+        plan = cr.build_attack_plan(stats, cfg, [1], 1, 1)
         grid = plan.grid(1, 0)
         expected = inverse_normal_cdf(np.array([0.2, 0.4, 0.6, 0.8]))
         assert np.max(np.abs(grid - expected)) < 1e-9
@@ -179,8 +253,7 @@ class TestAttackPlan:
     def test_interleaved_rounds_refine(self):
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
-        cc, bb, ei = desk_crafted()
-        plan = cr.build_attack_plan(stats, cfg, [1], 1, 2, ei, cc)
+        plan = cr.build_attack_plan(stats, cfg, [1], 1, 2)
         g0, g1 = plan.grid(1, 0), plan.grid(1, 1)
         union = np.sort(np.concatenate([g0, g1]))
         assert np.all(np.diff(union) > 0)  # strictly interleaved
@@ -192,10 +265,7 @@ class TestAttackPlan:
     def test_neuron_budget(self):
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(D=768, L=12, num_encoders=12, P=4, C=3, H=8, W=8, r=64)
-        cc = cr.CraftConfig(seed=1)
-        ei = {"e_pinv": np.zeros((48, 768)), "content_rows": np.arange(48),
-              "pixel_groups": None}
-        plan = cr.build_attack_plan(stats, cfg, [1], 5, 1, ei, cc)
+        plan = cr.build_attack_plan(stats, cfg, [1], 5, 1)
         assert plan.grid(1, 0).shape == (320,)  # S_t * r neurons
 
     def test_thresholds_strictly_increasing_every_round(self, planned):
@@ -205,20 +275,19 @@ class TestAttackPlan:
                 assert np.all(np.diff(plan.grid(t, rho)) > 0)
 
     def test_over_budget_rejected(self, planned):
-        cc, bb, ei, stats, *_ = planned
+        _, _, stats, *_ = planned
         with pytest.raises(ConfigError):
-            cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 4, 1, ei, cc)
+            cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 4, 1)
 
     def test_empty_positions_rejected(self, planned):
-        cc, bb, ei, stats, *_ = planned
+        _, _, stats, *_ = planned
         with pytest.raises(ConfigError):
-            cr.build_attack_plan(stats, DESK, [], 1, 1, ei, cc)
+            cr.build_attack_plan(stats, DESK, [], 1, 1)
 
     def test_degenerate_stats_rejected(self, planned):
-        cc, bb, ei, *_ = planned
         bad = PatchStats(mu=np.zeros(5), sigma=np.zeros(5))
         with pytest.raises(ConfigError):
-            cr.build_attack_plan(bad, DESK, [1], 1, 1, ei, cc)
+            cr.build_attack_plan(bad, DESK, [1], 1, 1)
 
     def test_json_round_trip(self, planned):
         *_, plan, _ = planned
@@ -229,11 +298,10 @@ class TestAttackPlan:
     def test_json_round_trip_average_pool(self):
         cfg = ModelConfig(D=32, L=4, num_encoders=2, P=4, C=3, H=8, W=8, r=4)
         cc = cr.CraftConfig(seed=5, embed_mode="average_pool")
-        _, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
-        ei = {"e_pinv": e_pinv, "content_rows": content_rows, "pixel_groups": groups}
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
-        plan = cr.build_attack_plan(stats, cfg, [1, 3], 1, 2, ei, cc)
-        assert plan.pixel_groups is not None
+        plan = cr.build_attack_plan(stats, cfg, [1, 3], 1, 2)
+        layout = cr.embedding_layout(cr.craft_embedding_matrix(cc, cfg), cfg.N)
+        assert len(layout.content_rows) < cfg.patch_dim  # pooled, not padded
         text = cr.plan_to_json(plan)
         _assert_plans_equal(cr.plan_from_json(text), plan)
         assert cr.plan_to_json(cr.plan_from_json(text)) == text
@@ -241,7 +309,10 @@ class TestAttackPlan:
     def test_json_ignores_keys_of_earlier_plans(self, planned):
         *_, plan, _ = planned
         obj = json.loads(cr.plan_to_json(plan))
-        obj.update({"stats_mu": [0.0] * 5, "d_h": 24, "patch_dim": 48})
+        obj.update({"stats_mu": [0.0] * 5, "d_h": 24, "patch_dim": 48,
+                    "content_rows": list(range(48)), "correction_rows": list(range(48, 96)),
+                    "e_pinv": (2.0 * np.eye(48, 96)).tolist(), "pixel_groups": None,
+                    "embed_mode": "identity_pad", "n_patches": 4})
         _assert_plans_equal(cr.plan_from_json(json.dumps(obj)), plan)
 
     @pytest.mark.parametrize("edit", [
@@ -249,7 +320,7 @@ class TestAttackPlan:
         lambda obj: b"\xff{}",
         lambda obj: "{}",
         lambda obj: "[1, 2]",
-        lambda obj: {k: v for k, v in obj.items() if k != "e_pinv"},
+        lambda obj: {k: v for k, v in obj.items() if k != "stats_sigma"},
         lambda obj: {**obj, "assignments": 5},
         lambda obj: {**obj, "assignments": [[0, 1]]},
         lambda obj: {**obj, "rounds": "1"},
@@ -257,12 +328,7 @@ class TestAttackPlan:
         lambda obj: {**obj, "assignments": obj["assignments"][1:]},
         lambda obj: {**obj, "thresholds": [1.0]},
         lambda obj: {**obj, "thresholds": {"one": obj["thresholds"]["1"]}},
-        lambda obj: {**obj, "e_pinv": [[1.0], [1.0, 2.0]]},
-        lambda obj: {**obj, "content_rows": ["a", "b"]},
-        lambda obj: {**obj, "correction_rows": [0.5]},
-        lambda obj: {**obj, "pixel_groups": 3},
         lambda obj: {**obj, "stats_sigma": None},
-        lambda obj: {**obj, "embed_mode": 7},
         lambda obj: _edit_assignment(obj, [1, 1, 1], [1, 1, 5]),
         lambda obj: _edit_assignment(obj, [1, 1, 1], [-1, 1, 1]),
         lambda obj: _edit_assignment(obj, [2, 2, 0], [0, 2, 0]),
@@ -272,9 +338,8 @@ class TestAttackPlan:
     ], ids=["not_json", "not_utf8", "empty_object", "top_level_list", "missing_key",
             "assignments_int", "assignment_short", "rounds_string",
             "rounds_disagree_with_grids", "grid_wider_than_adapters",
-            "thresholds_list", "threshold_key_text", "e_pinv_ragged",
-            "content_rows_text", "correction_rows_float", "pixel_groups_scalar",
-            "stats_sigma_null", "embed_mode_int", "slot_gap", "adapter_negative",
+            "thresholds_list", "threshold_key_text", "stats_sigma_null",
+            "slot_gap", "adapter_negative",
             "adapter_repeated", "assigned_position_without_grid",
             "grid_without_assignments"])
     def test_malformed_json_raises_format_error(self, planned, edit):
@@ -308,10 +373,7 @@ class TestBinLayout:
     def test_bins_tile_each_grid(self, layout):
         r, s_t, positions, rounds, stats = layout
         cfg = dataclasses.replace(LAYOUT_CFG, r=r)
-        cc = cr.CraftConfig()
-        _, e_pinv, content_rows, groups = cr.craft_embedding_matrix(cc, cfg)
-        ei = {"e_pinv": e_pinv, "content_rows": content_rows, "pixel_groups": groups}
-        plan = cr.build_attack_plan(stats, cfg, positions, s_t, rounds, ei, cc)
+        plan = cr.build_attack_plan(stats, cfg, positions, s_t, rounds)
         loaded = cr.plan_from_json(cr.plan_to_json(plan))
         for t in positions:
             bins = plan.bins(t)
@@ -357,7 +419,7 @@ def _assert_plans_equal(got: cr.AttackPlan, want: cr.AttackPlan) -> None:
 
 class TestCraftedAdapters:
     def test_non_target_tokens_strictly_blocked(self, planned):
-        cc, bb, ei, stats, plan, adapters = planned
+        cc, bb, stats, plan, adapters = planned
         batch = synth_batch(16, DESK, seed=90, kind="uniform")
         _, _, cache = forward(batch, bb, adapters, DESK)
         for assign in plan.assignments:
@@ -368,7 +430,7 @@ class TestCraftedAdapters:
             assert np.all(v[:, mask, :] < 0.0)
 
     def test_target_pre_activation_tracks_statistic(self, planned):
-        cc, bb, ei, stats, plan, adapters = planned
+        cc, bb, stats, plan, adapters = planned
         batch = synth_batch(16, DESK, seed=91, kind="uniform")
         true_stats = content_statistics(batch.images, bb.embed, bb.pos, DESK)
         _, _, cache = forward(batch, bb, adapters, DESK)
@@ -382,7 +444,7 @@ class TestCraftedAdapters:
             assert np.max(np.abs(v[m] - approx)) < 0.1 + 0.01 * np.abs(approx).max()
 
     def test_gating_sign_pattern_matches_bins(self, planned):
-        cc, bb, ei, stats, plan, adapters = planned
+        cc, bb, stats, plan, adapters = planned
         batch = synth_batch(16, DESK, seed=92, kind="uniform")
         true_stats = content_statistics(batch.images, bb.embed, bb.pos, DESK)
         _, _, cache = forward(batch, bb, adapters, DESK)
@@ -396,7 +458,7 @@ class TestCraftedAdapters:
             assert np.all(agree | near)
 
     def test_zero_epsilon_kills_down_projection_gradients(self, planned):
-        cc, bb, ei, stats, plan, _ = planned
+        cc, bb, stats, plan, _ = planned
         adapters = cr.craft_adapters(plan, bb, cc, DESK, 0)
         adapters.w_up[:] = 0.0  # epsilon row removed
         batch = synth_batch(4, DESK, seed=93, kind="uniform")
@@ -406,7 +468,7 @@ class TestCraftedAdapters:
         assert np.all(g.b_down == 0.0)
 
     def test_unassigned_adapters_inert(self, planned):
-        cc, bb, ei, stats, plan, adapters = planned
+        cc, bb, stats, plan, adapters = planned
         used = {a.adapter for a in plan.assignments}
         batch = synth_batch(2, DESK, seed=94, kind="uniform")
         _, _, cache = forward(batch, bb, adapters, DESK)
@@ -472,13 +534,13 @@ def _pinned_digests(r: int, plan_name: str) -> list[str]:
     cc = cr.CraftConfig(seed=7)
     positions, s_t = PIN_PLANS[plan_name]
     positions = list(range(1, mc.N + 1)) if positions == "all" else positions
-    bb, ei = cr.craft_backbone(cc, mc)
+    bb = cr.craft_backbone(cc, mc)
     out = []
     for seed in PIN_SEEDS:
         public = synth_batch(256, mc, seed=int(Rng(seed).spawn(101).spawn(0).seed),
                              kind="smooth")
         stats = estimate_patch_stats(public.images, bb.embed, bb.pos, mc)
-        plan = cr.build_attack_plan(stats, mc, positions, s_t, 2, ei, cc)
+        plan = cr.build_attack_plan(stats, mc, positions, s_t, 2)
         out += [_adapter_digest(cr.craft_adapters(plan, bb, cc, mc, rho))
                 for rho in (0, 1)]
     return out

@@ -1,9 +1,12 @@
 """Every module-level function, class and method in ``src/adapterleak`` has a
-caller in ``src/`` itself; code that only tests call is deleted, not kept.
+caller in ``src/`` itself, and every dataclass field a reader there; code
+that only tests call or read is deleted, not kept.
 
 A reference is any use of the bare name (``f``) or an attribute of that name
-(``x.f``) outside the definition itself, so the check errs toward passing:
-two definitions that share a name keep each other alive.
+(``x.f``) outside the definition itself. A field is read by an attribute
+load (``x.f``) or by its name as a string (``getattr(x, "f")``,
+``fields``-driven code naming it). The check errs toward passing: two
+definitions that share a name keep each other alive.
 """
 
 import ast
@@ -27,17 +30,36 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub.name
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" or
+               isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}", sub.target.id
+
+
 def unreferenced(src: Path = SRC) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    refs = Counter()
+    refs, reads = Counter(), Counter()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
+                reads[node.attr] += isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads[node.value] += 1
     return [f"{module}.{qualname}" for module, tree in trees.items()
-            for qualname, name in _definitions(tree) if not refs[name]]
+            for qualname, name in _definitions(tree) if not refs[name]] + \
+        [f"{module}.{qualname}" for module, tree in trees.items()
+         for qualname, name in _fields(tree) if not reads[name]]
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -47,3 +69,12 @@ def test_every_definition_has_a_caller_in_src():
 
 def test_allow_list_names_only_uncalled_definitions():
     assert sorted(ALLOWED) == sorted(unreferenced())
+
+
+def test_unread_dataclass_field_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass R:\n    read: int\n    by_name: int\n"
+        "    written: int\n\n"
+        "def use(r: R):\n    r.written = r.read\n    return getattr(r, 'by_name'), use\n")
+    assert unreferenced(tmp_path) == ["m.R.written"]

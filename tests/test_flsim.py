@@ -195,13 +195,13 @@ class TestRunExperiment:
 
     def test_attack_module_cannot_see_victim_data(self):
         # interface audit: the attack module must work from gradients, plan,
-        # and encodings alone
+        # and the server-owned backbone alone
         src = inspect.getsource(attack_module)
         for forbidden in ("Batch", "ForwardCache", "synth_batch", "forward(",
                           "victim", "dataio"):
             assert forbidden not in src, forbidden
         sig = inspect.signature(attack_module.run_attack)
-        assert set(sig.parameters) == {"grads", "plan", "pos", "round_idx",
+        assert set(sig.parameters) == {"grads", "plan", "backbone", "round_idx",
                                        "m_expected"}
 
 
@@ -219,8 +219,7 @@ def _setup_digest(setup: flsim.AttackSetup) -> str:
             arrays += [adapters.w_down[a], adapters.b_down[a], adapters.w_up[a],
                        adapters.b_up[a]]
     plan = setup.plan
-    arrays += [plan.stats_sigma, plan.content_rows, plan.correction_rows,
-               plan.e_pinv, *plan.thresholds.values()]
+    arrays += [plan.stats_sigma, *plan.thresholds.values()]
     for arr in arrays:
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(repr([vars(a) for a in plan.assignments]).encode())
@@ -337,8 +336,8 @@ class TestBlasThreadsInvariant:
 # move: the victim's (defended) gradients, merged coverage and score. The
 # victim's noise comes from the defense stream's key rho * users + victim.
 PIN_RUN_EXPERIMENT = {
-    "gaussian_noise": "9564d1cbcbd6d627",
-    "stochastic_quantize": "8e7a14c87ce1f2b0",
+    "gaussian_noise": "6bc35bf2e20bad5b",
+    "stochastic_quantize": "f94f7033faf4e51a",
 }
 
 

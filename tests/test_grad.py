@@ -144,10 +144,10 @@ class TestBackward:
         # rescales each dW row and its db by a common per-neuron factor
         cfg = ModelConfig()
         cc = CraftConfig(seed=21)
-        bb, ei = craft_backbone(cc, cfg)
+        bb = craft_backbone(cc, cfg)
         pub = synth_batch(64, cfg, seed=60, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg)
-        plan = build_attack_plan(stats, cfg, [1], 1, 1, ei, cc)
+        plan = build_attack_plan(stats, cfg, [1], 1, 1)
         ads = craft_adapters(plan, bb, cc, cfg, 0)
         batch = synth_batch(1, cfg, seed=61, kind="uniform")
 
@@ -182,10 +182,10 @@ class TestFiniteDiffCheck:
         cfg = ModelConfig(D=32, L=2, num_encoders=2, P=2, C=3, H=4, W=4, r=4,
                           num_classes=5, adapter_activation="gelu")
         cc = CraftConfig(seed=5, margin=8.0)
-        bb, ei = craft_backbone(cc, cfg)
+        bb = craft_backbone(cc, cfg)
         pub = synth_batch(64, cfg, seed=50, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg)
-        plan = build_attack_plan(stats, cfg, [1], 1, 1, ei, cc)
+        plan = build_attack_plan(stats, cfg, [1], 1, 1)
         ads = craft_adapters(plan, bb, cc, cfg, 0)
         batch = synth_batch(2, cfg, seed=51, kind="uniform")
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)

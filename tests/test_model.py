@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adapterleak import model as mdl
-from adapterleak.craft import CraftConfig, craft_backbone
+from adapterleak.craft import CraftConfig, craft_backbone, embedding_layout
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import ConfigError, ShapeError
 from adapterleak.numerics import Rng
@@ -88,7 +88,7 @@ class TestEmbed:
 
     def test_identity_pad_structure(self):
         cfg = mdl.ModelConfig()
-        bb, _ = craft_backbone(CraftConfig(seed=3), cfg)
+        bb = craft_backbone(CraftConfig(seed=3), cfg)
         bb.pos = np.zeros_like(bb.pos)
         tokens = mdl.build_tokens(Batch(np.ones((1, 3, 8, 8)), np.zeros(1)), bb, cfg)
         assert np.allclose(tokens[0, 1:, :48], 0.5)
@@ -98,19 +98,20 @@ class TestEmbed:
         from adapterleak.attack import recover_patch
 
         cfg = mdl.ModelConfig()
-        bb, embed_info = craft_backbone(CraftConfig(seed=4), cfg)
+        bb = craft_backbone(CraftConfig(seed=4), cfg)
         image = Rng(5).uniform(3 * 8 * 8).reshape(1, 3, 8, 8) * 2 - 1
         tokens = mdl.build_tokens(Batch(image, np.zeros(1)), bb, cfg)
         truth = mdl.patchify_batch(image, cfg.P)[0]
+        e_pinv = embedding_layout(bb.embed, cfg.N).e_pinv
         for t in range(1, cfg.N + 1):
-            back = recover_patch(tokens[0, t], embed_info["e_pinv"], bb.pos[t])
+            back = recover_patch(tokens[0, t], e_pinv, bb.pos[t])
             assert np.max(np.abs(back - truth[t - 1])) < 1e-12
 
 
 class TestMsa:
     def test_single_token_identity_exact(self):
         cfg = mdl.ModelConfig()
-        bb, _ = craft_backbone(CraftConfig(seed=5), cfg)
+        bb = craft_backbone(CraftConfig(seed=5), cfg)
         token = Rng(7).normal(0, 10, 96).reshape(1, 1, 96)
         out, cache = mdl.msa_forward(token, bb.encoders[1], cfg.D_h)
         assert np.array_equal(cache["attn"][0], np.ones((1, 1, 1)))
@@ -119,7 +120,7 @@ class TestMsa:
     def test_crafted_identity_on_random_tokens(self):
         cfg = mdl.ModelConfig()
         cc = CraftConfig(seed=6)
-        bb, _ = craft_backbone(cc, cfg)
+        bb = craft_backbone(cc, cfg)
         # tokens shaped like the design's operating point: encodings + content
         tokens = bb.pos[None, :, :] + 0.05 * Rng(8).normal(0, 1, 5 * 96).reshape(1, 5, 96)
         out, _ = mdl.msa_forward(tokens, bb.encoders[0], cfg.D_h)
@@ -363,7 +364,7 @@ class TestSelectorProduct:
     def test_crafted_matrices_detected_random_not(self, cfg):
         # a change that loses the crafted selectors, or takes a dense matrix
         # for one, fails here rather than only in wall time or bytes
-        crafted, _ = craft_backbone(CraftConfig(seed=7), cfg)
+        crafted = craft_backbone(CraftConfig(seed=7), cfg)
         dense = mdl.random_backbone(cfg, Rng(3))
         for backbone, want in ((crafted, True), (dense, False)):
             for enc in backbone.encoders:
@@ -374,7 +375,7 @@ class TestSelectorProduct:
 
     def test_reassigned_weight_detected_again(self):
         cfg = mdl.ModelConfig()
-        enc = craft_backbone(CraftConfig(seed=7), cfg)[0].encoders[0]
+        enc = craft_backbone(CraftConfig(seed=7), cfg).encoders[0]
         x = Rng(5).normal(0.0, 1.0, 7 * cfg.D).reshape(7, cfg.D)
         assert enc.matmul(x, "w_msa", True).tobytes() == (x + 0.0).tobytes()
         enc.w_msa = Rng(6).normal(0.0, 1.0, cfg.D * cfg.D).reshape(cfg.D, cfg.D)

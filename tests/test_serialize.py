@@ -14,7 +14,7 @@ from helpers import read_adapters
 
 def test_backbone_round_trip(tmp_path):
     cfg = ModelConfig()
-    bb, _ = craft_backbone(CraftConfig(seed=7), cfg)
+    bb = craft_backbone(CraftConfig(seed=7), cfg)
     path = tmp_path / "bb.plta"
     write_backbone(bb, path)
     again = read_backbone(path)

@@ -12,7 +12,7 @@ from adapterleak.stats import content_statistics, estimate_patch_stats
 @pytest.fixture(scope="module")
 def crafted():
     cfg = ModelConfig()
-    bb, _ = craft_backbone(CraftConfig(seed=7), cfg)
+    bb = craft_backbone(CraftConfig(seed=7), cfg)
     return cfg, bb
 
 

@@ -373,6 +373,42 @@ PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
     "3": ("54c50fa024a5ff13", "189816d0a16ea261"),
     "merged": ("c95fa7a2c95860f3", "2da8e3c7a5754561"),
 }
+# sha256 of every image `run` writes on the rounds shape: the victim batch and
+# the recovered patches placed back into it.
+PIN_RUN_IMAGES = {
+    "truth_000.ppm": "abb2747a898cd0d8",
+    "truth_001.ppm": "3bc3b79a32f56c12",
+    "truth_002.ppm": "1f90666eb42a1d1f",
+    "truth_003.ppm": "9a7de5e0ed6ab445",
+    "truth_004.ppm": "f0d60bde010c24ae",
+    "truth_005.ppm": "9103b0b9f5f2dd5a",
+    "truth_006.ppm": "f31adfc587cb29fe",
+    "truth_007.ppm": "f84aff88205bc8e0",
+    "truth_008.ppm": "aebc88ffb82d87a5",
+    "truth_009.ppm": "1ffef0140bab1f3d",
+    "truth_010.ppm": "6bdf4ffdff6cfb35",
+    "truth_011.ppm": "a095df16a89c1fbf",
+    "truth_012.ppm": "aab5694c322297be",
+    "truth_013.ppm": "40a0cf5b70dbe63b",
+    "truth_014.ppm": "598b6cba90d1f300",
+    "truth_015.ppm": "d2426a2a93aad39d",
+    "recovered_000.ppm": "25cc34a0f9f1a1d9",
+    "recovered_001.ppm": "5fa6fb339221064e",
+    "recovered_002.ppm": "6cf9f8adfda4b491",
+    "recovered_003.ppm": "9a7de5e0ed6ab445",
+    "recovered_004.ppm": "80baa18f816d242c",
+    "recovered_005.ppm": "9f0abad5721e985d",
+    "recovered_006.ppm": "f3e07065800d561e",
+    "recovered_007.ppm": "87561cb102e363ba",
+    "recovered_008.ppm": "e214450d148604ed",
+    "recovered_009.ppm": "17d47e0d59d852f6",
+    "recovered_010.ppm": "88a659155916e060",
+    "recovered_011.ppm": "05cde66960183ae2",
+    "recovered_012.ppm": "9359aae7c12392eb",
+    "recovered_013.ppm": "05de83d1ed26e235",
+    "recovered_014.ppm": "fe1700cf6dc62d9a",
+    "recovered_015.ppm": "1ce5c08c9523b753",
+}
 
 
 def _digest(path: Path) -> str:
@@ -406,6 +442,10 @@ class TestArchivesPinned:
     def test_run_outputs(self, rounds_run):
         assert {name: _digest(rounds_run / name)
                 for name in PIN_RUN_OUTPUTS} == PIN_RUN_OUTPUTS
+
+    def test_run_images(self, rounds_run):
+        assert {name: _digest(rounds_run / name)
+                for name in PIN_RUN_IMAGES} == PIN_RUN_IMAGES
 
     @pytest.mark.parametrize("round_idx", sorted(PIN_OFFLINE_ATTACK))
     def test_offline_attack_outputs(self, rounds_run, tmp_path, round_idx):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import json
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -20,13 +21,13 @@ import numpy as np
 
 from . import attack as attack_mod
 from .craft import CraftConfig, embedding_layout, plan_from_json, plan_to_json
-from .dataio import denormalize, save_ppm, synth_batch
+from .dataio import denormalize, load_ppm, save_ppm, synth_batch
 from .errors import ConfigError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
                     prepare_attack, prepare_attacks, run_experiment)
 from .grad import finite_diff_check, parallel_map, thread_count
 from .metrics import fmt, write_csv, write_json
-from .model import AdapterSet, ModelConfig, random_backbone
+from .model import AdapterSet, ModelConfig, random_backbone, unpatchify
 from .numerics import Rng
 from .serialize import (read_backbone, read_gradients, write_adapters,
                         write_backbone, write_gradients)
@@ -138,6 +139,9 @@ def _resolve(merged: dict) -> ExperimentConfig:
     data = merged["data"]
     if data["kind"] not in ("uniform", "smooth"):
         raise ConfigError(f"unknown data kind {data['kind']!r}")
+    public_count = _convert("data", "public_count", data["public_count"], int)
+    if public_count < 2:
+        raise ConfigError(f"[data] public_count = {public_count}: need at least 2 public images")
 
     lines = []
     for section in ("model", "craft", "fl", "plan", "defense", "data"):
@@ -150,7 +154,7 @@ def _resolve(merged: dict) -> ExperimentConfig:
         adapters_per_position=_convert("plan", "adapters_per_position",
                                        p["adapters_per_position"], int),
         data_kind=data["kind"],
-        public_count=_convert("data", "public_count", data["public_count"], int),
+        public_count=public_count,
         resolved_text="\n".join(lines))
 
 
@@ -163,8 +167,8 @@ def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
 
 def cmd_craft(args) -> int:
     cfg = load_config(args.config)
-    out = _prepare_out(args.out, cfg)
     setup = prepare_attack(cfg.setup_args())
+    out = _prepare_out(args.out, cfg)
     write_backbone(setup.backbone, out / "backbone.plta")
     (out / "plan.json").write_text(plan_to_json(setup.plan))
     for rho, adapters in enumerate(setup.adapters):
@@ -174,24 +178,24 @@ def cmd_craft(args) -> int:
 
 
 def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
-    rows = []
-    for log in result.round_logs:
-        for t in sorted(log.per_position):
-            pp = log.per_position[t]
-            rows.append([log.round_idx, t, int(pp["bins_active"]),
-                         int(pp["patches_valid"]), log.coverage, log.mean_mse])
+    rows = [[rho, t, sum(p.position == t for p in log.report.patches),
+             sum(p.position == t for p in log.report.valid_patches),
+             log.coverage, log.mean_mse]
+            for rho, log in enumerate(result.round_logs)
+            for t in result.plan.positions()]
     write_csv(out / "rounds.csv",
               ["round", "position", "bins_active", "patches_valid",
                "coverage", "mean_mse"], rows)
     summary = {
         "config_hash": cfg.hash,
         "rounds": [
-            {"round": log.round_idx, "hits": log.hits, "valid": log.valid,
+            {"round": rho, "hits": len(log.report.patches),
+             "valid": len(log.report.valid_patches),
              "coverage": log.coverage, "mean_mse": log.mean_mse}
-            for log in result.round_logs
+            for rho, log in enumerate(result.round_logs)
         ],
         "coverage": result.merged.coverage,
-        "matched_patches": len(result.recovered_map),
+        "matched_patches": int(result.found.sum()),
         "oracle_isolated_union": result.oracle_count_union,
         "mean_mse": result.score.mean_mse,
         "mean_ssim": result.score.mean_ssim,
@@ -202,28 +206,17 @@ def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
     }
     write_json(out / "summary.json", summary)
     mc = cfg.model
-    truth_imgs = result.victim_batch.images
-    for i in range(truth_imgs.shape[0]):
-        save_ppm(denormalize(truth_imgs[i]), out / f"truth_{i:03d}.ppm")
-    recovered = _render_recovered(result, mc)
-    for i in range(recovered.shape[0]):
-        save_ppm(denormalize(recovered[i]), out / f"recovered_{i:03d}.ppm")
-
-
-def _render_recovered(result, mc: ModelConfig) -> np.ndarray:
-    from .model import unpatchify
-
-    patches = np.zeros((result.victim_batch.size, mc.N, mc.patch_dim))
-    for (i, t), pix in result.recovered_map.items():
-        patches[i, t - 1] = np.clip(pix, -1.0, 1.0)
-    return unpatchify(patches, mc.P, mc.C, mc.H, mc.W)
+    recovered = unpatchify(np.clip(result.placed, -1, 1), mc.P, mc.C, mc.H, mc.W)
+    for i, (truth, rec) in enumerate(zip(result.victim_batch.images, recovered)):
+        save_ppm(denormalize(truth), out / f"truth_{i:03d}.ppm")
+        save_ppm(denormalize(rec), out / f"recovered_{i:03d}.ppm")
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _prepare_out(args.out, cfg)
     t0 = time.perf_counter()
     result = run_experiment(prepare_attack(cfg.setup_args()), cfg.fl, cfg.defense)
+    out = _prepare_out(args.out, cfg)
     _emit_run_outputs(out, cfg, result)
     # last-round victim observation plus the attacker artifacts, so the
     # attack subcommand can rerun offline from files alone
@@ -232,7 +225,7 @@ def cmd_run(args) -> int:
     (out / "plan.json").write_text(plan_to_json(result.plan))
     runtime = time.perf_counter() - t0
     print(f"run complete in {runtime:.2f}s: coverage {result.merged.coverage:.3f}, "
-          f"matched {len(result.recovered_map)}, mean MSE {result.score.mean_mse:.4f} -> {out}")
+          f"matched {int(result.found.sum())}, mean MSE {result.score.mean_mse:.4f} -> {out}")
     return 0
 
 
@@ -323,7 +316,6 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = load_config(args.config)
-    out = _prepare_out(args.out, cfg)
     values = _sweep_values(args.vary, args.values)
     seeds = [cfg.fl.seed + 1000 * i for i in range(args.seeds)]
     cells = [(v, s) for v in values for s in seeds]
@@ -346,6 +338,7 @@ def cmd_sweep(args) -> int:
         ssims = [results[(v, s)][2] for s in seeds]
         rows.append([args.vary, v, float(np.mean(rates)), float(np.mean(mses)),
                      float(np.mean(ssims))])
+    out = _prepare_out(args.out, cfg)
     write_csv(out / "sweep.csv",
               ["sweep_name", "x_value", "recovery_rate", "mean_mse", "mean_ssim"],
               rows)
@@ -358,9 +351,7 @@ def cmd_report(args) -> int:
     summary_path = src / "summary.json"
     if not summary_path.exists():
         raise ConfigError(f"no summary.json under {src}")
-    import json as _json
-
-    summary = _json.loads(summary_path.read_text())
+    summary = json.loads(summary_path.read_text())
     print("run summary")
     for key in ("config_hash", "coverage", "matched_patches",
                 "oracle_isolated_union", "mean_mse", "mean_ssim",
@@ -369,8 +360,6 @@ def cmd_report(args) -> int:
     truth = sorted(src.glob("truth_*.ppm"))
     rec = sorted(src.glob("recovered_*.ppm"))
     if truth and rec:
-        from .dataio import load_ppm
-
         pairs = list(zip(truth, rec))
         imgs = [np.concatenate([load_ppm(a), load_ppm(b)], axis=2)
                 for a, b in pairs]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class FLConfig:
     def __post_init__(self):
         if self.users < 1:
             raise ConfigError("need at least one user")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if not 0 <= self.victim_index < self.users:
             raise ConfigError("victim index out of range")
         if self.mode not in ("single_step", "fedavg"):
@@ -151,12 +153,9 @@ def aggregate(grads: list[AdapterSet]) -> AdapterSet:
 
 @dataclass
 class RoundLog:
-    round_idx: int
-    hits: int
-    valid: int
-    coverage: float
+    report: attack_mod.ReconstructionReport  # this round's attack alone
+    coverage: float  # of the reports merged up to this round
     mean_mse: float
-    per_position: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -167,23 +166,10 @@ class RunResult:
     plan: AttackPlan
     backbone: FrozenBackbone
     victim_batch: Batch
-    recovered_map: dict[tuple[int, int], np.ndarray]
+    victim_grads: AdapterSet  # the last round's defended gradients
+    placed: np.ndarray  # (M, N, patch_dim), from oracle.place_patches
+    found: np.ndarray  # (M, N) filled slots of placed
     oracle_count_union: int
-    victim_grads: AdapterSet | None = None
-
-
-def recovered_pixel_map(report: attack_mod.ReconstructionReport,
-                        stats_mn: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """(image, position) -> recovered pixels, via ground-truth stat matching."""
-    labels = oracle.match_patches(report, stats_mn)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for patch, m in zip(report.valid_patches, labels):
-        if m is None:
-            continue
-        key = (m, patch.position)
-        if key not in out:
-            out[key] = patch.pixels
-    return out
 
 
 def _data_rng(seed: int) -> Rng:
@@ -295,19 +281,9 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         report = attack_mod.run_attack(victim_grads, plan, backbone, rho, m)
         merged = report if merged is None else attack_mod.merge_rounds(
             [merged, report], plan)
-        rec_map = recovered_pixel_map(merged, stats_mn)
-        score = score_reconstruction(rec_map, truth, model_cfg.P, model_cfg.C)
-        log = RoundLog(round_idx=rho, hits=len(report.patches),
-                       valid=len(report.valid_patches),
-                       coverage=merged.coverage, mean_mse=score.mean_mse)
-        for t in plan.positions():
-            round_valid = [p for p in report.valid_patches if p.position == t]
-            round_hits = [p for p in report.patches if p.position == t]
-            log.per_position[t] = {
-                "bins_active": len(round_hits),
-                "patches_valid": len(round_valid),
-            }
-        logs.append(log)
+        placed, found = oracle.place_patches(merged, stats_mn, model_cfg.patch_dim)
+        score = score_reconstruction(placed, found, truth, model_cfg.P, model_cfg.C)
+        logs.append(RoundLog(report, merged.coverage, score.mean_mse))
 
     assert merged is not None
     return RunResult(
@@ -317,9 +293,10 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         plan=plan,
         backbone=backbone,
         victim_batch=victim_batch,
-        recovered_map=rec_map,
-        oracle_count_union=oracle.isolated_union(stats_mn, plan),
         victim_grads=victim_grads,
+        placed=placed,
+        found=found,
+        oracle_count_union=oracle.isolated_union(stats_mn, plan),
     )
 
 

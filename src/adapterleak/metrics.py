@@ -61,30 +61,25 @@ class ScoreReport:
     recovery_rate: float
 
 
-def score_reconstruction(recovered: dict[tuple[int, int], np.ndarray],
+def score_reconstruction(placed: np.ndarray, found: np.ndarray,
                          truth: np.ndarray, p: int, c: int) -> ScoreReport:
-    """Score recovered patches against ground truth with gray placeholders.
+    """Score placed patches against ground truth with gray placeholders.
 
-    ``recovered`` maps (image, position) to a clamped pixel vector; ``truth``
+    ``placed`` is the (M, N, P^2 C) array of recovered pixels and ``found``
+    the (M, N) mask of its filled slots (``oracle.place_patches``); ``truth``
     is the (M, N, P^2 C) ground-truth patch array. Every target patch
     contributes to the means, recovered or not.
     """
     m, n, d = truth.shape
+    if np.shape(placed) != truth.shape or np.shape(found) != (m, n):
+        raise ShapeError(f"shape mismatch {np.shape(placed)}, {np.shape(found)} "
+                         f"vs {truth.shape}")
     ref = as_f64(truth).reshape(m * n, d)
-    cand = np.full((m * n, d), GRAY)
-    found = np.zeros(m * n, dtype=bool)
-    for k, key in enumerate((i, t) for i in range(m) for t in range(1, n + 1)):
-        got = recovered.get(key)
-        if got is not None:
-            if np.shape(got) != (d,):
-                raise ShapeError(f"shape mismatch {np.shape(got)} vs {(d,)}")
-            cand[k] = got
-            found[k] = True
-    cand = np.clip(cand, -1, 1)
+    cand = np.clip(np.where(found[..., None], placed, GRAY), -1, 1).reshape(m * n, d)
     mses = ((cand - ref) ** 2).mean(axis=1)
     ssims = _ssim_batch(cand.reshape(-1, c, p, p), ref.reshape(-1, c, p, p),
                         8, 2.0)
-    hits = int(np.count_nonzero(found & (mses < RECOVERY_MSE)))
+    hits = int(np.count_nonzero(found.ravel() & (mses < RECOVERY_MSE)))
     return ScoreReport(
         mean_mse=float(np.mean(mses)),
         mean_ssim=float(np.mean(ssims)),

@@ -26,7 +26,8 @@ x_src + 0.0 (the + 0.0 turns -0.0 into the +0.0 BLAS returns), or +0.0
 where no source exists. A non-finite x_i makes x_i * 0 NaN in every
 column, so such an x takes the GEMM, as does any other matrix; a nonzero
 count rejects a dense one. Each matrix is inspected once per
-``EncoderParams`` and again only after its field is reassigned.
+``EncoderParams`` and again only after its field is reassigned; a selector
+is then made read-only, so an in-place edit raises instead of going unseen.
 
 Adapter parameters and their gradients are one type, :class:`AdapterSet`:
 four tensors stacked on a leading adapter axis, read by ``adapter_forward``
@@ -123,6 +124,8 @@ class EncoderParams:
         hit = cache.get((name, transpose))
         if hit is None or hit[0] is not w:
             hit = cache[name, transpose] = (w, _selector(m))
+            if hit[1] is not None:
+                w.flags.writeable = False
         if hit[1] is not None and np.isfinite(x).all():
             return _copy_columns(x, hit[1])
         return _dot(x, m) if m.ndim == 2 else x @ m

@@ -12,7 +12,6 @@ import math
 import numpy as np
 from scipy.special import ndtr as _ndtr
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Phi(x) rounds to exactly 1.0 in float64 from here on; x * Phi(x) is then x.

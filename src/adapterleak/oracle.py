@@ -61,6 +61,22 @@ def match_patches(report: ReconstructionReport,
     return labels
 
 
+def place_patches(report: ReconstructionReport, stats_mn: np.ndarray,
+                  patch_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each matched valid patch's pixels at its (image, position - 1) slot.
+
+    Returns the (M, N, patch_dim) placement, zero where nothing landed, and
+    the (M, N) mask of filled slots. The first patch to reach a slot keeps it.
+    """
+    placed = np.zeros((*stats_mn.shape, patch_dim))
+    found = np.zeros(stats_mn.shape, dtype=bool)
+    for patch, m in zip(report.valid_patches, match_patches(report, stats_mn)):
+        if m is not None and not found[m, patch.position - 1]:
+            placed[m, patch.position - 1] = patch.pixels
+            found[m, patch.position - 1] = True
+    return placed, found
+
+
 def ground_truth_patches(batch, cfg: ModelConfig) -> np.ndarray:
     """(M, N, P^2 C) true patch pixel vectors."""
     return patchify_batch(batch.images, cfg.P)

@@ -139,7 +139,7 @@ class TestCriterion4OracleCoverage:
             stats_mn = oracle.true_statistics(res.victim_batch, res.backbone, DESK)
             isolated = oracle.isolated_bins(stats_mn, res.plan, 0)
             oracle_count = sum(map(len, isolated.values()))
-            matched = sum(1 for (_, t) in res.recovered_map if t == 1)
+            matched = int(res.found[:, 0].sum())
             diffs.append(matched - oracle_count)
         mean_abs = float(np.mean(np.abs(diffs)))
         with capsys.disabled():
@@ -172,7 +172,7 @@ class TestCriterion6MultiRound:
         res = run_desk(r=4, rounds=4, s_t=3, positions=(1, 2, 3, 4), seed=11)
         coverages = [log.coverage for log in res.round_logs]
         nondecreasing = all(a <= b + 1e-12 for a, b in zip(coverages, coverages[1:]))
-        matched = len(res.recovered_map)
+        matched = int(res.found.sum())
         union = res.oracle_count_union
         ok = nondecreasing and matched >= 0.9 * union
         with capsys.disabled():
@@ -207,8 +207,8 @@ class TestCriterion8FedAvg:
     def test_fedavg_retains_coverage(self, capsys):
         single = run_desk(seed=11)
         fedavg = run_desk(seed=11, mode="fedavg", epochs=5)
-        n_single = len(single.recovered_map)
-        n_fedavg = len(fedavg.recovered_map)
+        n_single = int(single.found.sum())
+        n_fedavg = int(fedavg.found.sum())
         ok = n_single > 0 and n_fedavg >= 0.5 * n_single
         with capsys.disabled():
             emit("criterion 8 (FedAvg 5 epochs, lr=1e-4: coverage >=50% of single-step)",

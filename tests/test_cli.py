@@ -104,6 +104,25 @@ class TestConfigParsing:
         assert rc == 2
 
 
+# case -> (desk.cfg text, its replacement, commands that reject it): each is a
+# ConfigError raised in config validation, setup or the experiment itself
+CONFIG_ERRORS = {
+    "gelu": ("num_classes = 10", "num_classes = 10\nadapter_activation = gelu",
+             ("craft", "run", "sweep")),
+    "over_budget": ("num_encoders = 6", "num_encoders = 1", ("craft", "run", "sweep")),
+    "no_free_rows": ("D = 96", "D = 48", ("craft", "run", "sweep")),
+    "batch_0": ("batch_size = 16", "batch_size = 0", ("craft", "run", "sweep")),
+    "batch_neg": ("batch_size = 16", "batch_size = -3", ("craft", "run", "sweep")),
+    "public_1": ("kind = smooth", "kind = smooth\npublic_count = 1",
+                 ("craft", "run", "sweep")),
+    "public_0": ("kind = smooth", "kind = smooth\npublic_count = 0",
+                 ("craft", "run", "sweep")),
+    "fedavg_epochs_0": ("seed = 11", "seed = 11\nmode = fedavg\nlocal_epochs = 0",
+                        ("run", "sweep")),
+    "sweep_batch_0": ("", "", ("sweep",)),  # --values 4,0
+}
+
+
 class TestRunCommand:
     def test_byte_identical_reruns(self, tiny_cfg_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -137,6 +156,22 @@ class TestRunCommand:
             argv += ["--vary", "batch", "--values", "4"]
         assert main(argv) == 2
         assert "adapter_activation = gelu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,case", [
+        (command, case) for case, (_, _, commands) in CONFIG_ERRORS.items()
+        for command in commands])
+    def test_config_error_writes_nothing(self, tmp_path, capsys, command, case):
+        old, new, _ = CONFIG_ERRORS[case]
+        text = DESK_CFG_FILE.read_text()
+        assert old in text
+        (tmp_path / "bad.cfg").write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(tmp_path / "bad.cfg"), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--vary", "batch", "--values", "4,0" if case == "sweep_batch_0" else "4"]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_command(self, tiny_cfg_file, tmp_path):
         out = tmp_path / "run"

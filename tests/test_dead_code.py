@@ -1,12 +1,15 @@
 """Every module-level function, class and method in ``src/adapterleak`` has a
-caller in ``src/`` itself, and every dataclass field a reader there; code
-that only tests call or read is deleted, not kept.
+caller in ``src/`` itself, and every dataclass field and module-level
+constant a reader there; code that only tests call or read is deleted, not
+kept.
 
 A reference is any use of the bare name (``f``) or an attribute of that name
 (``x.f``) outside the definition itself. A field is read by an attribute
 load (``x.f``) or by its name as a string (``getattr(x, "f")``,
-``fields``-driven code naming it). The check errs toward passing: two
-definitions that share a name keep each other alive.
+``fields``-driven code naming it). A module-level name assigned in ``src/``
+(dunders exempt) is read by a bare-name load, an attribute load or its name
+as a string. The check errs toward passing: two definitions that share a
+name keep each other alive.
 """
 
 import ast
@@ -44,13 +47,25 @@ def _fields(tree: ast.Module):
                     yield f"{node.name}.{sub.target.id}", sub.target.id
 
 
+def _constants(tree: ast.Module):
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not (
+                        sub.id.startswith("__") and sub.id.endswith("__")):
+                    yield sub.id, sub.id
+
+
 def unreferenced(src: Path = SRC) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    refs, reads = Counter(), Counter()
+    refs, reads, loads = Counter(), Counter(), Counter()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs[node.id] += 1
+                loads[node.id] += isinstance(node.ctx, ast.Load)
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
                 reads[node.attr] += isinstance(node.ctx, ast.Load)
@@ -59,7 +74,9 @@ def unreferenced(src: Path = SRC) -> list[str]:
     return [f"{module}.{qualname}" for module, tree in trees.items()
             for qualname, name in _definitions(tree) if not refs[name]] + \
         [f"{module}.{qualname}" for module, tree in trees.items()
-         for qualname, name in _fields(tree) if not reads[name]]
+         for qualname, name in _fields(tree) if not reads[name]] + \
+        [f"{module}.{qualname}" for module, tree in trees.items()
+         for qualname, name in _constants(tree) if not reads[name] + loads[name]]
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -78,3 +95,11 @@ def test_unread_dataclass_field_flagged(tmp_path):
         "    written: int\n\n"
         "def use(r: R):\n    r.written = r.read\n    return getattr(r, 'by_name'), use\n")
     assert unreferenced(tmp_path) == ["m.R.written"]
+
+
+def test_unread_module_constant_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "__all__ = ['use']\nREAD = 1\nBY_ATTR = 2\nBY_NAME = 3\nUNREAD = 4\n"
+        "A, B = 5, 6\nTYPED: int = 7\n\n"
+        "def use(m):\n    return READ + m.BY_ATTR + A + getattr(m, 'BY_NAME'), use\n")
+    assert unreferenced(tmp_path) == ["m.UNREAD", "m.B", "m.TYPED"]

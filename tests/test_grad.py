@@ -230,6 +230,24 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
+    def test_crafted_selector_edited_in_place_raises(self):
+        # a crafted backbone's 0/1 matrices are applied as column copies
+        # detected once per array: an in-place edit must raise, not leave
+        # the forward on the old selector while the FD suffix sees the edit
+        cfg = ModelConfig(D=64, L=2, num_encoders=2, r=2, adapter_activation="gelu")
+        bb = craft_backbone(CraftConfig(seed=7), cfg)
+        ads = AdapterSet.random(cfg, Rng(2), 0.2)
+        batch = synth_batch(2, cfg, seed=4, kind="uniform")
+        assert finite_diff_check(bb, ads, batch, cfg, workers=1).passed
+        for enc in bb.encoders:
+            with pytest.raises(ValueError, match="read-only"):
+                enc.w_msa[0, 1] = 0.5
+            edited = enc.w_msa.copy()
+            edited[0, 1] = 0.5
+            enc.w_msa = edited  # a reassigned field is inspected again
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
 
 def brute_central(bb, ads, batch, cfg, a, kind, pos, h=1e-5):
     """Central difference of the batch loss through ``model.forward``."""

@@ -3,18 +3,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adapterleak import metrics as mx
+from adapterleak import oracle
+from adapterleak.attack import ReconstructionReport, RecoveredPatch
 from adapterleak.errors import ShapeError
 from adapterleak.numerics import Rng
 from helpers import ssim
+
+
+def _placed(recovered, m, n, d):
+    """(placed, found) of an {(image, position): pixels} map over (m, n, d) slots."""
+    placed, found = np.zeros((m, n, d)), np.zeros((m, n), dtype=bool)
+    for (i, t), pix in recovered.items():
+        placed[i, t - 1], found[i, t - 1] = pix, True
+    return placed, found
+
+
+def _score_map(recovered, truth, p, c):
+    """``score_reconstruction`` of an {(image, position): pixels} map."""
+    return mx.score_reconstruction(*_placed(recovered, *truth.shape), truth, p, c)
 
 
 def _score(recovered, truth):
     """Score (C=1, P=2) patches; ``recovered`` and ``truth`` are (M, N, 4)."""
     rec = {(i, t + 1): recovered[i, t] for i in range(truth.shape[0])
            for t in range(truth.shape[1])}
-    return mx.score_reconstruction(rec, truth, 2, 1)
+    return _score_map(rec, truth, 2, 1)
 
 
 def _per_patch_mse(recovered, truth):
@@ -50,7 +66,13 @@ class TestMsePsnr:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mx.score_reconstruction({(0, 1): np.ones(3)}, np.ones((1, 1, 4)), 2, 1)
+            mx.score_reconstruction(np.ones((1, 1, 3)), np.ones((1, 1), dtype=bool),
+                                    np.ones((1, 1, 4)), 2, 1)
+
+    def test_mask_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            mx.score_reconstruction(np.ones((1, 1, 4)), np.ones((1, 2), dtype=bool),
+                                    np.ones((1, 1, 4)), 2, 1)
 
 
 class TestSsim:
@@ -91,11 +113,11 @@ class TestRecoveryRate:
     def test_all_recovered_exactly(self):
         truth = Rng(8).uniform(2 * 4 * 48).reshape(2, 4, 48) * 2 - 1
         recovered = {(i, t + 1): truth[i, t] for i in range(2) for t in range(4)}
-        assert mx.score_reconstruction(recovered, truth, p=4, c=3).recovery_rate == 1.0
+        assert _score_map(recovered, truth, 4, 3).recovery_rate == 1.0
 
     def test_none_recovered(self):
         truth = Rng(9).uniform(2 * 4 * 48).reshape(2, 4, 48)
-        assert mx.score_reconstruction({}, truth, p=4, c=3).recovery_rate == 0.0
+        assert _score_map({}, truth, 4, 3).recovery_rate == 0.0
 
     def test_threshold_monotone(self, monkeypatch):
         rng = Rng(10)
@@ -105,12 +127,12 @@ class TestRecoveryRate:
         rates = []
         for th in (0.001, 0.01, 0.05, 1.0):
             monkeypatch.setattr(mx, "RECOVERY_MSE", th)
-            rates.append(mx.score_reconstruction(recovered, truth, p=4, c=3).recovery_rate)
+            rates.append(_score_map(recovered, truth, 4, 3).recovery_rate)
         assert all(r1 <= r2 for r1, r2 in zip(rates, rates[1:]))
 
     def test_score_report_gray_fill(self):
         truth = np.full((1, 4, 48), 0.5)
-        report = mx.score_reconstruction({(0, 1): truth[0, 0]}, truth, p=4, c=3)
+        report = _score_map({(0, 1): truth[0, 0]}, truth, 4, 3)
         assert report.recovery_rate == 0.25
         # unrecovered slots compare mid-gray against 0.5
         assert report.mean_mse == pytest.approx((3 * 0.25) / 4, abs=1e-12)
@@ -214,7 +236,7 @@ class TestScoringPinned:
             for th in (0.05, 0.005):
                 monkeypatch.setattr(mx, "RECOVERY_MSE", th)
                 _assert_reports_identical(
-                    mx.score_reconstruction(recovered, truth, p, c),
+                    _score_map(recovered, truth, p, c),
                     _ref_score(recovered, truth, p, c, threshold_mse=th))
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 4, 4), (1, 12, 12), (3, 16, 16),
@@ -230,6 +252,65 @@ class TestScoringPinned:
                  (a, -a)]
         for x, y in pairs:
             assert repr(ssim(x, y, window=window)) == repr(_ref_ssim(x, y, window=window))
+
+
+# Reference placement: the (image, position) -> pixels dict that
+# ``oracle.place_patches`` replaced, kept verbatim.
+def _ref_pixel_map(report, stats_mn):
+    labels = oracle.match_patches(report, stats_mn)
+    out = {}
+    for patch, m in zip(report.valid_patches, labels):
+        if m is None:
+            continue
+        key = (m, patch.position)
+        if key not in out:
+            out[key] = patch.pixels
+    return out
+
+
+@st.composite
+def _placement_cases(draw):
+    """(report, stats_mn, truth, p, c) with a slot two valid patches match,
+    an unmatched valid patch and invalid patches among random ones."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p, c = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([1, 3]))
+    d = c * p * p
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    truth = gen.uniform(-1, 1, (m, n, d))
+    # statistics 0.1 apart: a value within MATCH_STAT_TOL of one names that image
+    stats_mn = gen.permutation(m * n).reshape(m, n) * 0.1
+
+    def patch(i, t, matched, valid):
+        stat = (stats_mn[i, t - 1] + gen.uniform(-0.9, 0.9) * oracle.MATCH_STAT_TOL
+                if matched else stats_mn[:, t - 1].max() + 0.05)
+        pixels = draw(st.sampled_from([
+            truth[i, t - 1].copy(), truth[i, t - 1] + 0.05 * gen.standard_normal(d),
+            2.5 * gen.uniform(-1, 1, d)]))
+        return RecoveredPatch(t, int(gen.integers(8)), 0, pixels, float(stat), valid)
+
+    slot = st.tuples(st.integers(0, m - 1), st.integers(1, n))
+    i, t = draw(slot)
+    patches = [patch(i, t, True, True), patch(i, t, True, True),
+               patch(*draw(slot), False, True), patch(*draw(slot), True, False)]
+    patches += [patch(*draw(slot), draw(st.booleans()), draw(st.booleans()))
+                for _ in range(draw(st.integers(0, 6)))]
+    patches = draw(st.permutations(patches))
+    return ReconstructionReport(patches, n, m), stats_mn, truth, p, c
+
+
+class TestPlacement:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(case=_placement_cases())
+    def test_place_then_score_matches_dict_path(self, case):
+        report, stats_mn, truth, p, c = case
+        placed, found = oracle.place_patches(report, stats_mn, truth.shape[-1])
+        ref = _ref_pixel_map(report, stats_mn)
+        assert sorted(zip(*np.nonzero(found))) == sorted((i, t - 1) for i, t in ref)
+        for (i, t), pix in ref.items():
+            assert placed[i, t - 1].tobytes() == pix.tobytes()
+        assert not placed[~found].any()
+        assert repr(mx.score_reconstruction(placed, found, truth, p, c)) == \
+            repr(_ref_score(ref, truth, p, c))
 
 
 class TestWriters:

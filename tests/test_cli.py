@@ -390,6 +390,8 @@ PIN_ADAPTER_ARCHIVES = {
     "adapters_round3.plta": "dcd11c0c7d615cb1",
 }
 PIN_GRADIENT_ARCHIVE = "a35c65b8eb10433c"
+# sha256 of the gradient archive a desk `run` (one round) writes
+PIN_DESK_GRADIENT_ARCHIVE = "d3eac24fa388120b"
 # sha256 of the other files `run` writes on the rounds shape, and of the
 # offline `attack` outputs per --round and merged over all rounds. They guard
 # refactors that must keep every output byte. The merged offline numbers are
@@ -473,6 +475,11 @@ class TestArchivesPinned:
 
     def test_run_gradient_archive(self, rounds_run):
         assert _digest(rounds_run / "grads.plta") == PIN_GRADIENT_ARCHIVE
+
+    def test_desk_run_gradient_archive(self, tmp_path):
+        out = tmp_path / "desk"
+        assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(out)]) == 0
+        assert _digest(out / "grads.plta") == PIN_DESK_GRADIENT_ARCHIVE
 
     def test_run_outputs(self, rounds_run):
         assert {name: _digest(rounds_run / name)

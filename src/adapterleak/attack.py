@@ -165,14 +165,14 @@ def _edge_distance(patch: RecoveredPatch, plan: AttackPlan) -> float:
 
 def merge_rounds(reports: list[ReconstructionReport],
                  plan: AttackPlan) -> ReconstructionReport:
-    """Union of valid patches across rounds.
+    """Union of valid patches across rounds; one round's report is its own merge.
 
     Duplicates (same position, same source patch) are identified by
     near-identical recovered statistics, which are image-intrinsic; the
     duplicate whose statistic sits farthest from its bin edges wins.
     """
-    if not reports:
-        raise ValueError("nothing to merge")
+    if len(reports) == 1:
+        return reports[0]
     sigma = plan.stats_sigma[plan.stats_sigma > 0]
     stat_tol = MERGE_REL_TOL * float(sigma.min()) if len(sigma) else 1e-6
     kept: list[RecoveredPatch] = []

@@ -97,10 +97,6 @@ class ExperimentConfig:
     public_count: int
     resolved_text: str
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.resolved_text)
-
     def setup_args(self) -> SetupArgs:
         return SetupArgs(self.model, self.craft, self.fl.seed, self.fl.rounds,
                          self.positions, self.adapters_per_position,
@@ -187,7 +183,7 @@ def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
               ["round", "position", "bins_active", "patches_valid",
                "coverage", "mean_mse"], rows)
     summary = {
-        "config_hash": cfg.hash,
+        "config_hash": config_hash(cfg.resolved_text),
         "rounds": [
             {"round": rho, "hits": len(log.report.patches),
              "valid": len(log.report.valid_patches),
@@ -218,9 +214,11 @@ def cmd_run(args) -> int:
     result = run_experiment(prepare_attack(cfg.setup_args()), cfg.fl, cfg.defense)
     out = _prepare_out(args.out, cfg)
     _emit_run_outputs(out, cfg, result)
-    # last-round victim observation plus the attacker artifacts, so the
-    # attack subcommand can rerun offline from files alone
-    write_gradients(result.victim_grads, cfg.fl.batch_size, out / "grads.plta")
+    # every round's victim observation, round-major on the adapter axis, and
+    # the attacker artifacts, so the attack subcommand can replay the run
+    rounds = zip(*(g.tensors().values() for g in result.victim_grads))
+    write_gradients(AdapterSet(*map(np.concatenate, rounds)), cfg.fl.batch_size,
+                    out / "grads.plta")
     write_backbone(result.backbone, out / "backbone.plta")
     (out / "plan.json").write_text(plan_to_json(result.plan))
     runtime = time.perf_counter() - t0
@@ -236,8 +234,14 @@ def cmd_attack(args) -> int:
         raise ConfigError(f"--round {args.round} outside the plan's rounds "
                           f"0..{plan.rounds - 1}")
     backbone = read_backbone(args.backbone)
-    have = grads.w_down.shape
-    need = (1 + max(a.adapter for a in plan.assignments), plan.r, backbone.pos.shape[1])
+    a = 2 * len(backbone.encoders)  # adapters per round: one per sublayer
+    if len(grads) != plan.rounds * a:
+        raise ConfigError(f"gradient archive holds {len(grads)} adapters, but {plan.rounds} "
+                          f"round(s) of the backbone's {a} adapters need {plan.rounds * a}")
+    rounds = [AdapterSet(*(t[rho * a:(rho + 1) * a] for t in grads.tensors().values()))
+              for rho in range(plan.rounds)]
+    have = rounds[0].w_down.shape  # the same in every round
+    need = (1 + max(row.adapter for row in plan.assignments), plan.r, backbone.pos.shape[1])
     if have[0] < need[0] or have[1:] != need[1:]:
         raise ConfigError(f"gradient archive has (A, r, D) = {have}, but the plan and "
                           f"backbone need ({need[0]} or more, {need[1]}, {need[2]})")
@@ -250,9 +254,9 @@ def cmd_attack(args) -> int:
     embedding_layout(backbone.embed, len(backbone.pos) - 1)  # ConfigError unless crafted
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = [attack_mod.run_attack(grads, plan, backbone, rho, m)
+    reports = [attack_mod.run_attack(rounds[rho], plan, backbone, rho, m)
                for rho in (range(plan.rounds) if args.round is None else [args.round])]
-    merged = reports[0] if len(reports) == 1 else attack_mod.merge_rounds(reports, plan)
+    merged = attack_mod.merge_rounds(reports, plan)
     rows = [[p.position, p.bin_index, p.round_idx, int(p.valid), p.stat_check]
             for p in merged.patches]
     write_csv(out / "patches.csv",

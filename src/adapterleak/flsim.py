@@ -166,7 +166,7 @@ class RunResult:
     plan: AttackPlan
     backbone: FrozenBackbone
     victim_batch: Batch
-    victim_grads: AdapterSet  # the last round's defended gradients
+    victim_grads: list[AdapterSet]  # every round's defended gradients
     placed: np.ndarray  # (M, N, patch_dim), from oracle.place_patches
     found: np.ndarray  # (M, N) filled slots of placed
     oracle_count_union: int
@@ -262,7 +262,8 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
     stats_mn = oracle.true_statistics(victim_batch, backbone, model_cfg)
     truth = oracle.ground_truth_patches(victim_batch, model_cfg)
 
-    merged: attack_mod.ReconstructionReport | None = None
+    victim_grads: list[AdapterSet] = []
+    reports: list[attack_mod.ReconstructionReport] = []
     logs: list[RoundLog] = []
     for rho in range(fl_cfg.rounds):
         adapters = setup.adapters[rho]
@@ -273,19 +274,17 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
                              fl_cfg.local_epochs, fl_cfg.learning_rate)
         # the defense stream is keyed by round and user, as if every user ran
         key = rho * fl_cfg.users + fl_cfg.victim_index
-        victim_grads = apply_defense(g, defense, defense_rng.spawn(key))
+        victim_grads.append(apply_defense(g, defense, defense_rng.spawn(key)))
         # the attack reads the victim's share alone; aggregating that one
         # share keeps the protocol's aggregation step, which perfbench's
         # traced runs require to be called
-        aggregate([victim_grads])
-        report = attack_mod.run_attack(victim_grads, plan, backbone, rho, m)
-        merged = report if merged is None else attack_mod.merge_rounds(
-            [merged, report], plan)
+        aggregate(victim_grads[-1:])
+        reports.append(attack_mod.run_attack(victim_grads[-1], plan, backbone, rho, m))
+        merged = attack_mod.merge_rounds(reports, plan)
         placed, found = oracle.place_patches(merged, stats_mn, model_cfg.patch_dim)
         score = score_reconstruction(placed, found, truth, model_cfg.P, model_cfg.C)
-        logs.append(RoundLog(report, merged.coverage, score.mean_mse))
+        logs.append(RoundLog(reports[-1], merged.coverage, score.mean_mse))
 
-    assert merged is not None
     return RunResult(
         merged=merged,
         round_logs=logs,

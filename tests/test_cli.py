@@ -8,7 +8,9 @@ import pytest
 from adapterleak.cli import libc_mallopt, load_config, main
 from adapterleak.craft import embedding_layout
 from adapterleak.errors import ConfigError
-from adapterleak.serialize import read_backbone, write_backbone
+from adapterleak.model import AdapterSet
+from adapterleak.serialize import (read_backbone, read_gradients, write_backbone,
+                                   write_gradients)
 
 TINY = """
 [model]
@@ -389,26 +391,25 @@ PIN_ADAPTER_ARCHIVES = {
     "adapters_round2.plta": "e8b54bed2fba0c5c",
     "adapters_round3.plta": "dcd11c0c7d615cb1",
 }
-PIN_GRADIENT_ARCHIVE = "a35c65b8eb10433c"
+PIN_GRADIENT_ARCHIVE = "73bbdf640fece396"
 # sha256 of the gradient archive a desk `run` (one round) writes
 PIN_DESK_GRADIENT_ARCHIVE = "d3eac24fa388120b"
 # sha256 of the other files `run` writes on the rounds shape, and of the
 # offline `attack` outputs per --round and merged over all rounds. They guard
-# refactors that must keep every output byte. The merged offline numbers are
-# known to be wrong (ROADMAP 1(c): `run` writes only the last round's
-# gradients, which the merged attack decodes against every round's grid), so
-# that pin moves on purpose once 1(c) is fixed.
+# refactors that must keep every output byte. `grads.plta` holds every round's
+# gradients, round-major, so each --round decodes its own round and the merged
+# offline coverage equals `run`'s (ROADMAP 1(c), fixed).
 PIN_RUN_OUTPUTS = {
     "rounds.csv": "d620bf803f341377",
     "summary.json": "f79b08a9b3be3e09",
     "plan.json": "f2490e76c2e3efbc",
 }
 PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
-    "0": ("ee97058568eff1fb", "1af13fd1b2d3a234"),
-    "1": ("2d4c2389b8d45e85", "5169e06a8fcfb807"),
-    "2": ("24584b4e0a6099d3", "161e6d3cd9a49b8e"),
+    "0": ("89a652a5edab90b6", "ae39bc145613805d"),
+    "1": ("925f998f7273edf4", "19d5ab17a9f0ff6c"),
+    "2": ("37f823fae71e1128", "cd31a383a2933ef1"),
     "3": ("54c50fa024a5ff13", "189816d0a16ea261"),
-    "merged": ("c95fa7a2c95860f3", "2da8e3c7a5754561"),
+    "merged": ("0a3b019c6fe7d7ed", "19feddfdecd5b3c8"),
 }
 # sha256 of every image `run` writes on the rounds shape: the victim batch and
 # the recovered patches placed back into it.
@@ -501,6 +502,42 @@ class TestArchivesPinned:
         assert (_digest(tmp_path / "atk" / "patches.csv"),
                 _digest(tmp_path / "atk" / "attack_summary.json")) == \
             PIN_OFFLINE_ATTACK[round_idx]
+
+
+class TestOfflineAttackReplaysRun:
+    @pytest.fixture()
+    def rounds_run(self, tmp_path, request):
+        seed = getattr(request, "param", 11)
+        cfg = tmp_path / "rounds.cfg"
+        cfg.write_text(ROUNDS_SHAPE.replace("seed = 11", f"seed = {seed}"))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("rounds_run", [11, 13, 30], indirect=True)
+    def test_merged_coverage_equals_run(self, rounds_run, tmp_path):
+        atk = tmp_path / "atk"
+        assert main(["attack", "--grads", str(rounds_run / "grads.plta"),
+                     "--plan", str(rounds_run / "plan.json"),
+                     "--backbone", str(rounds_run / "backbone.plta"),
+                     "--out", str(atk)]) == 0
+        offline = json.loads((atk / "attack_summary.json").read_text())
+        assert offline["coverage"] == json.loads(
+            (rounds_run / "summary.json").read_text())["coverage"]
+
+    def test_archive_of_the_last_round_only_rejected(self, rounds_run, tmp_path, capsys):
+        # earlier versions of `run` archived only the last round's gradients
+        grads, m = read_gradients(rounds_run / "grads.plta")
+        last = AdapterSet(*(t[-12:] for t in grads.tensors().values()))
+        write_gradients(last, m, tmp_path / "last.plta")
+        atk = tmp_path / "atk"
+        assert main(["attack", "--grads", str(tmp_path / "last.plta"),
+                     "--plan", str(rounds_run / "plan.json"),
+                     "--backbone", str(rounds_run / "backbone.plta"),
+                     "--out", str(atk)]) == 2
+        assert ("gradient archive holds 12 adapters, but 4 round(s) of the backbone's "
+                "12 adapters need 48") in capsys.readouterr().err
+        assert not atk.exists()
 
 
 class TestGradcheckCommand:

@@ -1,12 +1,16 @@
+import contextlib
 import inspect
+import io
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adapterleak import attack as attack_module
-from adapterleak import flsim
+from adapterleak import cli, flsim
 from adapterleak.craft import CraftConfig
 from adapterleak.dataio import synth_batch
 from adapterleak.errors import ConfigError
@@ -297,14 +301,15 @@ class TestSharedSetup:
 
 
 @st.composite
-def _small_experiments(draw):
-    """(SetupArgs, FLConfig, DefenseConfig) of a small crafted experiment."""
+def _small_experiments(draw, rounds=st.integers(1, 3), noise=1e-3):
+    """(SetupArgs, FLConfig, DefenseConfig) of a small crafted experiment,
+    defended by nothing or by relative gaussian noise ``noise``."""
     mc = ModelConfig(D=draw(st.sampled_from([64, 96])), r=draw(st.integers(2, 8)),
                      num_encoders=draw(st.integers(2, 3)))
     s_t = draw(st.integers(1, 2))
     positions = draw(st.lists(st.integers(1, mc.N), min_size=1,
                               max_size=mc.num_adapters // s_t, unique=True))
-    rounds = draw(st.integers(1, 3))
+    rounds = draw(rounds)
     seed = draw(st.integers(0, 2**16))
     args = flsim.SetupArgs(mc, CraftConfig(seed=draw(st.integers(0, 2**16))), seed,
                            rounds, tuple(positions), s_t, public_count=64)
@@ -315,7 +320,7 @@ def _small_experiments(draw):
                         mode=draw(st.sampled_from(["single_step", "fedavg"])), seed=seed)
     defense = draw(st.sampled_from([
         flsim.DefenseConfig(),
-        flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=1e-3)]))
+        flsim.DefenseConfig(kind="gaussian_noise", noise_rel_sigma=noise)]))
     return args, fl, defense
 
 
@@ -326,15 +331,85 @@ class TestBlasThreadsInvariant:
         # ROADMAP item 2: the BLAS thread count never moves a victim's bits
         args, fl, defense = experiment
         setup = flsim.prepare_attack(args)
-        outside = flsim.run_experiment(setup, fl, defense).victim_grads.flat()
+        outside = flsim.run_experiment(setup, fl, defense).victim_grads
         with blas_single_thread():
-            inside = flsim.run_experiment(setup, fl, defense).victim_grads.flat()
-        assert outside.tobytes() == inside.tobytes()
+            inside = flsim.run_experiment(setup, fl, defense).victim_grads
+        assert [g.flat().tobytes() for g in outside] == [g.flat().tobytes() for g in inside]
+
+
+def _patches(report) -> list[tuple]:
+    """Every recovered patch of ``report``, in order, with its pixel bytes."""
+    return [(p.position, p.bin_index, p.round_idx, p.valid, p.stat_check,
+             p.pixels.tobytes()) for p in report.patches]
+
+
+def _config_text(args: flsim.SetupArgs, fl: flsim.FLConfig,
+                 defense: flsim.DefenseConfig) -> str:
+    """A config file that `run` resolves to the experiment (args, fl, defense)."""
+    mc = args.model
+    return (f"[model]\nD = {mc.D}\nr = {mc.r}\nnum_encoders = {mc.num_encoders}\n"
+            f"[craft]\nseed = {args.craft.seed}\n"
+            f"[fl]\nusers = {fl.users}\nbatch_size = {fl.batch_size}\n"
+            f"rounds = {fl.rounds}\nlocal_epochs = {fl.local_epochs}\n"
+            f"victim_index = {fl.victim_index}\nmode = {fl.mode}\nseed = {fl.seed}\n"
+            f"[plan]\npositions = {','.join(map(str, args.positions))}\n"
+            f"adapters_per_position = {args.adapters_per_position}\n"
+            f"[defense]\nkind = {defense.kind}\nnoise_rel_sigma = {defense.noise_rel_sigma}\n"
+            f"[data]\nkind = {args.data_kind}\npublic_count = {args.public_count}\n")
+
+
+class TestOfflineMergeInvariant:
+    # several rounds, and noise small enough to leave patches for the merge
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(experiment=_small_experiments(rounds=st.integers(2, 4), noise=1e-12))
+    def test_offline_merge_equals_run_merge(self, experiment):
+        # ROADMAP item 3: `attack` on the gradient archive `run` writes, sliced
+        # into rounds as `attack` slices it, rebuilds `run`'s merged report
+        args, fl, defense = experiment
+        runs, merges = [], []
+
+        def recording(fn, into):
+            def wrapper(*a, **kw):
+                into.append(fn(*a, **kw))
+                return into[-1]
+            return wrapper
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            cfg = Path(tmp) / "x.cfg"
+            cfg.write_text(_config_text(args, fl, defense))
+            resolved = cli.load_config(cfg)
+            assert (resolved.setup_args(), resolved.fl, resolved.defense) == experiment
+            mp.setattr(cli, "run_experiment", recording(cli.run_experiment, runs))
+            mp.setattr(attack_module, "merge_rounds",
+                       recording(attack_module.merge_rounds, merges))
+            out = Path(tmp) / "run"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+                assert cli.main(["attack", "--grads", str(out / "grads.plta"),
+                                 "--plan", str(out / "plan.json"),
+                                 "--backbone", str(out / "backbone.plta"),
+                                 "--out", str(Path(tmp) / "atk")]) == 0
+        assert _patches(merges[-1]) == _patches(runs[0].merged)
+
+
+class TestOneMergeRule:
+    @pytest.mark.parametrize("seed", [13, 30])
+    def test_merged_is_merge_of_every_round(self, seed):
+        # the perfbench rounds shape, at the two FL seeds where merging each
+        # round into the last merge kept a different set of patches
+        args = flsim.SetupArgs(ModelConfig(r=4), CraftConfig(seed=7), seed, 4,
+                               (1, 2, 3, 4), 3)
+        fl = flsim.FLConfig(users=4, batch_size=16, rounds=4, local_epochs=5,
+                            mode="fedavg", seed=seed)
+        res = flsim.run_experiment(flsim.prepare_attack(args), fl, flsim.DefenseConfig())
+        reports = [log.report for log in res.round_logs]
+        assert _patches(res.merged) == _patches(attack_module.merge_rounds(reports, res.plan))
 
 
 # run_experiment on four users with victim 2, digested once and never to
-# move: the victim's (defended) gradients, merged coverage and score. The
-# victim's noise comes from the defense stream's key rho * users + victim.
+# move: the victim's (defended) last-round gradients, merged coverage and
+# score. The victim's noise comes from the defense stream's key
+# rho * users + victim.
 PIN_RUN_EXPERIMENT = {
     "gaussian_noise": "6bc35bf2e20bad5b",
     "stochastic_quantize": "f94f7033faf4e51a",
@@ -359,7 +434,7 @@ class TestRunExperimentPinned:
         fl = flsim.FLConfig(users=4, batch_size=8, rounds=2, local_epochs=2,
                             victim_index=2, mode="fedavg", seed=5)
         res = flsim.run_experiment(setup, fl, self.DEFENSES[defense])
-        h = hashlib.sha256(np.ascontiguousarray(res.victim_grads.flat()).tobytes())
+        h = hashlib.sha256(np.ascontiguousarray(res.victim_grads[-1].flat()).tobytes())
         h.update(repr((res.merged.coverage, repr(res.score))).encode())
         assert h.hexdigest()[:16] == PIN_RUN_EXPERIMENT[defense]
 
@@ -371,7 +446,8 @@ class TestRunExperimentPinned:
             flsim.DefenseConfig()) for users in (1, 2, 4)]
         first = results[0]
         for res in results[1:]:
-            assert res.victim_grads.flat().tobytes() == first.victim_grads.flat().tobytes()
+            assert [g.flat().tobytes() for g in res.victim_grads] == \
+                [g.flat().tobytes() for g in first.victim_grads]
             assert repr(res.score) == repr(first.score)
             assert res.merged.coverage == first.merged.coverage
 

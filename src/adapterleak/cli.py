@@ -272,6 +272,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (np.isfinite(args.h) and args.h > 0 and np.isfinite(args.tolerance)
+            and args.tolerance >= 0):
+        raise ConfigError(f"--h {args.h} must be finite and above 0, and --tolerance "
+                          f"{args.tolerance} finite and at least 0")
     cfg = load_config(args.config)
     mc = replace(cfg.model, adapter_activation="gelu")  # smooth surface for differencing
     rng = Rng(cfg.craft.seed)

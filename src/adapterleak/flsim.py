@@ -52,6 +52,10 @@ class FLConfig:
             raise ConfigError(f"unknown FL mode {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("need at least one round")
+        if self.local_epochs < 1:
+            raise ConfigError("need at least one local epoch")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,8 @@ CONFIG_ERRORS = {
     "public_0": ("kind = smooth", "kind = smooth\npublic_count = 0",
                  ("craft", "run", "sweep")),
     "fedavg_epochs_0": ("seed = 11", "seed = 11\nmode = fedavg\nlocal_epochs = 0",
-                        ("run", "sweep")),
+                        ("craft", "run", "sweep")),
+    "lr_0": ("seed = 11", "seed = 11\nlearning_rate = 0", ("craft", "run", "sweep")),
     "sweep_batch_0": ("", "", ("sweep",)),  # --values 4,0
 }
 
@@ -543,6 +544,20 @@ class TestOfflineAttackReplaysRun:
 class TestGradcheckCommand:
     def test_tiny_gradcheck_passes(self, tiny_cfg_file):
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--h=0", "--h=-1e-5", "--h=nan", "--h=inf",
+                                      "--tolerance=-1e-6", "--tolerance=nan",
+                                      "--tolerance=inf"])
+    def test_bad_step_or_tolerance_rejected(self, tiny_cfg_file, capsys, monkeypatch,
+                                            flag):
+        import adapterleak.cli as cli
+
+        def no_backbone(*args, **kwargs):
+            raise AssertionError("a backbone was built")
+
+        monkeypatch.setattr(cli, "random_backbone", no_backbone)
+        assert main(["gradcheck", "--config", str(tiny_cfg_file), flag]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_line_reports_central_error(self, tiny_cfg_file, capsys):
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0

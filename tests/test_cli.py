@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,8 @@ PIN_ADAPTER_ARCHIVES = {
     "adapters_round3.plta": "dcd11c0c7d615cb1",
 }
 PIN_GRADIENT_ARCHIVE = "73bbdf640fece396"
+# sha256 of the backbone archive `run` writes on the rounds shape
+PIN_BACKBONE_ARCHIVE = "42ae505129e39d93"
 # sha256 of the gradient archive a desk `run` (one round) writes
 PIN_DESK_GRADIENT_ARCHIVE = "d3eac24fa388120b"
 # sha256 of the other files `run` writes on the rounds shape, and of the
@@ -448,6 +451,9 @@ PIN_RUN_IMAGES = {
     "recovered_014.ppm": "fe1700cf6dc62d9a",
     "recovered_015.ppm": "1ce5c08c9523b753",
 }
+# sha256 of the mosaic `report` writes from those images: it reads every one
+# of them back through load_ppm
+PIN_REPORT_MOSAIC = "e5e36a6d19d61f7a"
 
 
 def _digest(path: Path) -> str:
@@ -477,6 +483,16 @@ class TestArchivesPinned:
 
     def test_run_gradient_archive(self, rounds_run):
         assert _digest(rounds_run / "grads.plta") == PIN_GRADIENT_ARCHIVE
+
+    def test_run_backbone_archive(self, rounds_run):
+        assert _digest(rounds_run / "backbone.plta") == PIN_BACKBONE_ARCHIVE
+
+    def test_report_mosaic(self, rounds_run, tmp_path):
+        # a copy, so the mosaic never lands in the class's shared run
+        copy = tmp_path / "run"
+        shutil.copytree(rounds_run, copy)
+        assert main(["report", "--in", str(copy)]) == 0
+        assert _digest(copy / "mosaic.ppm") == PIN_REPORT_MOSAIC
 
     def test_desk_run_gradient_archive(self, tmp_path):
         out = tmp_path / "desk"

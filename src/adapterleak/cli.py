@@ -60,20 +60,16 @@ _DEFAULTS = {
     },
 }
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
 # Sections that fill one config dataclass each, converted by its field types.
 _DATACLASSES = {"model": ModelConfig, "craft": CraftConfig, "fl": FLConfig,
                 "defense": DefenseConfig}
 
 
 def _convert(section: str, key: str, text: str, kind: type):
-    """``text`` as ``kind`` (int, float, str or bool), else ConfigError."""
+    """``text`` as ``kind`` (int, float or str), else ConfigError."""
     try:
-        return _BOOL[text.strip().lower()] if kind is bool else kind(text)
-    except (KeyError, ValueError):
+        return kind(text)
+    except ValueError:
         raise ConfigError(f"[{section}] {key} = {text!r} is not a valid "
                           f"{kind.__name__}") from None
 
@@ -140,10 +136,10 @@ def _resolve(merged: dict) -> ExperimentConfig:
         raise ConfigError(f"[data] public_count = {public_count}: need at least 2 public images")
 
     lines = []
-    for section in ("model", "craft", "fl", "plan", "defense", "data"):
+    for section, values in merged.items():
         lines.append(f"[{section}]")
-        for key in sorted(merged[section]):
-            lines.append(f"{key} = {merged[section][key]}")
+        for key in sorted(values):
+            lines.append(f"{key} = {values[key]}")
         lines.append("")
     return ExperimentConfig(
         model=model, craft=craft, fl=fl, defense=defense, positions=positions,
@@ -234,6 +230,9 @@ def cmd_attack(args) -> int:
         raise ConfigError(f"--round {args.round} outside the plan's rounds "
                           f"0..{plan.rounds - 1}")
     backbone = read_backbone(args.backbone)
+    if backbone.pos.ndim != 2:
+        raise ConfigError(f"backbone position encodings have shape {backbone.pos.shape}, "
+                          "but need (N + 1, D)")
     a = 2 * len(backbone.encoders)  # adapters per round: one per sublayer
     if len(grads) != plan.rounds * a:
         raise ConfigError(f"gradient archive holds {len(grads)} adapters, but {plan.rounds} "

@@ -503,6 +503,6 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
             if slots != list(range(len(slots))) or g.shape != (plan.rounds, len(slots) * plan.r):
                 raise ValueError(f"position {t}'s slots {slots} are not 0..n-1 or its "
                                  f"grid is not rounds x (n * r)")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise FormatError(f"malformed attack plan: {exc!r}") from None
     return plan

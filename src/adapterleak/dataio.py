@@ -2,7 +2,8 @@
 
 Two normative byte layouts live here:
 
-* P6 binary PPM (maxval 255) for images.
+* P6 binary PPM for images: exactly ``P6\\n<W> <H>\\n255\\n`` (W, H >= 1),
+  then H x W x 3 bytes, row-major RGB.
 * ``PLTA`` archives: a counted sequence of named PLTF tensor records, the
   only place PLTF records occur. A record is magic ``PLTF``, u16 version
   (little-endian), u8 dtype (0 = float64), u8 rank, rank x u64 dims
@@ -14,6 +15,7 @@ All round trips are bit-exact and all parsers reject trailing garbage.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -21,9 +23,6 @@ import numpy as np
 
 from .errors import FormatError
 from .numerics import Rng, as_f64
-
-PPM_MAXVAL = 255
-
 
 def save_ppm(image: np.ndarray, path) -> None:
     """Write a C x H x W uint image (values in [0, 255]) as binary P6."""
@@ -33,39 +32,24 @@ def save_ppm(image: np.ndarray, path) -> None:
     c, h, w = image.shape
     data = np.clip(np.rint(image), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n{PPM_MAXVAL}\n".encode("ascii"))
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.transpose(1, 2, 0).tobytes())
 
 
+# The one header save_ppm writes: W and H >= 1, without leading zeros and at
+# most 18 digits each (int() refuses numbers past 4,300 digits).
+_PPM_HEADER = re.compile(rb"P6\n([1-9][0-9]{0,17}) ([1-9][0-9]{0,17})\n255\n")
+
+
 def load_ppm(path) -> np.ndarray:
-    """Read a binary P6 PPM into a 3 x H x W float array of [0, 255] values."""
+    """Read a P6 PPM as save_ppm writes it into a 3 x H x W float array of
+    [0, 255] values."""
     raw = Path(path).read_bytes()
-    if not raw.startswith(b"P6"):
-        raise FormatError("not a P6 PPM file")
-    # Header: magic, width, height, maxval as whitespace/comment separated tokens.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated PPM header")
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(tok) for tok in fields)
-    except ValueError as exc:
-        raise FormatError("malformed PPM header") from exc
-    if maxval != PPM_MAXVAL:
-        raise FormatError(f"unsupported maxval {maxval}, expected {PPM_MAXVAL}")
-    payload = raw[pos:]
+    header = _PPM_HEADER.match(raw)
+    if header is None:
+        raise FormatError(r"PPM header is not P6\n<W> <H>\n255\n with W, H >= 1")
+    w, h = map(int, header.groups())
+    payload = raw[header.end():]
     if len(payload) != w * h * 3:
         raise FormatError(f"payload size {len(payload)} != {w * h * 3}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)

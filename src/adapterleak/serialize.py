@@ -15,24 +15,16 @@ from .dataio import read_tensor_archive, write_tensor_archive
 from .errors import FormatError
 from .model import AdapterSet, EncoderParams, FrozenBackbone
 
-_ENC_FIELDS = ("ln1_w", "ln1_b", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
-               "w_msa", "ln2_w", "ln2_b", "w_mlp1", "b_mlp1", "w_mlp2", "b_mlp2")
+# Entry names: the backbone's arrays by field name, "num_encoders", then
+# every encoder's arrays as enc<i>_<field>, each in field order.
+_BACKBONE_ARRAYS = [f.name for f in fields(FrozenBackbone) if f.name != "encoders"]
 
 
 def write_backbone(backbone: FrozenBackbone, path) -> None:
-    tensors = {
-        "embed": backbone.embed,
-        "class_token": backbone.class_token,
-        "pos": backbone.pos,
-        "ln_f_w": backbone.ln_f_w,
-        "ln_f_b": backbone.ln_f_b,
-        "w_cls": backbone.w_cls,
-        "b_cls": backbone.b_cls,
-        "num_encoders": np.array(float(len(backbone.encoders))),
-    }
+    tensors = {name: getattr(backbone, name) for name in _BACKBONE_ARRAYS}
+    tensors["num_encoders"] = np.array(float(len(backbone.encoders)))
     for i, enc in enumerate(backbone.encoders):
-        for name in _ENC_FIELDS:
-            tensors[f"enc{i}_{name}"] = getattr(enc, name)
+        tensors.update((f"enc{i}_{f.name}", getattr(enc, f.name)) for f in fields(enc))
     write_tensor_archive(tensors, path)
 
 
@@ -62,16 +54,9 @@ def _adapter_tensors(t: dict, kind: str) -> AdapterSet:
 def read_backbone(path) -> FrozenBackbone:
     t = read_tensor_archive(path)
     try:
-        n_enc = _count(t, "num_encoders", 0)
-        encoders = [
-            EncoderParams(**{name: t[f"enc{i}_{name}"] for name in _ENC_FIELDS})
-            for i in range(n_enc)
-        ]
-        return FrozenBackbone(
-            embed=t["embed"], class_token=t["class_token"], pos=t["pos"],
-            encoders=encoders, ln_f_w=t["ln_f_w"], ln_f_b=t["ln_f_b"],
-            w_cls=t["w_cls"], b_cls=t["b_cls"],
-        )
+        encoders = [EncoderParams(**{f.name: t[f"enc{i}_{f.name}"] for f in fields(EncoderParams)})
+                    for i in range(_count(t, "num_encoders", 0))]
+        return FrozenBackbone(encoders=encoders, **{name: t[name] for name in _BACKBONE_ARRAYS})
     except KeyError as exc:
         raise FormatError(f"backbone archive missing entry {exc}") from exc
 

@@ -8,6 +8,7 @@ import pytest
 
 from adapterleak.cli import libc_mallopt, load_config, main
 from adapterleak.craft import embedding_layout
+from adapterleak.dataio import read_tensor_archive, write_tensor_archive
 from adapterleak.errors import ConfigError
 from adapterleak.model import AdapterSet
 from adapterleak.serialize import (read_backbone, read_gradients, write_backbone,
@@ -313,18 +314,24 @@ class TestAttackCommand:
         for name in ("patches.csv", "attack_summary.json"):
             assert (outs["edited"] / name).read_bytes() == (outs["own"] / name).read_bytes()
 
-    @pytest.mark.parametrize("case", ["pixel_read_twice", "embed_d64"])
+    @pytest.mark.parametrize("case", ["pixel_read_twice", "embed_d64", "pos_1d"])
     def test_embedding_not_crafted_rejected(self, tmp_path, capsys, case):
         # the desk run's backbone with an embedding that reads pixel 0 into
-        # two rows, or with the 64-row embedding of a D = 64 backbone
+        # two rows, with the 64-row embedding of a D = 64 backbone, or with
+        # position encodings that are not (N + 1, D)
         desk = tmp_path / "desk"
         assert main(["run", "--config", str(DESK_CFG_FILE), "--out", str(desk)]) == 0
-        backbone = read_backbone(desk / "backbone.plta")
-        if case == "pixel_read_twice":
-            backbone.embed[60, 0] = 0.5
+        if case == "pos_1d":
+            tensors = read_tensor_archive(desk / "backbone.plta")
+            tensors["pos"] = np.zeros(5)
+            write_tensor_archive(tensors, tmp_path / "backbone.plta")
         else:
-            backbone.embed = backbone.embed[:64]
-        write_backbone(backbone, tmp_path / "backbone.plta")
+            backbone = read_backbone(desk / "backbone.plta")
+            if case == "pixel_read_twice":
+                backbone.embed[60, 0] = 0.5
+            else:
+                backbone.embed = backbone.embed[:64]
+            write_backbone(backbone, tmp_path / "backbone.plta")
         atk_out = tmp_path / "atk"
         rc = main(["attack", "--grads", str(desk / "grads.plta"),
                    "--plan", str(desk / "plan.json"),
@@ -334,6 +341,7 @@ class TestAttackCommand:
             "pixel_read_twice": "the embedding is not a crafted one: pixel 0 feeds 2 rows",
             "embed_d64": "backbone embedding has shape (64, 48), but its position "
                          "encodings need (D, patch_dim) with D = 96",
+            "pos_1d": "backbone position encodings have shape (5,), but need (N + 1, D)",
         }[case] in capsys.readouterr().err
         assert not atk_out.exists()
 

@@ -335,13 +335,14 @@ class TestAttackPlan:
         lambda obj: {**obj, "thresholds": {t: g for t, g in obj["thresholds"].items()
                                            if t != "4"}},
         lambda obj: {**obj, "assignments": [a for a in obj["assignments"] if a[1] != 4]},
+        lambda obj: "[" * 100_000,
     ], ids=["not_json", "not_utf8", "empty_object", "top_level_list", "missing_key",
             "assignments_int", "assignment_short", "rounds_string",
             "rounds_disagree_with_grids", "grid_wider_than_adapters",
             "thresholds_list", "threshold_key_text", "stats_sigma_null",
             "slot_gap", "adapter_negative",
             "adapter_repeated", "assigned_position_without_grid",
-            "grid_without_assignments"])
+            "grid_without_assignments", "too_deep"])
     def test_malformed_json_raises_format_error(self, planned, edit):
         *_, plan, _ = planned
         bad = edit(json.loads(cr.plan_to_json(plan)))

@@ -265,6 +265,38 @@ _tensors = st.dictionaries(
 )
 
 
+# P6 headers with any width and height text (negative, zero, oversized, past
+# int()'s digit limit), any maxval and a tail of random bytes or of exactly
+# |W * H| * 3 bytes.
+_ppm_dim = st.one_of(st.integers(-3, 4).map(str), st.integers(-2**70, 2**70).map(str),
+                     st.sampled_from(["9" * 30, "1" * 5000, "01", "+1"]))
+
+
+@st.composite
+def _ppm_like(draw):
+    w, h = draw(_ppm_dim), draw(_ppm_dim)
+    maxval = draw(st.sampled_from(["255", "256", "0", "65535", "-1"]))
+    header = f"P6\n{w} {h}\n{maxval}\n".encode()
+    tail = st.binary(max_size=48)
+    if len(w) + len(h) < 40 and abs(int(w) * int(h)) <= 64:
+        tail = st.one_of(tail, st.just(b"\x7f" * (3 * abs(int(w) * int(h)))))
+    return header + draw(tail), w, h
+
+
+class TestPpmProperties:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_ppm_like())
+    def test_header_parses_or_format_error(self, case, tmp_path_factory):
+        raw, w, h = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
+        path.write_bytes(raw)
+        try:
+            img = dataio.load_ppm(path)
+        except FormatError:
+            return
+        assert img.shape == (3, int(h), int(w))
+
+
 class TestArchiveProperties:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(raw=_archive_like)

@@ -22,7 +22,7 @@ import numpy as np
 from . import attack as attack_mod
 from .craft import CraftConfig, embedding_layout, plan_from_json, plan_to_json
 from .dataio import denormalize, load_ppm, save_ppm, synth_batch
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
                     prepare_attack, prepare_attacks, run_experiment)
 from .grad import finite_diff_check, parallel_map, thread_count
@@ -35,8 +35,7 @@ from .serialize import (read_backbone, read_gradients, write_adapters,
 _DEFAULTS = {
     "model": {
         "D": "96", "L": "4", "num_encoders": "6", "P": "4", "C": "3",
-        "H": "8", "W": "8", "r": "8", "num_classes": "10",
-        "adapter_activation": "relu", "head_mode": "mean_pool",
+        "H": "8", "W": "8", "r": "8", "num_classes": "10", "head_mode": "mean_pool",
     },
     "craft": {
         "sigma_pos": "10.0", "pos_dist": "gaussian", "gamma": "1e4",
@@ -276,13 +275,12 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--h {args.h} must be finite and above 0, and --tolerance "
                           f"{args.tolerance} finite and at least 0")
     cfg = load_config(args.config)
-    mc = replace(cfg.model, adapter_activation="gelu")  # smooth surface for differencing
     rng = Rng(cfg.craft.seed)
-    backbone = random_backbone(mc, rng.spawn(1))
-    adapters = AdapterSet.random(mc, rng.spawn(2), scale=0.2)
-    batch = synth_batch(cfg.fl.batch_size, mc, seed=cfg.fl.seed,
+    backbone = random_backbone(cfg.model, rng.spawn(1))
+    adapters = AdapterSet.random(cfg.model, rng.spawn(2), scale=0.2)
+    batch = synth_batch(cfg.fl.batch_size, cfg.model, seed=cfg.fl.seed,
                         kind="uniform")
-    report = finite_diff_check(backbone, adapters, batch, mc,
+    report = finite_diff_check(backbone, adapters, batch, cfg.model,
                                h=args.h, tolerance=args.tolerance)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max rel err {fmt(report.max_rel_err)} "
@@ -358,20 +356,29 @@ def cmd_report(args) -> int:
     summary_path = src / "summary.json"
     if not summary_path.exists():
         raise ConfigError(f"no summary.json under {src}")
-    summary = json.loads(summary_path.read_text())
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{summary_path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise FormatError(f"{summary_path} holds no JSON object")
+    rows, size = [], None  # truth_i | recovered_i by index i, all of one size
+    for i in sorted({p.name.split("_", 1)[1] for p in src.glob("*_*.ppm")
+                     if p.name.startswith(("truth_", "recovered_"))}):
+        pair = (src / f"truth_{i}", src / f"recovered_{i}")
+        images = [load_ppm(p) for p in pair if p.exists()]
+        size = size or images[0].shape
+        if len(images) < 2 or not images[0].shape == images[1].shape == size:
+            raise FormatError(f"{pair[0]} and {pair[1]} are not a pair of "
+                              f"{size[2]}x{size[1]} images")
+        rows.append(np.concatenate(images, axis=2))
     print("run summary")
     for key in ("config_hash", "coverage", "matched_patches",
                 "oracle_isolated_union", "mean_mse", "mean_ssim",
                 "recovery_rate"):
         print(f"  {key}: {summary.get(key)}")
-    truth = sorted(src.glob("truth_*.ppm"))
-    rec = sorted(src.glob("recovered_*.ppm"))
-    if truth and rec:
-        pairs = list(zip(truth, rec))
-        imgs = [np.concatenate([load_ppm(a), load_ppm(b)], axis=2)
-                for a, b in pairs]
-        mosaic = np.concatenate(imgs, axis=1)
-        save_ppm(mosaic, src / "mosaic.ppm")
+    if rows:
+        save_ppm(np.concatenate(rows, axis=1), src / "mosaic.ppm")
         print(f"  mosaic (truth | recovered): {src / 'mosaic.ppm'}")
     return 0
 

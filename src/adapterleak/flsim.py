@@ -235,10 +235,6 @@ def prepare_attacks(distinct: list[SetupArgs], workers: int) -> dict[SetupArgs, 
 
 def _setup_on(backbone: FrozenBackbone, args: SetupArgs) -> AttackSetup:
     mc, cc = args.model, args.craft
-    if mc.adapter_activation != "relu":
-        raise ConfigError(
-            f"adapter_activation = {mc.adapter_activation}: the attack reads bias-gradient "
-            f"differences of ReLU-gated adapter neurons, which only relu adapters have")
     public = synth_batch(args.public_count, mc,
                          seed=int(_data_rng(args.seed).spawn(0).seed),
                          kind=args.data_kind)

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import (AdapterSet, ForwardCache, FrozenBackbone, ModelConfig, _dot,
                     adapter_forward, cross_entropy, forward, layer_normalize)
-from .numerics import gelu, gelu_grad, normal_cdf, relu, relu_grad, softmax_rows
+from .numerics import _PHI_SATURATION, gelu_grad, normal_cdf, relu, softmax_rows
 
 
 def thread_count() -> int:
@@ -197,7 +197,6 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
 
     m = cache.probs.shape[0]
     grads = AdapterSet.zeros(cfg)
-    act_grad = relu_grad if cfg.adapter_activation == "relu" else gelu_grad
 
     # d(mean CE)/d(logits) = (softmax - onehot) / M
     d_logits = cache.probs.copy()
@@ -221,7 +220,7 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         grads.b_up[s] += d_a_out.sum(axis=(0, 1))
         grads.w_up[s] += np.einsum("mtr,mtd->rd", a_cache["act"], d_a_out).T
         d_act = d_a_out @ adapters.w_up[s]  # per image: flat rounds differently at r=2
-        d_v = d_act * act_grad(a_cache["v"])
+        d_v = d_act * (a_cache["v"] > 0.0)  # relu'
         grads.b_down[s] += d_v.sum(axis=(0, 1))
         grads.w_down[s] += np.einsum("mtr,mtd->rd", d_v, a_cache["input"])
         if s == 0:
@@ -264,7 +263,7 @@ class _MlpPlan:
         d = enc.w_mlp1.shape[1]
         z_max = np.sqrt(d) * np.abs(enc.ln2_w).max() + np.linalg.norm(enc.ln2_b)
         row_norms = np.linalg.norm(enc.w_mlp1, axis=1)
-        sat = enc.b_mlp1 - row_norms * z_max >= 9.0 + 1e-9
+        sat = enc.b_mlp1 - row_norms * z_max >= _PHI_SATURATION + 1e-9
         self.live = np.flatnonzero(~sat)
         w, b = enc.ln2_w, enc.ln2_b
         if sat.any():
@@ -349,7 +348,7 @@ def _suffix_losses(tokens: np.ndarray, start_sub: int, plans: list,
                 pre += plan.b1_live
                 pre *= normal_cdf(pre)  # gelu; Phi is exactly 1.0 where it saturates
                 core += pre @ plan.w2_live_t
-        tok2 += adapter_forward(core, adapters, s, cfg.adapter_activation)[0]
+        tok2 += adapter_forward(core, adapters, s)[0]
     zf = layer_normalize(tok2)[0].reshape(B, T, D)
     pooled = zf.mean(axis=-2) if cfg.head_mode == "mean_pool" else zf[:, 0, :]
     head = plans[-1]
@@ -362,11 +361,10 @@ def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterSet:
     """True where a +h or -h step of the parameter changes the adapter output.
 
     A ``w_down[j, d]`` or ``b_down[j]`` step moves it only where it changes
-    act(v_j), a ``w_up[d, j]`` step only where act_j != 0, a ``b_up`` step
+    relu(v_j), a ``w_up[d, j]`` step only where act_j != 0, a ``b_up`` step
     always. Everywhere else both perturbed suffix inputs equal the base bit
     for bit, so the central difference is exactly 0.
     """
-    act_fn = relu if cfg.adapter_activation == "relu" else gelu
     zeros = AdapterSet.zeros(cfg)
     moved = AdapterSet.from_flat(zeros.flat() != 0, zeros)
     moved.b_up[:] = True
@@ -375,14 +373,14 @@ def _moved(cache: ForwardCache, cfg: ModelConfig, h: float) -> AdapterSet:
         v, act = a_cache["v"][..., None], a_cache["act"][..., None]  # (M, T, r, 1)
         bump = a_cache["input"][..., None, :]  # (M, T, 1, D)
         for s in (h, -h):
-            moved.w_down[a] |= (act_fn(v + s * bump) != act).any(axis=(0, 1))
-            moved.b_down[a] |= (act_fn(v[..., 0] + s) != act[..., 0]).any(axis=(0, 1))
+            moved.w_down[a] |= (relu(v + s * bump) != act).any(axis=(0, 1))
+            moved.b_down[a] |= (relu(v[..., 0] + s) != act[..., 0]).any(axis=(0, 1))
         moved.w_up[a] = (act[..., 0] != 0).any(axis=(0, 1))
     return moved
 
 
 def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
-                    base_out: np.ndarray, w_up: np.ndarray, act_fn) -> np.ndarray:
+                    base_out: np.ndarray, w_up: np.ndarray) -> np.ndarray:
     """(2n, M, T, D) adapter outputs for +h then -h single-entry perturbations.
 
     Uses the bottleneck structure: a perturbed output is the cached base
@@ -401,7 +399,7 @@ def _build_variants(kind: str, idx: np.ndarray, h: float, a_cache: dict,
             j = j_arr[i]
             bump = inp[..., d_arr[i]] if d_arr is not None else 1.0
             for s_i, s in enumerate(signs):
-                delta = act_fn(v[..., j] + s * bump) - act[..., j]
+                delta = relu(v[..., j] + s * bump) - act[..., j]
                 out[i + s_i * n] += delta[..., None] * w_up[:, j]
     elif kind == "w_up":
         d_arr, j_arr = np.divmod(idx, w_up.shape[1])
@@ -436,7 +434,6 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
     encs = backbone.encoders
     plans = [_MlpPlan(encs[s // 2]) if s % 2 else _MsaPlan(encs[s // 2])
              for s in range(cfg.num_adapters)] + [_HeadPlan(backbone)]
-    act_fn = relu if cfg.adapter_activation == "relu" else gelu
     labels = cache.final["labels"]
     m = len(labels)
 
@@ -451,7 +448,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
         a, kind, idx = job
         sub = cache.sublayers[a]
         variants = _build_variants(kind, idx, h, sub["adapter"], sub["a_out"],
-                                   adapters.w_up[a], act_fn)
+                                   adapters.w_up[a])
         variants += sub["u"]  # residual source is the sublayer input
         flat = variants.reshape(-1, *variants.shape[-2:])
         labels_tiled = np.tile(labels, flat.shape[0] // m)

@@ -58,7 +58,6 @@ class ModelConfig:
     W: int = 8
     r: int = 8
     num_classes: int = 10
-    adapter_activation: str = "relu"
     head_mode: str = "mean_pool"
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class ModelConfig:
             raise ConfigError(f"adapter bottleneck r={self.r} must be >= 2")
         if self.N < 1:
             raise ConfigError("need at least one patch")
-        if self.adapter_activation not in ("relu", "gelu"):
-            raise ConfigError(f"unknown adapter activation {self.adapter_activation!r}")
         if self.head_mode not in ("mean_pool", "class_token"):
             raise ConfigError(f"unknown head mode {self.head_mode!r}")
 
@@ -328,13 +325,11 @@ def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return xhat * w + b, {"xhat": xhat, "inv_sd": inv_sd, "w": w}
 
 
-def adapter_forward(tokens: np.ndarray, adapters: AdapterSet, s: int,
-                    activation: str = "relu"):
-    """Bottleneck adapter s with internal skip: in + W_up act(W_down in + b) + b_up."""
-    act_fn = relu if activation == "relu" else gelu
+def adapter_forward(tokens: np.ndarray, adapters: AdapterSet, s: int):
+    """Bottleneck adapter s with internal skip: in + W_up relu(W_down in + b) + b_up."""
     v = _dot(tokens, adapters.w_down[s].T)
     v += adapters.b_down[s]
-    act = act_fn(v)
+    act = relu(v)
     out = _dot(act, adapters.w_up[s].T)
     out += tokens  # addition commutes: the bits of tokens + W_up act
     out += adapters.b_up[s]
@@ -413,7 +408,7 @@ def _run_sublayer(tokens, s, backbone, adapters, cfg, record):
         core, core_cache = msa_forward(z, enc, cfg.D_h)
     else:
         core, core_cache = _mlp_forward(z, enc)
-    a_out, a_cache = adapter_forward(core, adapters, s, cfg.adapter_activation)
+    a_out, a_cache = adapter_forward(core, adapters, s)
     record.append({
         "u": tokens, "ln": ln_cache, "z": z, "is_msa": is_msa,
         "core": core_cache, "adapter": a_cache, "a_out": a_out,

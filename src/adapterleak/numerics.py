@@ -82,10 +82,6 @@ def relu(x) -> np.ndarray:
     return np.maximum(as_f64(x), 0.0)
 
 
-def relu_grad(x) -> np.ndarray:
-    return (as_f64(x) > 0.0).astype(np.float64)
-
-
 # Coefficients of Acklam's rational approximation to the standard normal
 # quantile (abs error ~1e-9 before refinement).
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,

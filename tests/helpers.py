@@ -1,5 +1,7 @@
 """Helpers shared by test modules."""
 
+import numpy as np
+
 from adapterleak.dataio import read_tensor_archive
 from adapterleak.errors import ShapeError
 from adapterleak.metrics import _ssim_batch
@@ -24,3 +26,17 @@ def read_adapters(path) -> AdapterSet:
     """The adapter set of an archive that ``serialize.write_adapters`` wrote,
     checked by the same validation as the gradient reader."""
     return _adapter_tensors(read_tensor_archive(path), "adapter")
+
+
+def kink_margin(cache) -> float:
+    """Smallest |v| / max(1, max |x|) over every adapter unit and token of a
+    forward cache, with v a unit's pre-activation and x the adapter input.
+
+    A step h of one ``w_down`` or ``b_down`` entry moves v by at most h times
+    the denominator, so while this exceeds 2 h, the central differences at h
+    and the 5-point stencil's at 2 h keep the stepped unit on one linear
+    piece of its ReLU, where they are exact.
+    """
+    return min(float((np.abs(a["v"]) / np.maximum(
+        1.0, np.abs(a["input"]).max(axis=-1, keepdims=True))).min())
+        for a in (sub["adapter"] for sub in cache.sublayers))

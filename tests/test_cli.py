@@ -8,11 +8,13 @@ import pytest
 
 from adapterleak.cli import libc_mallopt, load_config, main
 from adapterleak.craft import embedding_layout
-from adapterleak.dataio import read_tensor_archive, write_tensor_archive
+from adapterleak.dataio import (load_ppm, read_tensor_archive, save_ppm,
+                               write_tensor_archive)
 from adapterleak.errors import ConfigError
-from adapterleak.model import AdapterSet
+from adapterleak.model import AdapterSet, forward
 from adapterleak.serialize import (read_backbone, read_gradients, write_backbone,
                                    write_gradients)
+from helpers import kink_margin
 
 TINY = """
 [model]
@@ -111,6 +113,7 @@ class TestConfigParsing:
 # case -> (desk.cfg text, its replacement, commands that reject it): each is a
 # ConfigError raised in config validation, setup or the experiment itself
 CONFIG_ERRORS = {
+    # adapters are ReLU only: adapter_activation is an unknown key
     "gelu": ("num_classes = 10", "num_classes = 10\nadapter_activation = gelu",
              ("craft", "run", "sweep")),
     "over_budget": ("num_encoders = 6", "num_encoders = 1", ("craft", "run", "sweep")),
@@ -149,19 +152,6 @@ class TestRunCommand:
         assert set(summary) >= {"config_hash", "rounds", "coverage", "mean_mse",
                                 "mean_ssim"}
 
-    @pytest.mark.parametrize("command", ["craft", "run", "sweep"])
-    def test_gelu_adapters_rejected(self, tmp_path, capsys, command):
-        # the attack reads bias gradients of ReLU-gated neurons; GELU
-        # adapters would make every experiment recover nothing, silently
-        cfg = tmp_path / "gelu.cfg"
-        cfg.write_text(DESK_CFG_FILE.read_text().replace(
-            "num_classes = 10", "num_classes = 10\nadapter_activation = gelu"))
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
-        if command == "sweep":
-            argv += ["--vary", "batch", "--values", "4"]
-        assert main(argv) == 2
-        assert "adapter_activation = gelu" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,case", [
         (command, case) for case, (_, _, commands) in CONFIG_ERRORS.items()
         for command in commands])
@@ -175,7 +165,10 @@ class TestRunCommand:
         if command == "sweep":
             argv += ["--vary", "batch", "--values", "4,0" if case == "sweep_batch_0" else "4"]
         assert main(argv) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if case == "gelu":
+            assert "unknown key 'adapter_activation' in section [model]" in err
         assert not out.exists()
 
     def test_report_command(self, tiny_cfg_file, tmp_path):
@@ -183,6 +176,56 @@ class TestRunCommand:
         main(["run", "--config", str(tiny_cfg_file), "--out", str(out)])
         assert main(["report", "--in", str(out)]) == 0
         assert (out / "mosaic.ppm").exists()
+
+
+def report_dir(path: Path, sizes: dict[str, int], summary: bytes = b"{}") -> Path:
+    """A run directory holding ``summary`` and one square PPM of each given
+    side per file name, every image a distinct constant colour."""
+    path.mkdir()
+    (path / "summary.json").write_bytes(summary)
+    for k, (name, side) in enumerate(sizes.items()):
+        save_ppm(np.full((3, side, side), 10.0 * k), path / name)
+    return path
+
+
+class TestReportCommand:
+    def test_pairs_images_by_index(self, tmp_path, capsys):
+        names = [f"{kind}_{i:03d}.ppm" for i in range(3) for kind in ("truth", "recovered")]
+        src = report_dir(tmp_path / "run", dict.fromkeys(names, 4))
+        assert main(["report", "--in", str(src)]) == 0
+        mosaic = load_ppm(src / "mosaic.ppm")
+        for i in range(3):
+            for half, kind in enumerate(("truth", "recovered")):
+                tile = mosaic[:, 4 * i:4 * i + 4, 4 * half:4 * half + 4]
+                assert np.array_equal(tile, load_ppm(src / f"{kind}_{i:03d}.ppm"))
+        # a missing partner is named, not paired with the next image
+        (src / "recovered_001.ppm").unlink()
+        (src / "mosaic.ppm").unlink()
+        capsys.readouterr()
+        assert main(["report", "--in", str(src)]) == 3
+        out, err = capsys.readouterr()
+        assert f"{src / 'truth_001.ppm'} and {src / 'recovered_001.ppm'}" in err
+        assert out == "" and not (src / "mosaic.ppm").exists()
+
+    @pytest.mark.parametrize("sides,bad", [((8, 4), "000"), ((8, 8, 4, 4), "001")],
+                             ids=["in_pair", "across_pairs"])
+    def test_pair_of_other_sizes_rejected(self, tmp_path, capsys, sides, bad):
+        names = [f"{kind}_{i:03d}.ppm" for i in range(2) for kind in ("truth", "recovered")]
+        src = report_dir(tmp_path / "run", dict(zip(names, sides)))
+        assert main(["report", "--in", str(src)]) == 3
+        out, err = capsys.readouterr()
+        assert f"{src / f'truth_{bad}.ppm'} and {src / f'recovered_{bad}.ppm'}" in err
+        assert out == "" and not (src / "mosaic.ppm").exists()
+
+    @pytest.mark.parametrize("summary", [b"\xff{}", b"{", b"[1]", b"[" * 100_000],
+                             ids=["not_utf8", "truncated", "list", "too_deep"])
+    def test_bad_summary_rejected_before_printing(self, tmp_path, capsys, summary):
+        src = report_dir(tmp_path / "run", {"truth_000.ppm": 4, "recovered_000.ppm": 4},
+                         summary)
+        assert main(["report", "--in", str(src)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {src / 'summary.json'} ")
 
 
 class TestHeapPolicy:
@@ -410,10 +453,11 @@ PIN_DESK_GRADIENT_ARCHIVE = "d3eac24fa388120b"
 # offline `attack` outputs per --round and merged over all rounds. They guard
 # refactors that must keep every output byte. `grads.plta` holds every round's
 # gradients, round-major, so each --round decodes its own round and the merged
-# offline coverage equals `run`'s (ROADMAP 1(c), fixed).
+# offline coverage equals `run`'s (ROADMAP 1(c), fixed). summary.json's
+# config_hash moved when `[model] adapter_activation` left resolved.cfg.
 PIN_RUN_OUTPUTS = {
     "rounds.csv": "d620bf803f341377",
-    "summary.json": "f79b08a9b3be3e09",
+    "summary.json": "681dc2da41545b28",
     "plan.json": "f2490e76c2e3efbc",
 }
 PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
@@ -582,6 +626,47 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli, "random_backbone", no_backbone)
         assert main(["gradcheck", "--config", str(tiny_cfg_file), flag]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_checks_the_resolved_model(self, tiny_cfg_file, monkeypatch):
+        # the oracle differentiates the ReLU adapters every attack runs
+        import adapterleak.cli as cli
+
+        seen = []
+        real = cli.finite_diff_check
+
+        def spy(backbone, adapters, batch, cfg, **kwargs):
+            seen.append(cfg)
+            return real(backbone, adapters, batch, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "finite_diff_check", spy)
+        assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0
+        assert seen == [load_config(tiny_cfg_file).model]
+
+    def test_desk_and_benchmark_inputs_clear_the_kinks(self, tmp_path, monkeypatch):
+        # central differences are exact on each linear piece of a ReLU: on
+        # the desk check (M = 16) and the benchmark's (M = 4 at fl seeds
+        # 11 + 100003 s, and M = 1 with craft seed 7 + s, s = 1..10), no
+        # step of h or 2h moves an adapter unit across its kink
+        import adapterleak.cli as cli
+
+        margins = []
+
+        def margin_only(backbone, adapters, batch, cfg, h, **kwargs):
+            margins.append(kink_margin(forward(batch, backbone, adapters, cfg)[2]) / h)
+            raise RuntimeError("margin taken")
+
+        monkeypatch.setattr(cli, "finite_diff_check", margin_only)
+        desk = DESK_CFG_FILE.read_text()
+        texts = [desk]
+        for s in range(1, 11):
+            text = desk.replace("seed = 11", f"seed = {11 + 100_003 * s}")
+            texts += [text.replace("batch_size = 16", "batch_size = 4"),
+                      text.replace("batch_size = 16", "batch_size = 1")
+                          .replace("seed = 7", f"seed = {7 + s}")]
+        for k, text in enumerate(texts):
+            (tmp_path / f"{k}.cfg").write_text(text)
+            assert main(["gradcheck", "--config", str(tmp_path / f"{k}.cfg")]) == 3
+        assert len(margins) == 21 and min(margins) > 2.0
 
     def test_line_reports_central_error(self, tiny_cfg_file, capsys):
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0

@@ -23,7 +23,7 @@ DESK = ModelConfig()
 
 def tiny_cfg():
     return ModelConfig(D=16, L=2, num_encoders=2, P=4, C=3, H=8, W=8, r=4,
-                       num_classes=5, adapter_activation="gelu")
+                       num_classes=5)
 
 
 @pytest.fixture(scope="module")
@@ -476,16 +476,14 @@ class TestRunExperimentPinned:
 # setup's round 0 (relu, r=8, M=16), "rounds_fedavg" is local_fedavg on the
 # perfbench rounds shape (r=4, round 1, 5 epochs, lr 1e-4), "d64_class" a
 # crafted D=64, L=2 (D_h=32), r=2 class-token setup's round 1 under 2 FedAvg
-# epochs, "gelu_class" a random backbone with GELU adapters and the
-# class-token head, "relu_class" the same with ReLU adapters, "mixed_mlp" a
-# random backbone whose encoders 0, 3 and 4 have every MLP unit saturated
-# while the other encoders keep live units.
+# epochs, "relu_class" a random backbone with the class-token head,
+# "mixed_mlp" a random backbone whose encoders 0, 3 and 4 have every MLP unit
+# saturated while the other encoders keep live units.
 MIXED_SATURATED = (0, 3, 4)
 PIN_LOCAL_STEP = {
     "d64_class": ("6fe69a02ed406eab", "69870034091fd832", "52cb00de1248a31f"),
     "desk": ("fadcb1614e2e6cb5", "93d3139ffa2e18f7", "7e85b74e59d378c6"),
     "rounds_fedavg": ("6a42e50c1935cf9a", "95a652ed25406166", "6f149652e927db28"),
-    "gelu_class": ("142b8ca1d98e1c24", "aaa88e6a259e31ab", "01d7993e8d08337d"),
     "relu_class": ("b9dcaca766851ae9", "0ab93b2efa0148f7", "70a25ffd454fb65e"),
     "mixed_mlp": ("359cc336b192556a", "097478d85597dc53", "7636d017b7c3bdbc"),
 }
@@ -510,8 +508,8 @@ def mixed_backbone(mc: ModelConfig, rng: Rng):
 
 
 def _pinned_local_step(case: str) -> tuple[str, str, str]:
-    if case in ("gelu_class", "relu_class"):
-        mc = ModelConfig(adapter_activation=case[:4], head_mode="class_token")
+    if case == "relu_class":
+        mc = ModelConfig(head_mode="class_token")
         bb = random_backbone(mc, Rng(21))
         ads = AdapterSet.random(mc, Rng(22), scale=0.1)
         batch = synth_batch(6, mc, seed=23, kind="uniform")

@@ -15,11 +15,12 @@ from adapterleak.model import (AdapterSet, ForwardCache, ModelConfig, cross_entr
                                forward, random_backbone)
 from adapterleak.numerics import Rng
 from adapterleak.stats import estimate_patch_stats
+from helpers import kink_margin
 
 
 def tiny_cfg(**kw):
     base = dict(D=16, L=2, num_encoders=2, P=4, C=3, H=8, W=8, r=4,
-                num_classes=5, adapter_activation="gelu")
+                num_classes=5)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -41,8 +42,8 @@ class TestBackward:
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     @pytest.mark.parametrize("kw", [
-        dict(head_mode="class_token"), dict(adapter_activation="relu"), dict(L=4),
-        dict(L=8, adapter_activation="relu", head_mode="class_token")],
+        dict(head_mode="class_token"), dict(), dict(L=4),
+        dict(L=8, head_mode="class_token")],
         ids=["class_token", "relu", "4_heads", "8_heads_relu_class_token"])
     def test_variant_matches_central_differences(self, kw):
         cfg = tiny_cfg(**kw)
@@ -53,9 +54,8 @@ class TestBackward:
                                    tolerance=1e-6, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
-    @pytest.mark.parametrize("activation", ["relu", "gelu"])
-    def test_mixed_saturated_and_live_mlps_match_central_differences(self, activation):
-        cfg = tiny_cfg(num_encoders=3, adapter_activation=activation)
+    def test_mixed_saturated_and_live_mlps_match_central_differences(self):
+        cfg = tiny_cfg(num_encoders=3)
         bb = random_backbone(cfg, Rng(41))
         bb.encoders[1].b_mlp1 = np.maximum(bb.encoders[1].b_mlp1, 30.0)
         ads = AdapterSet.random(cfg, Rng(42), scale=0.2)
@@ -84,7 +84,7 @@ class TestBackward:
         assert calls == {"_msa_backward": 5, "_ln_backward": 12}
 
     def test_relu_gate_zeroes_dead_neurons(self):
-        cfg = tiny_cfg(adapter_activation="relu")
+        cfg = tiny_cfg()
         bb = random_backbone(cfg, Rng(9))
         ads = AdapterSet.random(cfg, Rng(10), scale=0.2)
         # force neuron 0 of adapter 1 to never fire
@@ -98,7 +98,7 @@ class TestBackward:
         assert g.b_down[1][0] == 0.0
 
     def test_nonzero_bias_grad_implies_some_activation(self):
-        cfg = tiny_cfg(adapter_activation="relu")
+        cfg = tiny_cfg()
         bb = random_backbone(cfg, Rng(11))
         ads = AdapterSet.random(cfg, Rng(12), scale=0.2)
         batch = synth_batch(3, cfg, seed=5)
@@ -177,19 +177,26 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_crafted_parameters_tiny_config(self):
-        # desk-dim architecture at reduced width; crafted gradients sit at
-        # ~1e-11, so the floor guards the unverifiable ones
+        # desk-dim architecture at reduced width. Crafted adapters put ReLU
+        # units on their kink (v = 0 in the unassigned adapters, |v| ~ 1e-6
+        # in the gating ones), where a +-h step changes the slope: the
+        # oracle must report that as a FAIL, not pass it. Adapters off the
+        # kinks pass on the same crafted backbone.
         cfg = ModelConfig(D=32, L=2, num_encoders=2, P=2, C=3, H=4, W=4, r=4,
-                          num_classes=5, adapter_activation="gelu")
+                          num_classes=5)
         cc = CraftConfig(seed=5, margin=8.0)
         bb = craft_backbone(cc, cfg)
         pub = synth_batch(64, cfg, seed=50, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg)
         plan = build_attack_plan(stats, cfg, [1], 1, 1)
-        ads = craft_adapters(plan, bb, cc, cfg, 0)
+        crafted = craft_adapters(plan, bb, cc, cfg, 0)
         batch = synth_batch(2, cfg, seed=51, kind="uniform")
+        assert kink_margin(forward(batch, bb, crafted, cfg)[2]) == 0.0
+        assert not finite_diff_check(bb, crafted, batch, cfg, workers=1).passed
+        ads = AdapterSet.random(cfg, Rng(52), scale=0.2)
+        assert kink_margin(forward(batch, bb, ads, cfg)[2]) > 2e-5
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
-        assert report.max_rel_err < 1e-6
+        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     def test_zero_batch_still_checks(self, tiny_setup):
         cfg, bb, ads, _ = tiny_setup
@@ -217,8 +224,7 @@ class TestFiniteDiffCheck:
     def test_backbone_edited_in_place_is_checked_as_edited(self):
         # the oracle must differentiate the backbone as it is at call time,
         # not a plan of it left over from an earlier call
-        cfg = ModelConfig(D=16, L=2, num_encoders=2, r=2, C=1,
-                          adapter_activation="gelu")
+        cfg = ModelConfig(D=16, L=2, num_encoders=2, r=2, C=1)
         rng = Rng(3)
         bb = random_backbone(cfg, rng.spawn(1))
         ads = AdapterSet.random(cfg, rng.spawn(2), scale=0.2)
@@ -234,7 +240,7 @@ class TestFiniteDiffCheck:
         # a crafted backbone's 0/1 matrices are applied as column copies
         # detected once per array: an in-place edit must raise, not leave
         # the forward on the old selector while the FD suffix sees the edit
-        cfg = ModelConfig(D=64, L=2, num_encoders=2, r=2, adapter_activation="gelu")
+        cfg = ModelConfig(D=64, L=2, num_encoders=2, r=2)
         bb = craft_backbone(CraftConfig(seed=7), cfg)
         ads = AdapterSet.random(cfg, Rng(2), 0.2)
         batch = synth_batch(2, cfg, seed=4, kind="uniform")
@@ -266,9 +272,8 @@ class TestUnmovedParameters:
         a, j = self.A, self.J
         return np.concatenate([g.w_down[a][j], g.b_down[a][j : j + 1], g.w_up[a][:, j]])
 
-    @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    def test_dead_unit_is_exactly_zero_and_matches_brute_force(self, activation):
-        cfg = tiny_cfg(adapter_activation=activation)
+    def test_dead_unit_is_exactly_zero_and_matches_brute_force(self):
+        cfg = tiny_cfg()
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
         ads.b_down[self.A, self.J] = -1e3
@@ -289,23 +294,8 @@ class TestUnmovedParameters:
         brute = brute_central(bb, ads, batch, cfg, self.A, "w_down", live)
         assert abs(brute - fd.w_down[self.A][live]) < 1e-9
 
-    def test_barely_live_gelu_unit_is_kept(self):
-        cfg = tiny_cfg()
-        bb = random_backbone(cfg, Rng(7))
-        ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
-        ads.w_down[self.A, self.J] = 0.0
-        ads.b_down[self.A, self.J] = -30.0  # Phi(-30) ~ 5e-198: tiny, not zero
-        batch = synth_batch(2, cfg, seed=3, kind="uniform")
-        _, _, cache = forward(batch, bb, ads, cfg)
-        act = cache.sublayers[self.A]["adapter"]["act"][..., self.J]
-        assert np.all(act != 0.0) and np.all(np.abs(act) < 1e-190)
-        inp = cache.sublayers[self.A]["adapter"]["input"]
-        moved = self.unit_entries(grad._moved(cache, cfg, 1e-5))
-        assert np.array_equal(moved[: cfg.D], (inp != 0).any(axis=(0, 1)))
-        assert moved[cfg.D :].all()
-
     def test_relu_unit_just_below_zero_is_kept(self):
-        cfg = tiny_cfg(adapter_activation="relu")
+        cfg = tiny_cfg()
         bb = random_backbone(cfg, Rng(7))
         ads = AdapterSet.random(cfg, Rng(8), scale=0.2)
         ads.w_down[self.A, self.J] = 0.0
@@ -316,10 +306,9 @@ class TestUnmovedParameters:
         assert moved.b_down[self.A][self.J]
         assert not moved.w_up[self.A][:, self.J].any()  # act is 0 everywhere
 
-    @pytest.mark.parametrize("kw", [
-        dict(adapter_activation="gelu"), dict(adapter_activation="relu"),
-        dict(head_mode="class_token"), dict(H=16, W=16)],
-        ids=["gelu", "relu", "class_token", "17_tokens"])
+    @pytest.mark.parametrize("kw", [dict(), dict(head_mode="class_token"),
+                                    dict(H=16, W=16)],
+                             ids=["relu", "class_token", "17_tokens"])
     def test_fused_suffix_matches_forward(self, kw):
         cfg = tiny_cfg(**kw)
         bb = random_backbone(cfg, Rng(7))
@@ -338,9 +327,11 @@ class TestUnmovedParameters:
 
 class TestRefinement:
     def test_stencil_rescues_central_truncation(self, tiny_setup):
-        # at h = 3e-4 the central pass's O(h^2) error exceeds 1e-6 somewhere
+        # at h = 4.5e-3 the central pass's O(h^2) error exceeds 1e-6 somewhere,
+        # and no step of h or 2h crosses a ReLU kink
         cfg, bb, ads, batch = tiny_setup
-        report = finite_diff_check(bb, ads, batch, cfg, h=3e-4, workers=1)
+        assert kink_margin(forward(batch, bb, ads, cfg)[2]) > 2 * 4.5e-3
+        report = finite_diff_check(bb, ads, batch, cfg, h=4.5e-3, workers=1)
         assert report.n_refined > 0
         assert report.central_max_rel_err >= 1e-6 > report.max_rel_err
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"

@@ -16,7 +16,7 @@ from adapterleak.numerics import Rng
 
 def tiny_cfg(**kw):
     base = dict(D=16, L=2, num_encoders=2, P=4, C=3, H=8, W=8, r=4,
-                num_classes=5, adapter_activation="gelu")
+                num_classes=5)
     base.update(kw)
     return mdl.ModelConfig(**base)
 
@@ -27,7 +27,6 @@ class TestConfig:
         assert cfg.D_h == 24 and cfg.N == 4 and cfg.num_adapters == 12
 
     @pytest.mark.parametrize("kw", [dict(D=97), dict(H=9), dict(r=1),
-                                    dict(adapter_activation="tanh"),
                                     dict(head_mode="cls")])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -134,13 +133,13 @@ class TestAdapterForward:
                              Rng(2).normal(0, 1, 4).reshape(1, 4),
                              np.zeros((1, 16, 4)), np.zeros((1, 16)))
         tokens = Rng(3).normal(0, 1, 2 * 5 * 16).reshape(2, 5, 16)
-        out, _ = mdl.adapter_forward(tokens, ads, 0, "relu")
+        out, _ = mdl.adapter_forward(tokens, ads, 0)
         assert np.array_equal(out, tokens)
 
     def test_all_zero_adapter_is_identity(self):
         ads = mdl.AdapterSet.zeros(tiny_cfg())
         tokens = Rng(4).normal(0, 1, 3 * 2 * 16).reshape(3, 2, 16)
-        out, _ = mdl.adapter_forward(tokens, ads, 1, "relu")
+        out, _ = mdl.adapter_forward(tokens, ads, 1)
         assert np.array_equal(out, tokens)
 
 

@@ -35,7 +35,8 @@ from .serialize import (read_backbone, read_gradients, write_adapters,
 _DEFAULTS = {
     "model": {
         "D": "96", "L": "4", "num_encoders": "6", "P": "4", "C": "3",
-        "H": "8", "W": "8", "r": "8", "num_classes": "10", "head_mode": "mean_pool",
+        "H": "8", "W": "8", "r": "8", "num_classes": "10",
+        "head_mode": "mean_pool",
     },
     "craft": {
         "sigma_pos": "10.0", "pos_dist": "gaussian", "gamma": "1e4",

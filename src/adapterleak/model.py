@@ -191,13 +191,12 @@ class AdapterSet:
         return out
 
 
-def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,
-                    live_fraction: float = 0.12) -> FrozenBackbone:
+def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25) -> FrozenBackbone:
     """Generic random backbone; used for gradient verification, not attacks.
 
     MLP biases place most GELU units in their exactly-saturated regime (the
-    operating point of crafted backbones) and keep ``live_fraction`` of them
-    in the curved region, so both branches of the activation are exercised.
+    operating point of crafted backbones) and keep about 12% of them in the
+    curved region, so both branches of the activation are exercised.
     """
     D, Dh, L = cfg.D, cfg.D_h, cfg.L
 
@@ -207,7 +206,7 @@ def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25,
     encoders = []
     for _ in range(cfg.num_encoders):
         b_mlp1 = 30.0 + 15.0 * rng.uniform(4 * D)
-        live = rng.uniform(4 * D) < live_fraction
+        live = rng.uniform(4 * D) < 0.12
         b_mlp1[live] = rng.normal(0.0, 2.0, int(live.sum()))
         encoders.append(EncoderParams(
             ln1_w=1.0 + mat(D, s=0.1), ln1_b=mat(D, s=0.1),

@@ -27,7 +27,7 @@ class TestConfig:
         assert cfg.D_h == 24 and cfg.N == 4 and cfg.num_adapters == 12
 
     @pytest.mark.parametrize("kw", [dict(D=97), dict(H=9), dict(r=1),
-                                    dict(head_mode="cls")])
+                                    dict(head_mode="cls"), dict(W=9)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
             mdl.ModelConfig(**kw)

@@ -25,7 +25,7 @@ from .dataio import denormalize, load_ppm, save_ppm, synth_batch
 from .errors import ConfigError, FormatError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
                     prepare_attack, prepare_attacks, run_experiment)
-from .grad import finite_diff_check, parallel_map, thread_count
+from .grad import finite_diff_check
 from .metrics import fmt, write_csv, write_json
 from .model import AdapterSet, ModelConfig, random_backbone, unpatchify
 from .numerics import Rng
@@ -66,12 +66,15 @@ _DATACLASSES = {"model": ModelConfig, "craft": CraftConfig, "fl": FLConfig,
 
 
 def _convert(section: str, key: str, text: str, kind: type):
-    """``text`` as ``kind`` (int, float or str), else ConfigError."""
+    """``text`` as ``kind`` (int, finite float or str), else ConfigError."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {text!r} is not a valid "
                           f"{kind.__name__}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {text!r} is not finite")
+    return value
 
 
 def _dataclass_from(section: str, values: dict[str, str]):
@@ -323,25 +326,22 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = load_config(args.config)
     values = _sweep_values(args.vary, args.values)
+    if not values:
+        raise ConfigError(f"--values {args.values!r} names no value")
     seeds = [cfg.fl.seed + 1000 * i for i in range(args.seeds)]
     cells = [(v, s) for v in values for s in seeds]
     experiments = [_sweep_cell(cfg, args.vary, v, s) for v, s in cells]
     # cells with equal setup inputs share one setup, built once and only read
     distinct = list(dict.fromkeys(setup_args for setup_args, _, _ in experiments))
-    setups = prepare_attacks(distinct, thread_count())
-
-    def run_cell(experiment):
-        setup_args, fl, defense = experiment
-        score = run_experiment(setups[setup_args], fl, defense).score
-        return score.recovery_rate, score.mean_mse, score.mean_ssim
-
-    results = dict(zip(cells, parallel_map(run_cell, experiments, thread_count())))
+    setups = prepare_attacks(distinct)
+    scores = {cell: run_experiment(setups[setup_args], fl, defense).score
+              for cell, (setup_args, fl, defense) in zip(cells, experiments)}
 
     rows = []
     for v in values:
-        rates = [results[(v, s)][0] for s in seeds]
-        mses = [results[(v, s)][1] for s in seeds]
-        ssims = [results[(v, s)][2] for s in seeds]
+        rates = [scores[v, s].recovery_rate for s in seeds]
+        mses = [scores[v, s].mean_mse for s in seeds]
+        ssims = [scores[v, s].mean_ssim for s in seeds]
         rows.append([args.vary, v, float(np.mean(rates)), float(np.mean(mses)),
                      float(np.mean(ssims))])
     out = _prepare_out(args.out, cfg)

@@ -47,11 +47,11 @@ def load_ppm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     header = _PPM_HEADER.match(raw)
     if header is None:
-        raise FormatError(r"PPM header is not P6\n<W> <H>\n255\n with W, H >= 1")
+        raise FormatError(rf"{path}: PPM header is not P6\n<W> <H>\n255\n with W, H >= 1")
     w, h = map(int, header.groups())
     payload = raw[header.end():]
     if len(payload) != w * h * 3:
-        raise FormatError(f"payload size {len(payload)} != {w * h * 3}")
+        raise FormatError(f"{path}: payload size {len(payload)} != {w * h * 3}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return pixels.transpose(2, 0, 1).astype(np.float64)
 

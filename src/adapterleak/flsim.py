@@ -23,7 +23,7 @@ from .craft import (AttackPlan, CraftConfig, build_attack_plan, craft_adapters,
                     craft_backbone)
 from .dataio import Batch, synth_batch
 from .errors import ConfigError
-from .grad import backward_adapters, parallel_map
+from .grad import backward_adapters
 from .metrics import ScoreReport, score_reconstruction
 from .model import AdapterSet, FrozenBackbone, ModelConfig, forward
 from .numerics import Rng
@@ -203,7 +203,7 @@ class AttackSetup:
     """The server's side of an experiment, built before round 0.
 
     Experiments only read it, so sweep cells with equal ``SetupArgs`` share
-    one.
+    one; the cells run one after another on the calling thread.
     """
 
     args: SetupArgs
@@ -221,16 +221,15 @@ def prepare_attack(args: SetupArgs) -> AttackSetup:
     return _setup_on(craft_backbone(args.craft, args.model), args)
 
 
-def prepare_attacks(distinct: list[SetupArgs], workers: int) -> dict[SetupArgs, AttackSetup]:
-    """``prepare_attack`` for each of ``distinct`` on up to ``workers`` threads.
+def prepare_attacks(distinct: list[SetupArgs]) -> dict[SetupArgs, AttackSetup]:
+    """``prepare_attack`` for each of ``distinct``.
 
     The backbone depends only on the craft and model configs, so each
     distinct pair is crafted once and its setups share it, read-only.
     """
-    pairs = list(dict.fromkeys((args.craft, args.model) for args in distinct))
-    crafted = dict(zip(pairs, parallel_map(lambda p: craft_backbone(*p), pairs, workers)))
-    return dict(zip(distinct, parallel_map(
-        lambda args: _setup_on(crafted[args.craft, args.model], args), distinct, workers)))
+    pairs = dict.fromkeys((args.craft, args.model) for args in distinct)
+    crafted = {pair: craft_backbone(*pair) for pair in pairs}
+    return {args: _setup_on(crafted[args.craft, args.model], args) for args in distinct}
 
 
 def _setup_on(backbone: FrozenBackbone, args: SetupArgs) -> AttackSetup:

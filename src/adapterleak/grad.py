@@ -39,7 +39,8 @@ to the collapsed product's z. The suffix projects every head's
 queries and keys in one stacked matmul and runs one logits matmul, one
 softmax and one attention x V matmul for all heads.
 
-``parallel_map`` runs every thread pool of the package. While a pool runs,
+``parallel_map`` runs that pool of stacks, the package's only thread pool;
+everything else runs on the calling thread. While the pool runs,
 BLAS is capped at one thread (``blas_single_thread``), so pool threads and
 BLAS threads never share the cores; the previous BLAS thread count comes
 back when the pool is done. The cap goes through threadpoolctl when it is

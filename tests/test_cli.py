@@ -96,13 +96,20 @@ class TestConfigParsing:
         b"[model]\nD = abc\n",
         b"[plan]\npositions = 1,x\n",
         b"[defense]\nnoise_rel_sigma = lots\n",
-    ], ids=["no_header", "duplicate_key", "not_utf8", "int", "positions", "float"])
+        b"[defense]\nkind = gaussian_noise\nnoise_rel_sigma = nan\n",
+        b"[craft]\ngamma = nan\n",
+        b"[craft]\ngamma = inf\n",
+        b"[craft]\nmargin = nan\n",
+        b"[craft]\nsigma_pos = nan\n",
+    ], ids=["no_header", "duplicate_key", "not_utf8", "int", "positions", "float",
+            "noise_nan", "gamma_nan", "gamma_inf", "margin_nan", "sigma_pos_nan"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, raw):
         path = tmp_path / "bad.cfg"
         path.write_bytes(raw)
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_sweep_value_is_config_error(self, tiny_cfg_file, tmp_path):
         rc = main(["sweep", "--config", str(tiny_cfg_file), "--vary", "batch",
@@ -127,8 +134,22 @@ CONFIG_ERRORS = {
     "fedavg_epochs_0": ("seed = 11", "seed = 11\nmode = fedavg\nlocal_epochs = 0",
                         ("craft", "run", "sweep")),
     "lr_0": ("seed = 11", "seed = 11\nlearning_rate = 0", ("craft", "run", "sweep")),
-    "sweep_batch_0": ("", "", ("sweep",)),  # --values 4,0
+    # NaN and infinite floats: unchecked, NaN noise runs undefended and NaN
+    # or infinite craft values fail in softmax_rows
+    "noise_nan": ("kind = smooth",
+                  "kind = smooth\n[defense]\nkind = gaussian_noise\nnoise_rel_sigma = nan",
+                  ("craft", "run", "sweep")),
+    "gamma_nan": ("gamma = 1e4", "gamma = nan", ("craft", "run", "sweep")),
+    "gamma_inf": ("gamma = 1e4", "gamma = inf", ("craft", "run", "sweep")),
+    "margin_nan": ("margin = 50.0", "margin = nan", ("craft", "run", "sweep")),
+    "sigma_pos_nan": ("sigma_pos = 10.0", "sigma_pos = nan", ("craft", "run", "sweep")),
+    # sweep --vary and --values of the cases named in SWEEP_ARGS
+    "sweep_batch_0": ("", "", ("sweep",)),
+    "sweep_noise_nan": ("", "", ("sweep",)),
+    "sweep_noise_inf": ("", "", ("sweep",)),
 }
+SWEEP_ARGS = {"sweep_batch_0": ("batch", "4,0"), "sweep_noise_nan": ("noise", "0,nan"),
+              "sweep_noise_inf": ("noise", "inf")}
 
 
 class TestRunCommand:
@@ -163,7 +184,8 @@ class TestRunCommand:
         out = tmp_path / "o"
         argv = [command, "--config", str(tmp_path / "bad.cfg"), "--out", str(out)]
         if command == "sweep":
-            argv += ["--vary", "batch", "--values", "4,0" if case == "sweep_batch_0" else "4"]
+            vary, values = SWEEP_ARGS.get(case, ("batch", "4"))
+            argv += ["--vary", vary, "--values", values]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
@@ -215,6 +237,19 @@ class TestReportCommand:
         assert main(["report", "--in", str(src)]) == 3
         out, err = capsys.readouterr()
         assert f"{src / f'truth_{bad}.ppm'} and {src / f'recovered_{bad}.ppm'}" in err
+        assert out == "" and not (src / "mosaic.ppm").exists()
+
+    @pytest.mark.parametrize("cut,message", [
+        (lambda raw: raw[:len(b"P6\n4 4\n255\n") + 10], "payload size 10 != 48"),
+        (lambda raw: b"P5" + raw[2:], "PPM header is not P6")], ids=["truncated", "header"])
+    def test_bad_ppm_named(self, tmp_path, capsys, cut, message):
+        names = [f"{kind}_{i:03d}.ppm" for i in range(3) for kind in ("truth", "recovered")]
+        src = report_dir(tmp_path / "run", dict.fromkeys(names, 4))
+        bad = src / "truth_002.ppm"
+        bad.write_bytes(cut(bad.read_bytes()))
+        assert main(["report", "--in", str(src)]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {bad}: {message}")
         assert out == "" and not (src / "mosaic.ppm").exists()
 
     @pytest.mark.parametrize("summary", [b"\xff{}", b"{", b"[1]", b"[" * 100_000],
@@ -704,21 +739,62 @@ class TestSweepCommand:
         assert "--seeds must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_empty_values_rejected(self, tiny_cfg_file, tmp_path, capsys, monkeypatch,
+                                   values):
+        import adapterleak.cli as cli
+
+        def no_setup(*args):
+            raise AssertionError("a setup was built")
+
+        monkeypatch.setattr(cli, "prepare_attacks", no_setup)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(tiny_cfg_file), "--vary", "batch",
+                   "--values", values, "--out", str(out)])
+        assert rc == 2
+        assert "names no value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cells_run_on_the_calling_thread(self, tiny_cfg_file, tmp_path, monkeypatch):
+        import os
+        import threading
+
+        import adapterleak.cli as cli
+        import adapterleak.flsim as flsim
+
+        # four usable cores, so a pool sized by the core count would use them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        calls = []
+
+        def record(module, name):
+            real = getattr(module, name)
+
+            def recording(*args):
+                calls.append((name, threading.get_ident()))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, recording)
+
+        for module, name in ((cli, "run_experiment"), (flsim, "craft_backbone"),
+                             (flsim, "_setup_on")):
+            record(module, name)
+        assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", "r",
+                     "--values", "2,4", "--seeds", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert sorted(name for name, _ in calls) == (
+            ["_setup_on"] * 4 + ["craft_backbone"] * 2 + ["run_experiment"] * 4)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
     @pytest.mark.parametrize("vary,values", [("batch", "2,4"), ("noise", "0,0.3"),
                                              ("r", "2,4")])
-    def test_csv_independent_of_threads_and_matches_runs(self, tiny_cfg_file,
-                                                         tmp_path, monkeypatch,
-                                                         vary, values):
+    def test_csv_matches_runs(self, tiny_cfg_file, tmp_path, vary, values):
         from adapterleak.metrics import write_csv
 
-        csv = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PEFTLEAK_THREADS", threads)
-            out = tmp_path / f"sweep{threads}"
-            assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
-                         "--values", values, "--seeds", "2", "--out", str(out)]) == 0
-            csv[threads] = (out / "sweep.csv").read_bytes()
-        assert csv["1"] == csv["2"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
+                     "--values", values, "--seeds", "2", "--out", str(out)]) == 0
 
         # every cell again as its own `run`, averaged over seeds as the sweep does
         rows = []
@@ -744,7 +820,7 @@ class TestSweepCommand:
         write_csv(tmp_path / "expected.csv",
                   ["sweep_name", "x_value", "recovery_rate", "mean_mse", "mean_ssim"],
                   rows)
-        assert (tmp_path / "expected.csv").read_bytes() == csv["1"]
+        assert (tmp_path / "expected.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("vary,values,setups,backbones", [
         ("batch", "2,4,8", 2, 1), ("noise", "0,0.3", 2, 1), ("r", "2,4", 4, 2),

@@ -269,36 +269,6 @@ class TestSharedSetup:
         with pytest.raises(ConfigError):
             flsim.run_experiment(setup, fl, flsim.DefenseConfig())
 
-    def test_concurrent_cells_read_one_setup(self):
-        # more workers than cores and frequent thread switches: every cell
-        # must still equal its serial result and leave the setup untouched
-        import sys
-
-        from adapterleak.grad import parallel_map
-
-        mc = ModelConfig(D=64, L=2, num_encoders=2, r=4, num_classes=5)
-        setup = flsim.prepare_attack(flsim.SetupArgs(
-            mc, CraftConfig(seed=7, margin=10.0), 11, 1, (1, 2), 2, "uniform", 64))
-        before = _setup_digest(setup)
-        cells = [(flsim.FLConfig(users=2, batch_size=m, seed=11), defense)
-                 for m in (2, 4, 6)
-                 for defense in (flsim.DefenseConfig(),
-                                 flsim.DefenseConfig(kind="gaussian_noise",
-                                                     noise_rel_sigma=0.1))]
-
-        def score(cell):
-            return repr(flsim.run_experiment(setup, *cell).score)
-
-        serial = [score(cell) for cell in cells]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            concurrent = parallel_map(score, cells * 2, 8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert concurrent == serial * 2
-        assert _setup_digest(setup) == before
-
 
 @st.composite
 def _small_experiments(draw, rounds=st.integers(1, 3), noise=1e-3):

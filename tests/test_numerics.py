@@ -114,6 +114,13 @@ class TestGelu:
         plain = xs * nx.normal_cdf(xs)
         assert np.array_equal(nx.gelu(xs), plain)
 
+    def test_saturated_tail_is_identity(self):
+        # past 9, Phi(x) is 1.0 and x phi(x) lies below half an ulp of 1.0
+        x = np.concatenate([np.linspace(9.0, 40.0, 10_001), np.geomspace(9.0, 1e150, 10_001)])
+        assert np.array_equal(nx.gelu(x).view(np.int64), x.view(np.int64))
+        assert np.all(nx.gelu_grad(x) == 1.0)
+        assert np.isnan(nx.gelu_grad(np.nan))
+
     def test_grad_matches_fd(self):
         xs = np.linspace(-4, 4, 17)
         h = 1e-6

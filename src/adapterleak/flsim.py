@@ -93,10 +93,6 @@ def local_fedavg(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
     update below float64 resolution at these gradient scales. With one
     epoch the proxy equals the plain gradient bit-for-bit.
     """
-    if epochs < 1:
-        raise ConfigError("need at least one local epoch")
-    if lr <= 0:
-        raise ConfigError("learning rate must be positive")
     first = local_step(batch, backbone, adapters, cfg)
     grad_sum = first.flat()
     for _ in range(epochs - 1):

@@ -191,7 +191,7 @@ class AdapterSet:
         return out
 
 
-def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25) -> FrozenBackbone:
+def random_backbone(cfg: ModelConfig, rng: Rng) -> FrozenBackbone:
     """Generic random backbone; used for gradient verification, not attacks.
 
     MLP biases place most GELU units in their exactly-saturated regime (the
@@ -199,6 +199,7 @@ def random_backbone(cfg: ModelConfig, rng: Rng, scale: float = 0.25) -> FrozenBa
     curved region, so both branches of the activation are exercised.
     """
     D, Dh, L = cfg.D, cfg.D_h, cfg.L
+    scale = 0.25  # of the projection weights
 
     def mat(*shape, s=scale):
         return rng.normal(0.0, s, int(np.prod(shape))).reshape(shape)

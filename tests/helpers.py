@@ -33,9 +33,9 @@ def kink_margin(cache) -> float:
     forward cache, with v a unit's pre-activation and x the adapter input.
 
     A step h of one ``w_down`` or ``b_down`` entry moves v by at most h times
-    the denominator, so while this exceeds 2 h, the central differences at h
-    and the 5-point stencil's at 2 h keep the stepped unit on one linear
-    piece of its ReLU, where they are exact.
+    the denominator, so while this exceeds h, the central differences at h
+    keep the stepped unit on one linear piece of its ReLU, where they are
+    exact.
     """
     return min(float((np.abs(a["v"]) / np.maximum(
         1.0, np.abs(a["input"]).max(axis=-1, keepdims=True))).min())

@@ -3,8 +3,8 @@ import pytest
 
 from adapterleak import attack as atk
 from adapterleak import oracle
-from adapterleak.craft import (CraftConfig, build_attack_plan, craft_adapters,
-                               craft_backbone, embedding_layout)
+from adapterleak.craft import (AttackPlan, CraftConfig, build_attack_plan,
+                               craft_adapters, craft_backbone, embedding_layout)
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import EmptyBinError
 from adapterleak.grad import backward_adapters
@@ -44,6 +44,22 @@ def bin_mid_batch(bb, plan, t, rng_seed=5, extra_positions_random=True):
         patches[t - 1] = x
         imgs[i] = unpatchify(patches, 4, 3, 8, 8)
     return Batch(imgs, Rng(rng_seed + 1).integers(0, 10, len(mids)))
+
+
+def literal_plan():
+    """Positions 1 and 2 on one grid of bins [0, 1), [1, 2), [2, 3), [3, inf);
+    the smallest statistic spread is 2.0."""
+    grid = np.array([[0.0, 1.0, 2.0, 3.0]])
+    return AttackPlan(assignments=[], thresholds={1: grid, 2: grid.copy()}, rounds=1,
+                      r=4, stats_sigma=np.array([0.0, 2.0, 4.0]))
+
+
+def in_bin(position, stat, peak=0.0):
+    """A valid-flagged patch in bin [1, 2) whose largest |pixel| is |peak|."""
+    pixels = np.zeros(48)
+    pixels[7] = peak
+    return atk.RecoveredPatch(position=position, bin_index=1, round_idx=0,
+                              pixels=pixels, stat_check=stat, valid=True)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +192,13 @@ class TestEndToEnd:
         assert not atk.validate(bad, plan)
 
 
+class TestValidateThresholds:
+    @pytest.mark.parametrize("peak, valid", [(1.05, True), (-1.05, True),
+                                             (1.15, False), (-1.15, False)])
+    def test_pixel_slack_is_a_tenth(self, peak, valid):
+        assert atk.validate(in_bin(1, 1.5, peak), literal_plan()) is valid
+
+
 class TestCoverageCeiling:
     def test_valid_count_bounded_by_isolated_oracle(self):
         # sparse occupancy (M=8 over 64 thresholds): the attack's valid
@@ -224,6 +247,19 @@ class TestMerge:
         ba = atk.merge_rounds([b, a], plan)
         key = lambda p: (p.position, round(p.stat_check, 6))
         assert sorted(map(key, ab.valid_patches)) == sorted(map(key, ba.valid_patches))
+
+    @pytest.mark.parametrize("gap, kept", [(2e-3, 2), (2e-5, 1)])
+    def test_duplicates_are_within_a_ten_thousandth_of_the_spread(self, gap, kept):
+        # the tolerance is 1e-4 of the smallest positive spread, 2.0
+        plan = literal_plan()
+        reports = [atk.ReconstructionReport([p], 4, 1)
+                   for p in (in_bin(1, 1.5), in_bin(1, 1.5 + gap))]
+        assert len(atk.merge_rounds(reports, plan).valid_patches) == kept
+
+    def test_equal_statistics_at_two_positions_both_kept(self):
+        reports = [atk.ReconstructionReport([in_bin(t, 1.5)], 4, 1) for t in (1, 2)]
+        merged = atk.merge_rounds(reports, literal_plan())
+        assert [p.position for p in merged.valid_patches] == [1, 2]
 
     def test_multi_round_coverage_nondecreasing(self):
         cfg4 = ModelConfig(r=4)

@@ -10,6 +10,12 @@ load (``x.f``) or by its name as a string (``getattr(x, "f")``,
 (dunders exempt) is read by a bare-name load, an attribute load or its name
 as a string. The check errs toward passing: two definitions that share a
 name keep each other alive.
+
+Every defaulted parameter of a function in ``src/adapterleak`` is also set
+by some call there; a default no call overrides is a constant. A call sets
+a parameter by its keyword or its position (a method's first parameter is
+its receiver), and a call with ``*args`` or ``**kwargs`` sets every
+parameter it could reach. Dunder methods are not checked.
 """
 
 import ast
@@ -20,6 +26,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "adapterleak"
 
 # Definitions with no caller in src/ that the program still needs.
 ALLOWED: dict[str, str] = {}
+
+# Defaulted parameters no call in src/ sets that the program still needs.
+UNSET_ALLOWED: dict[str, str] = {
+    "cli.main(argv)": "perfbench and the tests drive the CLI through main(argv); "
+                      "the console script calls main() to read sys.argv",
+    "grad.finite_diff_check(workers)": "tests pin the FD pool size; the CLI "
+                                       "takes one worker per core",
+}
 
 
 def _definitions(tree: ast.Module):
@@ -79,6 +93,50 @@ def unreferenced(src: Path = SRC) -> list[str]:
          for qualname, name in _constants(tree) if not reads[name] + loads[name]]
 
 
+def _functions(body, prefix="", in_class=False):
+    """(qualname, def node, is method) of every function under ``body``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.", True)
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{prefix}{node.name}", node, in_class
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` sets ``param``, at ``position`` if it is positional."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > position)
+
+
+def unset_defaults(src: Path = SRC) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in trees.items():
+        for qualname, fn, is_method in _functions(tree.body):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args][int(is_method):]
+            defaulted = [(a.arg, i) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            unset += [f"{module}.{qualname}({param})" for param, position in defaulted
+                      if not any(_sets(c, param, position) for c in calls.get(fn.name, []))]
+    return unset
+
+
 def test_every_definition_has_a_caller_in_src():
     dead = [name for name in unreferenced() if name not in ALLOWED]
     assert not dead, f"no caller in src/: {dead}"
@@ -103,3 +161,23 @@ def test_unread_module_constant_flagged(tmp_path):
         "A, B = 5, 6\nTYPED: int = 7\n\n"
         "def use(m):\n    return READ + m.BY_ATTR + A + getattr(m, 'BY_NAME'), use\n")
     assert unreferenced(tmp_path) == ["m.UNREAD", "m.B", "m.TYPED"]
+
+
+def test_every_default_is_set_by_a_call_in_src():
+    unset = [name for name in unset_defaults() if name not in UNSET_ALLOWED]
+    assert not unset, f"no call in src/ sets: {unset}"
+
+
+def test_unset_allow_list_names_only_unset_defaults():
+    assert sorted(UNSET_ALLOWED) == sorted(unset_defaults())
+
+
+def test_unset_default_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def g(a, b=1):\n    return a\n\n"
+        "class K:\n    def m(self, x=0, y=1):\n        return x\n\n"
+        "def use(k, rest):\n"
+        "    def inner(z=5):\n        return z\n"
+        "    return f(1, 2, e=4), g(*rest), k.m(5), inner(), use\n")
+    assert unset_defaults(tmp_path) == ["m.f(c)", "m.f(d)", "m.K.m(y)", "m.use.inner(z)"]

@@ -63,10 +63,10 @@ class TestLocalSteps:
         rel = np.abs(proxy - single) / np.maximum(np.abs(single), 1e-3 * scale)
         assert rel.max() < 0.1
 
-    def test_zero_learning_rate_rejected(self, random_setup):
-        cfg, bb, ads, batch = random_setup
-        with pytest.raises(ConfigError):
-            flsim.local_fedavg(batch, bb, ads, cfg, epochs=2, lr=0.0)
+    def test_zero_learning_rate_rejected(self):
+        # local_fedavg trusts FLConfig's check
+        with pytest.raises(ConfigError, match="learning rate must be positive"):
+            flsim.FLConfig(mode="fedavg", local_epochs=2, learning_rate=0.0)
 
 
 class TestDefenses:

@@ -37,8 +37,7 @@ def tiny_setup():
 class TestBackward:
     def test_tiny_config_matches_central_differences(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
-        report = finite_diff_check(bb, ads, batch, cfg, h=1e-5,
-                                   tolerance=1e-6, workers=1)
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     @pytest.mark.parametrize("kw", [
@@ -50,8 +49,7 @@ class TestBackward:
         bb = random_backbone(cfg, Rng(31))
         ads = AdapterSet.random(cfg, Rng(32), scale=0.2)
         batch = synth_batch(3, cfg, seed=33, kind="uniform")
-        report = finite_diff_check(bb, ads, batch, cfg, h=1e-5,
-                                   tolerance=1e-6, workers=1)
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     def test_mixed_saturated_and_live_mlps_match_central_differences(self):
@@ -62,8 +60,7 @@ class TestBackward:
         batch = synth_batch(3, cfg, seed=43, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
         assert [sub["core"]["live"] for sub in cache.sublayers[1::2]] == [True, False, True]
-        report = finite_diff_check(bb, ads, batch, cfg, h=1e-5,
-                                   tolerance=1e-6, workers=1)
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
     def test_backward_ends_at_adapter_0(self, monkeypatch):
@@ -204,16 +201,6 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed
 
-    def test_zero_tolerance_requires_identity(self, tiny_setup):
-        cfg, bb, ads, batch = tiny_setup
-        report = finite_diff_check(bb, ads, batch, cfg, tolerance=0.0, workers=1)
-        assert not report.passed  # analytic and FD never match bitwise
-
-    def test_invalid_h_rejected(self, tiny_setup):
-        cfg, bb, ads, batch = tiny_setup
-        with pytest.raises(ValueError):
-            finite_diff_gradients(forward(batch, bb, ads, cfg)[2], bb, ads, cfg, h=0.0)
-
     def test_threaded_matches_sequential(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
         cache = forward(batch, bb, ads, cfg)[2]
@@ -279,7 +266,7 @@ class TestUnmovedParameters:
         ads.b_down[self.A, self.J] = -1e3
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
-        moved = grad._moved(cache, cfg, 1e-5)
+        moved = grad._moved(cache, cfg)
         assert not self.unit_entries(moved).any()
         assert moved.b_up.all()
         fd = finite_diff_gradients(cache, bb, ads, cfg, workers=1)
@@ -302,7 +289,7 @@ class TestUnmovedParameters:
         ads.b_down[self.A, self.J] = -0.5e-5  # a +h step crosses zero
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
-        moved = grad._moved(cache, cfg, 1e-5)
+        moved = grad._moved(cache, cfg)
         assert moved.b_down[self.A][self.J]
         assert not moved.w_up[self.A][:, self.J].any()  # act is 0 everywhere
 
@@ -326,16 +313,6 @@ class TestUnmovedParameters:
 
 
 class TestRefinement:
-    def test_stencil_rescues_central_truncation(self, tiny_setup):
-        # at h = 4.5e-3 the central pass's O(h^2) error exceeds 1e-6 somewhere,
-        # and no step of h or 2h crosses a ReLU kink
-        cfg, bb, ads, batch = tiny_setup
-        assert kink_margin(forward(batch, bb, ads, cfg)[2]) > 2 * 4.5e-3
-        report = finite_diff_check(bb, ads, batch, cfg, h=4.5e-3, workers=1)
-        assert report.n_refined > 0
-        assert report.central_max_rel_err >= 1e-6 > report.max_rel_err
-        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
-
     def test_scaled_analytic_entry_still_fails(self, tiny_setup, monkeypatch):
         cfg, bb, ads, batch = tiny_setup
         real = grad.backward_adapters
@@ -349,7 +326,6 @@ class TestRefinement:
 
         monkeypatch.setattr(grad, "backward_adapters", mutated)
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
-        assert report.n_refined >= 1
         assert not report.passed
         assert report.max_rel_err > 5e-6
 

@@ -130,6 +130,13 @@ class TestRecoveryRate:
             rates.append(_score_map(recovered, truth, 4, 3).recovery_rate)
         assert all(r1 <= r2 for r1, r2 in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("mse, rate", [(0.07, 0.0), (0.03, 1.0)])
+    def test_threshold_is_a_twentieth(self, mse, rate):
+        truth = np.zeros((1, 1, 4))
+        report = _score(np.full((1, 1, 4), math.sqrt(mse)), truth)
+        assert report.mean_mse == pytest.approx(mse, rel=1e-12)
+        assert report.recovery_rate == rate
+
     def test_score_report_gray_fill(self):
         truth = np.full((1, 4, 48), 0.5)
         report = _score_map({(0, 1): truth[0, 0]}, truth, 4, 3)

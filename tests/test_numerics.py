@@ -109,11 +109,6 @@ class TestGelu:
         assert np.all(np.diff(ys) >= 0.0)
         assert float(nx.gelu(-0.7517915)) == pytest.approx(-0.1700, abs=1e-3)
 
-    def test_saturation_branch_matches_plain_product(self):
-        xs = np.array([8.0, 9.0, 9.5, 40.0, -50.0])
-        plain = xs * nx.normal_cdf(xs)
-        assert np.array_equal(nx.gelu(xs), plain)
-
     def test_saturated_tail_is_identity(self):
         # past 9, Phi(x) is 1.0 and x phi(x) lies below half an ulp of 1.0
         x = np.concatenate([np.linspace(9.0, 40.0, 10_001), np.geomspace(9.0, 1e150, 10_001)])

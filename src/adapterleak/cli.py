@@ -327,8 +327,14 @@ def cmd_sweep(args) -> int:
     # cells with equal setup inputs share one setup, built once and only read
     distinct = list(dict.fromkeys(setup_args for setup_args, _, _ in experiments))
     setups = prepare_attacks(distinct)
-    scores = {cell: run_experiment(setups[setup_args], fl, defense).score
-              for cell, (setup_args, fl, defense) in zip(cells, experiments)}
+    # cells with equal setup inputs and FL config differ only in their
+    # defense: the first observes the victim, the others reuse it
+    observed, scores = {}, {}
+    for cell, (setup_args, fl, defense) in zip(cells, experiments):
+        result = run_experiment(setups[setup_args], fl, defense,
+                                observed.get((setup_args, fl)))
+        observed.setdefault((setup_args, fl), result.observation)
+        scores[cell] = result.score
 
     rows = []
     for v in values:

@@ -165,16 +165,25 @@ class RunResult:
     score: ScoreReport
     plan: AttackPlan
     backbone: FrozenBackbone
-    victim_batch: Batch
+    observation: Observation
     victim_grads: list[AdapterSet]  # every round's defended gradients
     placed: np.ndarray  # (M, N, patch_dim), from oracle.place_patches
     found: np.ndarray  # (M, N) filled slots of placed
     oracle_count_union: int
 
+    @property
+    def victim_batch(self) -> Batch:
+        return self.observation.batch
+
 
 def _data_rng(seed: int) -> Rng:
     """Stream of every synthetic batch: public (key 0) and victim (key 1)."""
     return Rng(seed).spawn(101)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -193,13 +202,20 @@ class SetupArgs:
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(self.positions))
 
+    def public_key(self) -> tuple:
+        """Every input of the public batch: ``synth_batch`` reads only these."""
+        mc = self.model
+        return (self.seed, self.data_kind, self.public_count,
+                mc.C, mc.H, mc.W, mc.num_classes)
+
 
 @dataclass(frozen=True, eq=False)
 class AttackSetup:
     """The server's side of an experiment, built before round 0.
 
     Experiments only read it, so sweep cells with equal ``SetupArgs`` share
-    one; the cells run one after another on the calling thread.
+    one, as setups with equal ``SetupArgs.public_key`` share their public
+    batch, read-only; the cells run one after another on the calling thread.
     """
 
     args: SetupArgs
@@ -208,31 +224,56 @@ class AttackSetup:
     adapters: tuple[AdapterSet, ...]  # one crafted set per round
 
 
+@dataclass(frozen=True, eq=False)
+class Observation:
+    """The victim's side of an experiment before its defense.
+
+    It depends only on the setup and the FL config, so sweep cells that
+    differ only in their defense share one. Its arrays are read-only: a
+    defense that wrote into them would raise instead of changing later cells.
+    """
+
+    setup: AttackSetup
+    fl: FLConfig
+    batch: Batch
+    stats: np.ndarray  # (M, N) true patch statistics, from the oracle
+    truth: np.ndarray  # (M, N, patch_dim) true patch pixels
+    grads: tuple[AdapterSet, ...]  # every round's undefended gradient
+
+
 def prepare_attack(args: SetupArgs) -> AttackSetup:
     """Crafted backbone, attack plan and every round's crafted adapters.
 
     The plan's bin grids come from patch statistics of a public batch drawn
     from the experiment's data stream.
     """
-    return _setup_on(craft_backbone(args.craft, args.model), args)
+    return prepare_attacks([args])[args]
 
 
 def prepare_attacks(distinct: list[SetupArgs]) -> dict[SetupArgs, AttackSetup]:
     """``prepare_attack`` for each of ``distinct``.
 
-    The backbone depends only on the craft and model configs, so each
-    distinct pair is crafted once and its setups share it, read-only.
+    The backbone depends only on the craft and model configs and the public
+    batch only on ``SetupArgs.public_key``, so each distinct one is built
+    once and its setups share it, read-only.
     """
     pairs = dict.fromkeys((args.craft, args.model) for args in distinct)
     crafted = {pair: craft_backbone(*pair) for pair in pairs}
-    return {args: _setup_on(crafted[args.craft, args.model], args) for args in distinct}
+    publics = {}
+    for args in distinct:
+        if args.public_key() not in publics:
+            public = synth_batch(args.public_count, args.model,
+                                 seed=int(_data_rng(args.seed).spawn(0).seed),
+                                 kind=args.data_kind)
+            _read_only(public.images, public.labels)
+            publics[args.public_key()] = public
+    return {args: _setup_on(crafted[args.craft, args.model], args,
+                            publics[args.public_key()])
+            for args in distinct}
 
 
-def _setup_on(backbone: FrozenBackbone, args: SetupArgs) -> AttackSetup:
+def _setup_on(backbone: FrozenBackbone, args: SetupArgs, public: Batch) -> AttackSetup:
     mc, cc = args.model, args.craft
-    public = synth_batch(args.public_count, mc,
-                         seed=int(_data_rng(args.seed).spawn(0).seed),
-                         kind=args.data_kind)
     stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos, mc)
     plan = build_attack_plan(stats, mc, args.positions, args.adapters_per_position,
                              args.rounds)
@@ -241,32 +282,47 @@ def _setup_on(backbone: FrozenBackbone, args: SetupArgs) -> AttackSetup:
     return AttackSetup(args, backbone, plan, adapters)
 
 
-def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
-                   defense: DefenseConfig) -> RunResult:
-    """Full multi-round pipeline; deterministic under the configured seeds."""
+def _observe(setup: AttackSetup, fl_cfg: FLConfig) -> Observation:
+    """The victim's batch, its oracle truth and every round's local training."""
+    model_cfg = setup.args.model
+    batch = synth_batch(fl_cfg.batch_size, model_cfg,
+                        seed=int(_data_rng(fl_cfg.seed).spawn(1).seed),
+                        kind=setup.args.data_kind)
+    stats = oracle.true_statistics(batch, setup.backbone, model_cfg)
+    truth = oracle.ground_truth_patches(batch, model_cfg)
+    grads = []
+    for adapters in setup.adapters:
+        if fl_cfg.mode == "single_step":
+            grads.append(local_step(batch, setup.backbone, adapters, model_cfg))
+        else:
+            grads.append(local_fedavg(batch, setup.backbone, adapters, model_cfg,
+                                      fl_cfg.local_epochs, fl_cfg.learning_rate))
+    _read_only(batch.images, batch.labels, stats, truth,
+               *(t for g in grads for t in g.tensors().values()))
+    return Observation(setup, fl_cfg, batch, stats, truth, tuple(grads))
+
+
+def run_experiment(setup: AttackSetup, fl_cfg: FLConfig, defense: DefenseConfig,
+                   observation: Observation | None = None) -> RunResult:
+    """Full multi-round pipeline; deterministic under the configured seeds.
+
+    The victim's side is observed here, unless ``observation``, taken from
+    an earlier result of the same setup and FL config, supplies it. Either
+    way the defense and the attack run on it here.
+    """
     if (fl_cfg.seed, fl_cfg.rounds) != (setup.args.seed, setup.args.rounds):
         raise ConfigError("the setup was built for another FL seed or round count")
-    model_cfg, data_kind = setup.args.model, setup.args.data_kind
-    backbone, plan = setup.backbone, setup.plan
+    if observation is None:
+        observation = _observe(setup, fl_cfg)
+    elif observation.setup is not setup or observation.fl != fl_cfg:
+        raise ConfigError("the observation was made for another setup or FL config")
+    model_cfg, backbone, plan = setup.args.model, setup.backbone, setup.plan
     defense_rng = Rng(fl_cfg.seed).spawn(202)
-
-    m = fl_cfg.batch_size
-    victim_batch = synth_batch(m, model_cfg,
-                               seed=int(_data_rng(fl_cfg.seed).spawn(1).seed),
-                               kind=data_kind)
-    stats_mn = oracle.true_statistics(victim_batch, backbone, model_cfg)
-    truth = oracle.ground_truth_patches(victim_batch, model_cfg)
 
     victim_grads: list[AdapterSet] = []
     reports: list[attack_mod.ReconstructionReport] = []
     logs: list[RoundLog] = []
-    for rho in range(fl_cfg.rounds):
-        adapters = setup.adapters[rho]
-        if fl_cfg.mode == "single_step":
-            g = local_step(victim_batch, backbone, adapters, model_cfg)
-        else:
-            g = local_fedavg(victim_batch, backbone, adapters, model_cfg,
-                             fl_cfg.local_epochs, fl_cfg.learning_rate)
+    for rho, g in enumerate(observation.grads):
         # the defense stream is keyed by round and user, as if every user ran
         key = rho * fl_cfg.users + fl_cfg.victim_index
         victim_grads.append(apply_defense(g, defense, defense_rng.spawn(key)))
@@ -274,10 +330,13 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         # share keeps the protocol's aggregation step, which perfbench's
         # traced runs require to be called
         aggregate(victim_grads[-1:])
-        reports.append(attack_mod.run_attack(victim_grads[-1], plan, backbone, rho, m))
+        reports.append(attack_mod.run_attack(victim_grads[-1], plan, backbone, rho,
+                                             fl_cfg.batch_size))
         merged = attack_mod.merge_rounds(reports, plan)
-        placed, found = oracle.place_patches(merged, stats_mn, model_cfg.patch_dim)
-        score = score_reconstruction(placed, found, truth, model_cfg.P, model_cfg.C)
+        placed, found = oracle.place_patches(merged, observation.stats,
+                                             model_cfg.patch_dim)
+        score = score_reconstruction(placed, found, observation.truth,
+                                     model_cfg.P, model_cfg.C)
         logs.append(RoundLog(reports[-1], merged.coverage, score.mean_mse))
 
     return RunResult(
@@ -286,11 +345,11 @@ def run_experiment(setup: AttackSetup, fl_cfg: FLConfig,
         score=score,
         plan=plan,
         backbone=backbone,
-        victim_batch=victim_batch,
+        observation=observation,
         victim_grads=victim_grads,
         placed=placed,
         found=found,
-        oracle_count_union=oracle.isolated_union(stats_mn, plan),
+        oracle_count_union=oracle.isolated_union(observation.stats, plan),
     )
 
 

@@ -4,7 +4,8 @@ The backbone is frozen, so only adapter gradients are materialized, but
 activation gradients are propagated through every frozen layer (LayerNorm,
 softmax attention, GELU MLP, residuals) to reach the adapters below. It
 ends at adapter 0, below which nothing reads the token gradient, and skips
-the all-ones GELU derivative of MLPs the forward marked not ``live``.
+the all-ones GELU derivative of MLPs the forward marked not ``live``; a
+crafted one is then the forward's width-D copy in reverse (``model``).
 Attention reads the forward's head-first cache with stacked matmuls.
 Products with frozen encoder matrices go through ``EncoderParams.matmul``
 as in the forward: a crafted backbone's 0/1 selectors are column copies,
@@ -179,16 +180,37 @@ def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndar
     d_q = d_logits @ k * scale
     d_k = np.swapaxes(d_logits, -1, -2) @ q * scale
     by_rows = (L, -1, d_h)
-    d_from_v = enc.matmul(d_v.reshape(by_rows), "w_v")  # (L, rows, D)
+    d_v = d_v.reshape(by_rows)
     d_from_qk = (enc.matmul(d_q.reshape(by_rows), "w_q")
                  + enc.matmul(d_k.reshape(by_rows), "w_k"))
     # heads are added one by one, V part then Q/K slice: summing the V
     # parts in one GEMM would round differently
-    d_tokens = np.zeros(d_from_v.shape[1:])
-    for h in range(L):
-        d_tokens += d_from_v[h]
-        d_tokens[:, h * d_h : (h + 1) * d_h] += d_from_qk[h]
+    d_tokens = np.zeros((d_v.shape[1], d_out.shape[-1]))
+    sel = enc.selector("w_v")
+    if sel is not None and np.isfinite(d_v).all():
+        # a V part is its selected columns + 0.0 and +0.0 elsewhere. Adding
+        # x + 0.0 or x, or +0.0 or nothing, gives the same bits on d_tokens,
+        # which starts at +0.0 and so never holds -0.0: add the columns only
+        for (h, cols, src), qk in zip(sel.moves, d_from_qk):
+            d_tokens[:, cols] += d_v[h][:, src]
+            d_tokens[:, h * d_h : (h + 1) * d_h] += qk
+    else:
+        d_from_v = enc.matmul(d_v, "w_v")  # (L, rows, D)
+        for h in range(L):
+            d_tokens += d_from_v[h]
+            d_tokens[:, h * d_h : (h + 1) * d_h] += d_from_qk[h]
     return d_tokens.reshape(d_out.shape)
+
+
+def _mlp_backward(d_out: np.ndarray, core_cache: dict, enc) -> np.ndarray:
+    if not core_cache["live"] and enc.copies_mlp() and np.isfinite(d_out).all():
+        # the two selector copies, (d_out + 0.0) + 0.0, at width D; the
+        # second + 0.0 changes no bit, as the first leaves no -0.0
+        return d_out + 0.0
+    d_pre = enc.matmul(d_out, "w_mlp2")
+    if core_cache["live"]:  # else GELU' is exactly 1.0 everywhere
+        d_pre *= gelu_grad(core_cache["pre"])
+    return enc.matmul(d_pre, "w_mlp1")
 
 
 def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
@@ -235,10 +257,7 @@ def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
         if sub["is_msa"]:
             d_z = _msa_backward(d_core, sub["core"], enc, cfg.D_h)
         else:
-            d_pre = enc.matmul(d_core, "w_mlp2")
-            if sub["core"]["live"]:  # else GELU' is exactly 1.0 everywhere
-                d_pre *= gelu_grad(sub["core"]["pre"])
-            d_z = enc.matmul(d_pre, "w_mlp1")
+            d_z = _mlp_backward(d_core, sub["core"], enc)
         d_tokens = d_tokens + _ln_backward(d_z, sub["ln"])
 
     return grads

@@ -29,6 +29,16 @@ count rejects a dense one. Each matrix is inspected once per
 ``EncoderParams`` and again only after its field is reassigned; a selector
 is then made read-only, so an in-place edit raises instead of going unseen.
 
+A crafted MLP (``EncoderParams.copies_mlp``) runs at the width it copies.
+Its wide pre-activation is [z + 0.0, 0.0] + b_mlp1, and w_mlp2 reads only
+the first D columns; the last 3D are constants that only ``live`` reads.
+When those constants and z + b_mlp1[:D] are all finite and saturated, pre
+is z + b_mlp1[:D], (rows, D) in the cache, and the output pre + b_mlp2:
+the wide bytes, as (z + 0.0) + b differs from z + b only where z = b =
+-0.0, which does not saturate, and pre + 0.0 = pre for pre >= 9. The
+backward's not-live product is then d + 0.0, the two selector copies. A
+non-finite input, a live MLP and every other encoder take the 4D-wide path.
+
 Adapter parameters and their gradients are one type, :class:`AdapterSet`:
 four tensors stacked on a leading adapter axis, read by ``adapter_forward``
 as adapter s of the set.
@@ -107,25 +117,44 @@ class EncoderParams:
     w_mlp2: np.ndarray  # (D, 4D)
     b_mlp2: np.ndarray
 
-    def matmul(self, x: np.ndarray, name: str, transpose: bool = False) -> np.ndarray:
-        """x @ W for the weight field ``name``, or x @ W.T with ``transpose``
-        (W's last two axes swapped, so a stacked W multiplies head by head).
+    def selector(self, name: str, transpose: bool = False) -> "_Selector | None":
+        """The :class:`_Selector` of the weight field ``name`` (transposed
+        with ``transpose``), or None when it is not a 0/1 selector.
 
-        A 0/1 selector W is applied as a column copy when x is finite; it is
-        detected once per array and again after the field is reassigned.
-        Any other W, or a non-finite x, takes the GEMM.
+        Detected once per array and again after the field is reassigned.
         """
         w = getattr(self, name)
-        m = np.swapaxes(w, -1, -2) if transpose else w
         cache = self.__dict__.setdefault("_selectors", {})
         hit = cache.get((name, transpose))
         if hit is None or hit[0] is not w:
-            hit = cache[name, transpose] = (w, _selector(m))
+            hit = cache[name, transpose] = (
+                w, _selector(np.swapaxes(w, -1, -2) if transpose else w))
             if hit[1] is not None:
                 w.flags.writeable = False
-        if hit[1] is not None and np.isfinite(x).all():
-            return _copy_columns(x, hit[1])
+        return hit[1]
+
+    def matmul(self, x: np.ndarray, name: str, transpose: bool = False,
+               finite: bool | None = None) -> np.ndarray:
+        """x @ W for the weight field ``name``, or x @ W.T with ``transpose``
+        (W's last two axes swapped, so a stacked W multiplies head by head).
+
+        A 0/1 selector W is applied as a column copy when x is finite, which
+        ``finite`` states when the caller knows it. Any other W, or a
+        non-finite x, takes the GEMM.
+        """
+        sel = self.selector(name, transpose)
+        if sel is not None and (np.isfinite(x).all() if finite is None else finite):
+            return _copy_columns(x, sel)
+        w = getattr(self, name)
+        m = np.swapaxes(w, -1, -2) if transpose else w
         return _dot(x, m) if m.ndim == 2 else x @ m
+
+    def copies_mlp(self) -> bool:
+        """True when w_mlp1 = [I; 0] and w_mlp2 = [I 0], as crafted: the MLP
+        copies z into its first D hidden units and reads back only those."""
+        d = self.w_mlp1.shape[1]
+        return all(_copies_prefix(self.selector(name, transpose=True), d)
+                   for name in ("w_mlp1", "w_mlp2"))
 
 
 @dataclass
@@ -297,6 +326,15 @@ def _selector(m: np.ndarray) -> _Selector | None:
     return _Selector(m.shape[0] if m.ndim == 3 else 0, k, full, moves)
 
 
+def _copies_prefix(sel: _Selector | None, d: int) -> bool:
+    """True when ``sel`` is a 2-D selector whose only ones copy input column
+    i to output column i for every i < d."""
+    if sel is None or sel.stack or len(sel.moves) != 1:
+        return False
+    _, cols, src = sel.moves[0]
+    return all(isinstance(s, slice) and s == slice(0, d) for s in (cols, src))
+
+
 def _copy_columns(x: np.ndarray, sel: _Selector) -> np.ndarray:
     """x @ m for m with selector ``sel`` and finite x, bit for bit: the
     selected columns, then + 0.0 (the module docstring says why)."""
@@ -350,9 +388,10 @@ def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
     # one GEMM per head, stacked: a single GEMM over all heads' columns
     # would round differently for some batch sizes
     by_head = flat.reshape(-1, L, d_h).transpose(1, 0, 2)  # (L, rows, D_h)
-    q = enc.matmul(by_head, "w_q", transpose=True) + enc.b_q[:, None, :]
-    k = enc.matmul(by_head, "w_k", transpose=True) + enc.b_k[:, None, :]
-    v = enc.matmul(flat, "w_v", transpose=True) + enc.b_v[:, None, :]
+    finite = bool(np.isfinite(flat).all())  # one check for Q, K and V
+    q = enc.matmul(by_head, "w_q", transpose=True, finite=finite) + enc.b_q[:, None, :]
+    k = enc.matmul(by_head, "w_k", transpose=True, finite=finite) + enc.b_k[:, None, :]
+    v = enc.matmul(flat, "w_v", transpose=True, finite=finite) + enc.b_v[:, None, :]
     q, k, v = (x.reshape(L, *lead, -1, d_h) for x in (q, k, v))
     attn = softmax_rows((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_h)))
     concat = np.moveaxis(attn @ v, 0, -2).reshape(tokens.shape)
@@ -360,7 +399,21 @@ def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
     return out, {"q": q, "k": k, "v": v, "attn": attn}
 
 
+def _saturated(x: np.ndarray) -> bool:
+    """True when every entry of x is finite and past GELU saturation."""
+    return bool(np.isfinite(x).all() and (x >= _PHI_SATURATION).all())
+
+
 def _mlp_forward(z: np.ndarray, enc: EncoderParams):
+    d = z.shape[-1]
+    # a crafted MLP's last 3D hidden columns are the constants 0.0 + b_mlp1,
+    # which only ``live`` reads: when they saturate, run at width D. The
+    # wide (z + 0.0) + b differs from z + b only where z = b = -0.0, which
+    # does not saturate; w_mlp2's copy, pre + 0.0, is pre, as pre >= 9.
+    if enc.copies_mlp() and _saturated(enc.b_mlp1[d:]):
+        pre = z + enc.b_mlp1[:d]
+        if _saturated(pre):
+            return pre + enc.b_mlp2, {"pre": pre, "live": False}
     pre = enc.matmul(z, "w_mlp1", transpose=True) + enc.b_mlp1
     live = bool((pre < _PHI_SATURATION).any())  # else GELU is x * 1.0 = x
     out = enc.matmul(gelu(pre) if live else pre, "w_mlp2", transpose=True) + enc.b_mlp2

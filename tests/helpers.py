@@ -5,8 +5,8 @@ import numpy as np
 from adapterleak.dataio import read_tensor_archive
 from adapterleak.errors import ShapeError
 from adapterleak.metrics import _ssim_batch
-from adapterleak.model import AdapterSet
-from adapterleak.numerics import as_f64
+from adapterleak.model import AdapterSet, ModelConfig, random_backbone
+from adapterleak.numerics import Rng, as_f64
 from adapterleak.serialize import _adapter_tensors
 
 
@@ -40,3 +40,15 @@ def kink_margin(cache) -> float:
     return min(float((np.abs(a["v"]) / np.maximum(
         1.0, np.abs(a["input"]).max(axis=-1, keepdims=True))).min())
         for a in (sub["adapter"] for sub in cache.sublayers))
+
+
+MIXED_SATURATED = (0, 3, 4)  # the encoders mixed_backbone saturates
+
+
+def mixed_backbone(mc: ModelConfig, rng: Rng):
+    """random_backbone with every MLP unit of MIXED_SATURATED's encoders
+    biased far past the GELU saturation point."""
+    bb = random_backbone(mc, rng)
+    for e in MIXED_SATURATED:
+        bb.encoders[e].b_mlp1 = np.maximum(bb.encoders[e].b_mlp1, 30.0)
+    return bb

@@ -49,6 +49,9 @@ public_count = 64
 """
 
 
+# [fl] rounds = 1 of TINY replaced: two FedAvg rounds of two local epochs
+FEDAVG_2_ROUNDS = "rounds = 2\nmode = fedavg\nlocal_epochs = 2"
+
 DESK_CFG_FILE = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 
@@ -760,29 +763,36 @@ class TestSweepCommand:
         def record(module, name):
             real = getattr(module, name)
 
-            def recording(*args):
+            def recording(*args, **kwargs):
                 calls.append((name, threading.get_ident()))
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, recording)
 
         for module, name in ((cli, "run_experiment"), (flsim, "craft_backbone"),
-                             (flsim, "_setup_on")):
+                             (flsim, "_setup_on"), (flsim, "synth_batch"),
+                             (flsim, "local_step")):
             record(module, name)
         assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", "r",
                      "--values", "2,4", "--seeds", "2",
                      "--out", str(tmp_path / "sweep")]) == 0
+        # two public batches, one per seed, and four victim observations
         assert sorted(name for name, _ in calls) == (
-            ["_setup_on"] * 4 + ["craft_backbone"] * 2 + ["run_experiment"] * 4)
+            ["_setup_on"] * 4 + ["craft_backbone"] * 2 + ["local_step"] * 4
+            + ["run_experiment"] * 4 + ["synth_batch"] * 6)
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
-    @pytest.mark.parametrize("vary,values", [("batch", "2,4"), ("noise", "0,0.3"),
-                                             ("r", "2,4")])
-    def test_csv_matches_runs(self, tiny_cfg_file, tmp_path, vary, values):
+    @pytest.mark.parametrize("vary,values,fl", [
+        ("batch", "2,4", ""), ("noise", "0,0.3", ""), ("r", "2,4", ""),
+        ("noise", "0,1e-11", FEDAVG_2_ROUNDS), ("layers", "1,2", "")],
+        ids=["batch-2,4", "noise-0,0.3", "r-2,4", "noise-0,1e-11-fedavg", "layers-1,2"])
+    def test_csv_matches_runs(self, tmp_path, vary, values, fl):
         from adapterleak.metrics import write_csv
 
+        base = TINY.replace("rounds = 1", fl) if fl else TINY
+        (tmp_path / "base.cfg").write_text(base)
         out = tmp_path / "sweep"
-        assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
+        assert main(["sweep", "--config", str(tmp_path / "base.cfg"), "--vary", vary,
                      "--values", values, "--seeds", "2", "--out", str(out)]) == 0
 
         # every cell again as its own `run`, averaged over seeds as the sweep does
@@ -791,11 +801,14 @@ class TestSweepCommand:
             value = float(raw) if vary == "noise" else int(raw)
             cells = []
             for seed in (11, 1011):
-                text = TINY.replace("seed = 11", f"seed = {seed}")
+                text = base.replace("seed = 11", f"seed = {seed}")
                 if vary == "batch":
                     text = text.replace("batch_size = 4", f"batch_size = {raw}")
                 elif vary == "r":
                     text = text.replace("r = 4", f"r = {raw}")
+                elif vary == "layers":
+                    text = text.replace("adapters_per_position = 2",
+                                        f"adapters_per_position = {raw}")
                 else:
                     text += f"\n[defense]\nkind = gaussian_noise\nnoise_rel_sigma = {raw}\n"
                 cfg = tmp_path / f"cell_{raw}_{seed}.cfg"
@@ -822,9 +835,9 @@ class TestSweepCommand:
         built, crafted = [], []
         real_setup, real_craft = flsim._setup_on, flsim.craft_backbone
 
-        def counting_setup(pair, args):
+        def counting_setup(pair, args, public):
             built.append(args)
-            return real_setup(pair, args)
+            return real_setup(pair, args, public)
 
         def counting_craft(craft_cfg, model_cfg):
             crafted.append((craft_cfg, model_cfg))
@@ -837,3 +850,34 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "sweep")]) == 0
         assert len(built) == len(set(built)) == setups
         assert len(crafted) == len(set(crafted)) == backbones
+
+    @pytest.mark.parametrize("vary,values,publics,observations", [
+        ("batch", "2,4,8", 2, 6), ("noise", "0,0.3", 2, 2), ("r", "2,4", 2, 4),
+        ("layers", "1,2", 2, 4)],
+        ids=["batch-2,4,8", "noise-0,0.3", "r-2,4", "layers-1,2"])
+    def test_each_distinct_input_computed_once(self, tiny_cfg_file, tmp_path,
+                                               monkeypatch, vary, values, publics,
+                                               observations):
+        import adapterleak.flsim as flsim
+
+        drawn, trained = [], []
+        real_synth, real_step = flsim.synth_batch, flsim.local_step
+
+        def counting_synth(m, model_cfg, seed, kind):
+            drawn.append(m)
+            return real_synth(m, model_cfg, seed=seed, kind=kind)
+
+        def counting_step(batch, *rest):
+            trained.append(batch)
+            return real_step(batch, *rest)
+
+        monkeypatch.setattr(flsim, "synth_batch", counting_synth)
+        monkeypatch.setattr(flsim, "local_step", counting_step)
+        assert main(["sweep", "--config", str(tiny_cfg_file), "--vary", vary,
+                     "--values", values, "--seeds", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        # one public batch of 64 per seed; one victim batch and one local
+        # training per distinct (setup, FL config), the cells' observations
+        assert drawn.count(64) == publics
+        assert len(drawn) - publics == len(trained) == observations
+        assert len({id(batch) for batch in trained}) == observations

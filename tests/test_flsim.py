@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import tempfile
@@ -17,6 +18,7 @@ from adapterleak.errors import ConfigError
 from adapterleak.grad import backward_adapters, blas_single_thread
 from adapterleak.model import AdapterSet, ModelConfig, forward, random_backbone
 from adapterleak.numerics import _PHI_SATURATION, Rng
+from helpers import MIXED_SATURATED, mixed_backbone
 
 DESK = ModelConfig()
 
@@ -408,6 +410,53 @@ class TestRunExperimentPinned:
         h.update(repr((res.merged.coverage, repr(res.score))).encode())
         assert h.hexdigest()[:16] == PIN_RUN_EXPERIMENT[defense]
 
+    FEDAVG = flsim.FLConfig(users=4, batch_size=8, rounds=2, local_epochs=2,
+                            victim_index=2, mode="fedavg", seed=5)
+
+    @pytest.mark.parametrize("defense", sorted(PIN_RUN_EXPERIMENT))
+    def test_shared_observation_keeps_the_bytes(self, setup, defense, monkeypatch):
+        import hashlib
+
+        observation = flsim.run_experiment(setup, self.FEDAVG,
+                                           flsim.DefenseConfig()).observation
+
+        def no_training(*args):
+            raise AssertionError("a shared observation was trained again")
+
+        monkeypatch.setattr(flsim, "local_step", no_training)
+        res = flsim.run_experiment(setup, self.FEDAVG, self.DEFENSES[defense],
+                                   observation)
+        h = hashlib.sha256(np.ascontiguousarray(res.victim_grads[-1].flat()).tobytes())
+        h.update(repr((res.merged.coverage, repr(res.score))).encode())
+        assert h.hexdigest()[:16] == PIN_RUN_EXPERIMENT[defense]
+
+    def test_observation_is_read_only(self, setup, monkeypatch):
+        obs = flsim.run_experiment(setup, self.FEDAVG, flsim.DefenseConfig()).observation
+        arrays = [obs.batch.images, obs.batch.labels, obs.stats, obs.truth,
+                  *(t for g in obs.grads for t in g.tensors().values())]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # so a defense that wrote into its input raises instead of changing
+        # the cells that share the observation
+        real = flsim.apply_defense
+
+        def in_place(g, d, rng):
+            g.w_down *= 2.0
+            return real(g, d, rng)
+
+        monkeypatch.setattr(flsim, "apply_defense", in_place)
+        with pytest.raises(ValueError, match="read-only"):
+            flsim.run_experiment(setup, self.FEDAVG, flsim.DefenseConfig(), obs)
+
+    def test_observation_of_another_experiment_rejected(self, setup):
+        obs = flsim.run_experiment(setup, self.FEDAVG, flsim.DefenseConfig()).observation
+        other_setup = flsim.prepare_attack(self.ARGS)
+        for s, fl in ((setup, dataclasses.replace(self.FEDAVG, batch_size=4)),
+                      (other_setup, self.FEDAVG)):
+            with pytest.raises(ConfigError, match="observation"):
+                flsim.run_experiment(s, fl, flsim.DefenseConfig(), obs)
+
     def test_user_count_only_sets_keys(self, setup):
         # without a defense the victim's share does not depend on how many
         # users take part
@@ -449,7 +498,6 @@ class TestRunExperimentPinned:
 # epochs, "relu_class" a random backbone with the class-token head,
 # "mixed_mlp" a random backbone whose encoders 0, 3 and 4 have every MLP unit
 # saturated while the other encoders keep live units.
-MIXED_SATURATED = (0, 3, 4)
 PIN_LOCAL_STEP = {
     "d64_class": ("6fe69a02ed406eab", "69870034091fd832", "52cb00de1248a31f"),
     "desk": ("fadcb1614e2e6cb5", "93d3139ffa2e18f7", "7e85b74e59d378c6"),
@@ -466,15 +514,6 @@ def _digest(*arrays) -> str:
     for arr in arrays:
         h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()[:16]
-
-
-def mixed_backbone(mc: ModelConfig, rng: Rng):
-    """random_backbone with every MLP unit of MIXED_SATURATED's encoders
-    biased far past the GELU saturation point."""
-    bb = random_backbone(mc, rng)
-    for e in MIXED_SATURATED:
-        bb.encoders[e].b_mlp1 = np.maximum(bb.encoders[e].b_mlp1, 30.0)
-    return bb
 
 
 def _pinned_local_step(case: str) -> tuple[str, str, str]:

@@ -164,6 +164,27 @@ class TestBackward:
         for j, ratio in r1.items():
             assert np.max(np.abs(ratio - r2[j])) < 1e-9
 
+    def test_selector_v_parts_added_by_column_keep_the_bits(self):
+        # the reference hides w_v's selector, so its V parts are the full
+        # (rows, D) GEMMs added head by head
+        import dataclasses
+
+        cfg = ModelConfig()
+        bb = craft_backbone(CraftConfig(seed=7), cfg)
+        ads = AdapterSet.random(cfg, Rng(40), scale=0.1)
+        _, _, cache = forward(synth_batch(4, cfg, seed=41), bb, ads, cfg)
+        rng = np.random.default_rng(42)
+        for s in range(0, cfg.num_adapters, 2):
+            enc = bb.encoders[s // 2]
+            d_out = rng.normal(size=cache.sublayers[s]["z"].shape)
+            d_out[rng.random(d_out.shape) < 0.2] = -0.0
+            got = grad._msa_backward(d_out, cache.sublayers[s]["core"], enc, cfg.D_h)
+            ref = dataclasses.replace(enc)
+            ref._selectors = {("w_v", False): (ref.w_v, None)}
+            want = grad._msa_backward(d_out, cache.sublayers[s]["core"], ref, cfg.D_h)
+            assert enc.selector("w_v") is not None
+            assert got.tobytes() == want.tobytes()
+
     def test_missing_cache_rejected(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
         from adapterleak.errors import ShapeError

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from adapterleak import grad
 from adapterleak import model as mdl
 from adapterleak.craft import CraftConfig, craft_backbone, embedding_layout
 from adapterleak.dataio import Batch, synth_batch
 from adapterleak.errors import ConfigError, ShapeError
-from adapterleak.numerics import Rng
+from adapterleak.numerics import _PHI_SATURATION, Rng, gelu, gelu_grad
+from helpers import mixed_backbone
 
 
 def tiny_cfg(**kw):
@@ -381,3 +383,97 @@ class TestSelectorProduct:
         assert enc.matmul(x, "w_msa", True).tobytes() == mdl._dot(x, enc.w_msa.T).tobytes()
         enc.w_msa = np.eye(cfg.D)[::-1].copy()
         assert enc.matmul(x, "w_msa", True).tobytes() == (x[:, ::-1] + 0.0).tobytes()
+
+
+def _wide_mlp(z: np.ndarray, enc: mdl.EncoderParams):
+    """(out, pre, live) of the MLP as 4D-wide GEMMs, selectors or not."""
+    pre = mdl._dot(z, enc.w_mlp1.T) + enc.b_mlp1
+    live = bool((pre < _PHI_SATURATION).any())
+    out = mdl._dot(gelu(pre) if live else pre, enc.w_mlp2.T) + enc.b_mlp2
+    return out, pre, live
+
+
+def _wide_mlp_backward(d_out, pre, live, enc: mdl.EncoderParams) -> np.ndarray:
+    d_pre = mdl._dot(d_out, enc.w_mlp2)
+    if live:
+        d_pre *= gelu_grad(pre)
+    return mdl._dot(d_pre, enc.w_mlp1)
+
+
+def _with_one(x: np.ndarray, data, values) -> np.ndarray:
+    """x with one entry, drawn, replaced by one of ``values``."""
+    x = x.copy()
+    x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(st.sampled_from(values))
+    return x
+
+
+# z entries: a LayerNorm output's range, signed zeros, subnormals and +-1e300
+_Z_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e300, -1e300]),
+    st.floats(-5.0, 5.0))
+
+
+@st.composite
+def _crafted_mlps(draw):
+    """(enc, z, d_out): a crafted MLP, w_mlp1 = [I; 0] and w_mlp2 = [I 0],
+    whose b_mlp1 entries sit past saturation unless one is moved below it or
+    made non-finite (in the copied D units or the other 3D), with finite or
+    non-finite z and d_out."""
+    d = draw(st.integers(1, 6))
+    gamma = draw(st.floats(10.0, 1e4))
+    b1 = np.full(4 * d, gamma)
+    where = draw(st.sampled_from(["none"] * 4 + ["copied", "other", "copied_nan",
+                                                 "other_inf"]))
+    if where != "none":
+        at = draw(st.integers(0, d - 1)) + (0 if where.startswith("copied") else d)
+        b1[at] = {"copied_nan": np.nan, "other_inf": np.inf}.get(
+            where, draw(st.floats(-20.0, 8.9)))
+    names = [f.name for f in dataclasses.fields(mdl.EncoderParams)]
+    enc = mdl.EncoderParams(**{name: np.zeros(1) for name in names})
+    enc.w_mlp1, enc.w_mlp2 = np.eye(4 * d, d), np.eye(d, 4 * d)
+    enc.b_mlp1 = b1
+    enc.b_mlp2 = draw(hnp.arrays(np.float64, d, elements=st.floats(-1e4, 1e4)))
+    shape = (*draw(st.sampled_from([(), (2,)])), draw(st.integers(1, 5)), d)
+    z = draw(hnp.arrays(np.float64, shape, elements=_Z_VALUES))
+    d_out = draw(hnp.arrays(np.float64, shape, elements=_X_VALUES))
+    data = draw(st.data())
+    nonfinite = [np.inf, -np.inf, np.nan]
+    if draw(st.integers(0, 3)) == 3:
+        z = _with_one(z, data, nonfinite)
+    if draw(st.integers(0, 3)) == 3:
+        d_out = _with_one(d_out, data, nonfinite)
+    return enc, z, d_out
+
+
+class TestNarrowMlp:
+    """A crafted MLP runs at the width it copies, with the 4D-wide bytes."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_crafted_mlps())
+    def test_forward_and_backward_are_the_wide_gemms(self, case):
+        enc, z, d_out = case
+        assert enc.copies_mlp()
+        with np.errstate(invalid="ignore", over="ignore"):
+            want, pre, live = _wide_mlp(z, enc)
+            out, cache = mdl._mlp_forward(z, enc)
+            assert out.tobytes() == want.tobytes()
+            assert cache["live"] == live
+            # narrow exactly when z and pre are finite and no unit is live
+            narrow = bool(np.isfinite(pre).all()) and not live
+            assert cache["pre"].shape[-1] == (z.shape[-1] if narrow else 4 * z.shape[-1])
+            d_z = grad._mlp_backward(d_out, cache, enc)
+            assert d_z.tobytes() == _wide_mlp_backward(d_out, pre, live, enc).tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "mixed", "crafted"])
+    def test_only_crafted_encoders_narrow(self, kind):
+        cfg = mdl.ModelConfig()
+        backbone = {"random": lambda: mdl.random_backbone(cfg, Rng(3)),
+                    "mixed": lambda: mixed_backbone(cfg, Rng(31)),
+                    "crafted": lambda: craft_backbone(CraftConfig(seed=7), cfg)}[kind]()
+        ads = mdl.AdapterSet.random(cfg, Rng(32), scale=0.1)
+        _, _, cache = mdl.forward(synth_batch(3, cfg, seed=33), backbone, ads, cfg)
+        width = cfg.D if kind == "crafted" else 4 * cfg.D
+        assert [enc.copies_mlp() for enc in backbone.encoders] == \
+            [kind == "crafted"] * cfg.num_encoders
+        assert {sub["core"]["pre"].shape[-1] for sub in cache.sublayers
+                if not sub["is_msa"]} == {width}

@@ -530,21 +530,48 @@ def _adapter_digest(adapters) -> str:
     return h.hexdigest()[:16]
 
 
-def _pinned_digests(r: int, plan_name: str) -> list[str]:
-    mc = ModelConfig(r=r)
-    cc = cr.CraftConfig(seed=7)
-    positions, s_t = PIN_PLANS[plan_name]
+def _craft_digests(mc: ModelConfig, cc, positions, s_t: int, rounds: int,
+                   seeds=PIN_SEEDS) -> list[str]:
+    """Every round's adapter digest for each fl seed, seed-major."""
     positions = list(range(1, mc.N + 1)) if positions == "all" else positions
     bb = cr.craft_backbone(cc, mc)
     out = []
-    for seed in PIN_SEEDS:
+    for seed in seeds:
         public = synth_batch(256, mc, seed=int(Rng(seed).spawn(101).spawn(0).seed),
                              kind="smooth")
         stats = estimate_patch_stats(public.images, bb.embed, bb.pos, mc)
-        plan = cr.build_attack_plan(stats, mc, positions, s_t, 2)
+        plan = cr.build_attack_plan(stats, mc, positions, s_t, rounds)
         out += [_adapter_digest(cr.craft_adapters(plan, bb, cc, mc, rho))
-                for rho in (0, 1)]
+                for rho in range(rounds)]
     return out
+
+
+def _pinned_digests(r: int, plan_name: str) -> list[str]:
+    positions, s_t = PIN_PLANS[plan_name]
+    return _craft_digests(ModelConfig(r=r), cr.CraftConfig(seed=7), positions, s_t, 2)
+
+
+# More craft_adapters bytes, pinned the same way for fl seed 11 alone: a name,
+# then (model config, craft config, positions, adapters per position, rounds)
+# and one digest per round.
+PIN_SHAPES = {
+    "average_pool_d32": (ModelConfig(D=32, L=4, num_encoders=2, r=4),
+                         cr.CraftConfig(seed=5, embed_mode="average_pool"), "all", 1, 3),
+    "average_pool_p8": (ModelConfig(D=128, L=4, num_encoders=3, P=8, H=16, W=16, r=4),
+                        cr.CraftConfig(seed=7, embed_mode="average_pool"), [1, 3, 4], 2, 4),
+    "class_token": (ModelConfig(head_mode="class_token"), cr.CraftConfig(seed=7),
+                    [2, 3], 3, 3),
+    "laplacian": (ModelConfig(r=4), cr.CraftConfig(seed=7, pos_dist="laplacian"),
+                  "all", 2, 5),
+}
+PIN_SHAPE_DIGESTS = {
+    "average_pool_d32": ["7b1fb30de1c15b34", "73061693043bedd8", "b3cd2afceeff1b15"],
+    "average_pool_p8": ["194395cb131a1928", "5f2c4c744690e9a4", "c1ce48b4a608a59b",
+                        "37a626ad0bbb3b54"],
+    "class_token": ["f96eb00c68bb7694", "43a719a3999d71fa", "7f06e32400d86dd6"],
+    "laplacian": ["61f55241d52d27f3", "f7ea9d2b2102a7f4", "82ce9a7dd31be9e4",
+                  "2de4ec83cd236b17", "193966ebf8b9dbb6"],
+}
 
 
 class TestCraftAdaptersPinned:
@@ -553,3 +580,7 @@ class TestCraftAdaptersPinned:
     def test_bytes_unchanged(self, r, plan_name):
         # digests in order (seed 11, round 0), (11, 1), (300020, 0), (300020, 1)
         assert _pinned_digests(r, plan_name) == PIN_DIGESTS[(r, plan_name)]
+
+    @pytest.mark.parametrize("name", sorted(PIN_SHAPES))
+    def test_more_shapes_unchanged(self, name):
+        assert _craft_digests(*PIN_SHAPES[name], seeds=(11,)) == PIN_SHAPE_DIGESTS[name]

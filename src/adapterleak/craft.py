@@ -98,9 +98,6 @@ class AttackPlan:
         return sorted((a for a in self.assignments if a.position == t),
                       key=lambda a: a.slot)
 
-    def grid(self, t: int, round_idx: int) -> np.ndarray:
-        return self.thresholds[t][round_idx]
-
     def bins(self, t: int) -> tuple[Bin, ...]:
         """Position t's S_t (r - 1) + 1 pair-resolvable bins, in grid order.
 
@@ -123,7 +120,7 @@ class AttackPlan:
 
     def bounds(self, t: int, round_idx: int, q: int):
         """(lo, hi) of bin q in round ``round_idx``; hi is inf for the top bin."""
-        grid = self.grid(t, round_idx)
+        grid = self.thresholds[t][round_idx]
         return grid[q], grid[q + 1] if q + 1 < len(grid) else np.inf
 
 
@@ -295,16 +292,14 @@ def craft_backbone(cfg: CraftConfig, model_cfg: ModelConfig) -> FrozenBackbone:
     )
 
 
-def interleaved_quantiles(k: int, rounds: int, round_idx: int) -> np.ndarray:
-    """Round rho's quantile levels: (j * R - rho) / (k * R + 1), j = 1..k.
+def interleaved_quantiles(k: int, rounds: int) -> np.ndarray:
+    """(R, k) quantile levels: row rho holds (j * R - rho) / (k * R + 1), j = 1..k.
 
     The union over rounds is the full (k * R + 1)-quantile grid, so every
     round refines the coverage with a shifted, equally spaced subgrid.
     """
-    if not 0 <= round_idx < rounds:
-        raise ConfigError("round index out of range")
     j = np.arange(1, k + 1)
-    return (j * rounds - round_idx) / (k * rounds + 1.0)
+    return (j * rounds - np.arange(rounds)[:, None]) / (k * rounds + 1.0)
 
 
 def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
@@ -313,6 +308,8 @@ def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
     """Assign adapters to target positions and lay the threshold grids."""
     if not positions:
         raise ConfigError("no target positions")
+    if len(set(positions)) < len(positions):
+        raise ConfigError(f"target positions {positions} repeat a position")
     if rounds < 1:
         raise ConfigError("need at least one round")
     s_t = adapters_per_position
@@ -333,16 +330,12 @@ def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
             assignments.append(Assignment(adapter=nxt, position=t, slot=s))
             nxt += 1
 
-    thresholds = {}
+    levels, thresholds = interleaved_quantiles(k_t, rounds), {}
     for t in positions:
         mu_t, sigma_t = stats.for_position(t)
         if sigma_t <= 0:
             raise ConfigError(f"degenerate statistic spread at position {t}")
-        grids = np.empty((rounds, k_t))
-        for rho in range(rounds):
-            q = interleaved_quantiles(k_t, rounds, rho)
-            grids[rho] = inverse_normal_cdf(q, mu_t, sigma_t)
-        thresholds[t] = grids
+        thresholds[t] = inverse_normal_cdf(levels, mu_t, sigma_t)
     return AttackPlan(
         assignments=assignments,
         thresholds=thresholds,
@@ -384,37 +377,40 @@ def gating_row(pos: np.ndarray, t: int, layout: EmbeddingLayout,
 
 
 def _probe_batch(plan: AttackPlan, layout: EmbeddingLayout, pos: np.ndarray, t: int,
-                 model_cfg: ModelConfig, round_idx: int) -> Batch:
-    """Synthetic images placing one probe patch at position t per threshold."""
+                 model_cfg: ModelConfig) -> Batch:
+    """Synthetic images placing one probe patch at position t per threshold of
+    every round, round-major: image rho * k_t + q probes round rho's grid[q]."""
     epc = pos[t, layout.content_rows]
-    grid = plan.grid(t, round_idx)
-    patches = np.zeros((len(grid), model_cfg.N, model_cfg.patch_dim))
+    levels = plan.thresholds[t].ravel()
+    patches = np.zeros((len(levels), model_cfg.N, model_cfg.patch_dim))
     # content x with statistic exactly c: x = c / (0.5 ||epc||^2) * epc,
     # spread over the pixels each content row reads
-    for i, c in enumerate(grid):
-        x = (c / (0.5 * (epc @ epc))) * epc
-        patches[i, t - 1] = x[layout.pixel_groups]
+    x = (levels / (0.5 * (epc @ epc)))[:, None] * epc
+    patches[:, t - 1] = x[:, layout.pixel_groups]
     images = unpatchify(patches, model_cfg.P, model_cfg.C, model_cfg.H, model_cfg.W)
-    return Batch(images, np.zeros(len(grid), dtype=np.int64))
+    return Batch(images, np.zeros(len(levels), dtype=np.int64))
 
 
 _DOWN_SCALE = 1e-6  # common factor of the crafted down-projection rows and biases
 
 
 def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
-                   craft_cfg: CraftConfig, model_cfg: ModelConfig,
-                   round_idx: int) -> AdapterSet:
-    """Adapter parameters for one attack round.
+                   craft_cfg: CraftConfig, model_cfg: ModelConfig
+                   ) -> tuple[AdapterSet, ...]:
+    """Adapter parameters for every attack round, one set per round.
 
-    Biases are probe-calibrated: for each planned threshold the server runs
-    a zero-content token set with the statistic pinned at that threshold
+    The rounds differ only in their down-projection biases. These are
+    probe-calibrated: for each planned threshold the server runs a
+    zero-content token set with the statistic pinned at that threshold
     through its own backbone and negates the observed pre-activation, so
     the relu boundary sits exactly at the threshold in statistic space.
-    A position's probes run only through the deepest adapter assigned to
-    it; no later sublayer is read. The up-projection leaks every neuron's
-    activation into output coordinate 0 at epsilon magnitude, giving all r
-    neurons a gradient path while perturbing propagation below every
-    tolerance in play.
+    Each position runs one probe forward, over every round's thresholds,
+    and only through the deepest adapter assigned to it; no later sublayer
+    is read. Neuron j of the adapter in slot s takes its round-rho bias
+    from probe image rho * k_t + s * r + j. The up-projection leaks every
+    neuron's activation into output coordinate 0 at epsilon magnitude,
+    giving all r neurons a gradient path while perturbing propagation
+    below every tolerance in play.
 
     Weight rows and biases carry a common factor ``_DOWN_SCALE``. Gating signs
     and the recovery ratio are invariant to it, but it shrinks the neuron
@@ -422,28 +418,28 @@ def craft_adapters(plan: AttackPlan, backbone: FrozenBackbone,
     epoch local training cannot rewrite the leak row that the
     pair-difference trick needs to stay uniform across neurons.
     """
-    adapters = AdapterSet.zeros(model_cfg)
-    adapters.w_up[:, 0, :] = craft_cfg.epsilon_up
-
+    sets = tuple(AdapterSet.zeros(model_cfg) for _ in range(plan.rounds))
     no_adapters = AdapterSet.zeros(model_cfg)
     layout = embedding_layout(backbone.embed, model_cfg.N)
+    r = model_cfg.r
     for t in plan.positions():
         row = gating_row(backbone.pos, t, layout, model_cfg, craft_cfg)
         assigned = plan.adapters_for(t)
-        probe = _probe_batch(plan, layout, backbone.pos, t, model_cfg, round_idx)
+        k_t = len(assigned) * r
+        probe = _probe_batch(plan, layout, backbone.pos, t, model_cfg)
         _, _, cache = forward(probe, backbone, no_adapters, model_cfg,
                               max(a.adapter for a in assigned))
         for assign in assigned:
-            adapters.w_down[assign.adapter] = _DOWN_SCALE * row
-        # a bin's two neurons gate at its two edges; each neuron once
-        edges = {}
-        for b in plan.bins(t):
-            edges[b.adapter, b.neuron] = b.q
-            if not b.top:
-                edges[b.adapter, b.neuron + 1] = b.q + 1
-        for (a, j), q in edges.items():  # adapter inputs are (k_t, N+1, D)
-            adapters.b_down[a, j] = -_DOWN_SCALE * float(row @ cache.adapter_input(a)[q, t])
-    return adapters
+            a = assign.adapter
+            inputs = cache.adapter_input(a)  # (R * k_t, N+1, D)
+            for rho, adapters in enumerate(sets):
+                adapters.w_down[a] = _DOWN_SCALE * row
+                for j in range(r):
+                    q = rho * k_t + assign.slot * r + j
+                    adapters.b_down[a, j] = -_DOWN_SCALE * float(row @ inputs[q, t])
+    for adapters in sets:
+        adapters.w_up[:, 0, :] = craft_cfg.epsilon_up
+    return sets
 
 
 def plan_to_json(plan: AttackPlan) -> str:
@@ -478,10 +474,10 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
 
     Keys the plan does not have are ignored, so plans written by earlier
     versions, which carried more keys (among them the embedding layout, now
-    read from the backbone), still load. Every position must
-    have both a grid and assignments, its slots must be 0..n-1, and adapter
-    indices must be distinct and non-negative: ``AttackPlan.bins`` reads the
-    layout from them.
+    read from the backbone), still load. Every position must have both a
+    grid and assignments, its slots must be 0..n-1, its grid rows finite
+    and strictly increasing, and adapter indices must be distinct and
+    non-negative: ``AttackPlan.bins`` reads the layout from them.
     """
     try:
         obj = json.loads(text)
@@ -503,6 +499,9 @@ def plan_from_json(text: str | bytes) -> AttackPlan:
             if slots != list(range(len(slots))) or g.shape != (plan.rounds, len(slots) * plan.r):
                 raise ValueError(f"position {t}'s slots {slots} are not 0..n-1 or its "
                                  f"grid is not rounds x (n * r)")
+            if not (np.isfinite(g).all() and np.all(np.diff(g, axis=1) > 0)):
+                raise ValueError(f"position {t}'s thresholds are not finite and "
+                                 f"strictly increasing in every round")
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise FormatError(f"malformed attack plan: {exc!r}") from None
     return plan

@@ -277,9 +277,7 @@ def _setup_on(backbone: FrozenBackbone, args: SetupArgs, public: Batch) -> Attac
     stats = estimate_patch_stats(public.images, backbone.embed, backbone.pos, mc)
     plan = build_attack_plan(stats, mc, args.positions, args.adapters_per_position,
                              args.rounds)
-    adapters = tuple(craft_adapters(plan, backbone, cc, mc, rho)
-                     for rho in range(args.rounds))
-    return AttackSetup(args, backbone, plan, adapters)
+    return AttackSetup(args, backbone, plan, craft_adapters(plan, backbone, cc, mc))
 
 
 def _observe(setup: AttackSetup, fl_cfg: FLConfig) -> Observation:

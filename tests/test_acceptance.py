@@ -90,11 +90,11 @@ class TestCriterion3ExactBins:
         pub = synth_batch(256, DESK, seed=999, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
         plan = build_attack_plan(stats, DESK, [1], 2, 1)
-        adapters = craft_adapters(plan, bb, cc, DESK, 0)
+        adapters = craft_adapters(plan, bb, cc, DESK)[0]
 
         # inverse-design: one patch per recoverable bin, placed mid-bin via
         # the brute-force statistic oracle
-        grid = plan.grid(1, 0)
+        grid = plan.thresholds[1][0]
         intervals = [plan.bounds(1, 0, b.q) for b in plan.bins(1)]
         epc = bb.pos[1, embedding_layout(bb.embed, DESK.N).content_rows]
         rng = Rng(5)

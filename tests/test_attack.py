@@ -26,7 +26,7 @@ def make_pipeline(positions, s_t, seed=7, rounds=1):
 
 def bin_mid_batch(bb, plan, t, rng_seed=5, extra_positions_random=True):
     """One patch per recoverable interval of position t, placed mid-bin."""
-    grid = plan.grid(t, 0)
+    grid = plan.thresholds[t][0]
     mids = []
     for b in plan.bins(t):
         lo, hi = plan.bounds(t, 0, b.q)
@@ -65,7 +65,7 @@ def in_bin(position, stat, peak=0.0):
 @pytest.fixture(scope="module")
 def isolated_run():
     cc, bb, plan = make_pipeline([1], 2)
-    adapters = craft_adapters(plan, bb, cc, DESK, 0)
+    adapters = craft_adapters(plan, bb, cc, DESK)[0]
     batch = bin_mid_batch(bb, plan, 1)
     _, _, cache = forward(batch, bb, adapters, DESK)
     grads = backward_adapters(cache, bb, adapters, DESK)
@@ -156,7 +156,7 @@ class TestEndToEnd:
         # indistinguishable from a single patch. Measured per-bin rejection
         # on this pipeline: 20/62 at these seeds.
         cc, bb, plan = make_pipeline([1], 2, seed=8)
-        adapters = craft_adapters(plan, bb, cc, DESK, 0)
+        adapters = craft_adapters(plan, bb, cc, DESK)[0]
         rejected = total = 0
         for seed in range(8):
             batch = synth_batch(32, DESK, seed=700 + seed, kind="uniform")
@@ -271,8 +271,7 @@ class TestMerge:
         batch = synth_batch(12, cfg4, seed=44, kind="smooth")
         merged = None
         prev = -1.0
-        for rho in range(4):
-            adapters = craft_adapters(plan, bb, cc, cfg4, rho)
+        for rho, adapters in enumerate(craft_adapters(plan, bb, cc, cfg4)):
             _, _, cache = forward(batch, bb, adapters, cfg4)
             grads = backward_adapters(cache, bb, adapters, cfg4)
             rep = atk.run_attack(grads, plan, bb, rho, batch.size)

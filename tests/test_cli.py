@@ -128,6 +128,7 @@ CONFIG_ERRORS = {
     "gelu": ("num_classes = 10", "num_classes = 10\nadapter_activation = gelu",
              ("craft", "run", "sweep")),
     "over_budget": ("num_encoders = 6", "num_encoders = 1", ("craft", "run", "sweep")),
+    "positions_repeated": ("positions = all", "positions = 1,1", ("craft", "run", "sweep")),
     "no_free_rows": ("D = 96", "D = 48", ("craft", "run", "sweep")),
     "batch_0": ("batch_size = 16", "batch_size = 0", ("craft", "run", "sweep")),
     "batch_neg": ("batch_size = 16", "batch_size = -3", ("craft", "run", "sweep")),

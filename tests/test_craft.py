@@ -35,7 +35,7 @@ def planned(crafted):
     pub = synth_batch(256, DESK, seed=999, kind="uniform")
     stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, DESK)
     plan = cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 2, 1)
-    adapters = cr.craft_adapters(plan, bb, cc, DESK, 0)
+    adapters = cr.craft_adapters(plan, bb, cc, DESK)[0]
     return cc, bb, stats, plan, adapters
 
 
@@ -245,7 +245,7 @@ class TestAttackPlan:
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
         plan = cr.build_attack_plan(stats, cfg, [1], 1, 1)
-        grid = plan.grid(1, 0)
+        grid = plan.thresholds[1][0]
         expected = inverse_normal_cdf(np.array([0.2, 0.4, 0.6, 0.8]))
         assert np.max(np.abs(grid - expected)) < 1e-9
         assert np.max(np.abs(grid - np.array([-0.8416, -0.2533, 0.2533, 0.8416]))) < 1e-4
@@ -254,7 +254,7 @@ class TestAttackPlan:
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(r=4)
         plan = cr.build_attack_plan(stats, cfg, [1], 1, 2)
-        g0, g1 = plan.grid(1, 0), plan.grid(1, 1)
+        g0, g1 = plan.thresholds[1][0], plan.thresholds[1][1]
         union = np.sort(np.concatenate([g0, g1]))
         assert np.all(np.diff(union) > 0)  # strictly interleaved
         # union is the full (k*R+1)-quantile grid
@@ -266,13 +266,13 @@ class TestAttackPlan:
         stats = PatchStats(mu=np.zeros(5), sigma=np.ones(5))
         cfg = ModelConfig(D=768, L=12, num_encoders=12, P=4, C=3, H=8, W=8, r=64)
         plan = cr.build_attack_plan(stats, cfg, [1], 5, 1)
-        assert plan.grid(1, 0).shape == (320,)  # S_t * r neurons
+        assert plan.thresholds[1][0].shape == (320,)  # S_t * r neurons
 
     def test_thresholds_strictly_increasing_every_round(self, planned):
         *_, plan, _ = planned
         for t in plan.positions():
             for rho in range(plan.rounds):
-                assert np.all(np.diff(plan.grid(t, rho)) > 0)
+                assert np.all(np.diff(plan.thresholds[t][rho]) > 0)
 
     def test_over_budget_rejected(self, planned):
         _, _, stats, *_ = planned
@@ -348,6 +348,15 @@ class TestAttackPlan:
         bad = edit(json.loads(cr.plan_to_json(plan)))
         with pytest.raises(FormatError):
             cr.plan_from_json(bad if isinstance(bad, (str, bytes)) else json.dumps(bad))
+
+    @pytest.mark.parametrize("edit", [lambda row: [row[0], float("nan"), *row[2:]],
+                                      lambda row: row[::-1]], ids=["nan", "reversed"])
+    def test_bad_threshold_row_names_its_position(self, planned, edit):
+        *_, plan, _ = planned
+        obj = json.loads(cr.plan_to_json(plan))
+        obj["thresholds"]["3"] = [edit(obj["thresholds"]["3"][0])]
+        with pytest.raises(FormatError, match="position 3's thresholds are not finite"):
+            cr.plan_from_json(json.dumps(obj))
 
 
 # 16 patch positions and 16 adapters, so a layout can fill every adapter
@@ -437,7 +446,7 @@ class TestCraftedAdapters:
         _, _, cache = forward(batch, bb, adapters, DESK)
         kappa = cr._DOWN_SCALE
         assign = plan.adapters_for(1)[0]
-        grid = plan.grid(1, 0)
+        grid = plan.thresholds[1][0]
         v = cache.sublayers[assign.adapter]["adapter"]["v"][:, 1, :] / kappa
         for m in range(batch.size):
             s = true_stats[m, 0]
@@ -451,7 +460,7 @@ class TestCraftedAdapters:
         _, _, cache = forward(batch, bb, adapters, DESK)
         for assign in plan.adapters_for(2):
             v = cache.sublayers[assign.adapter]["adapter"]["v"][:, 2, :]
-            grid = plan.grid(2, 0)[assign.slot * DESK.r : (assign.slot + 1) * DESK.r]
+            grid = plan.thresholds[2][0][assign.slot * DESK.r : (assign.slot + 1) * DESK.r]
             want = true_stats[:, 1][:, None] > grid[None, :]
             # tolerate sign flips only within a hair of a threshold
             near = np.abs(true_stats[:, 1][:, None] - grid[None, :]) < 0.05
@@ -460,13 +469,31 @@ class TestCraftedAdapters:
 
     def test_zero_epsilon_kills_down_projection_gradients(self, planned):
         cc, bb, stats, plan, _ = planned
-        adapters = cr.craft_adapters(plan, bb, cc, DESK, 0)
+        adapters = cr.craft_adapters(plan, bb, cc, DESK)[0]
         adapters.w_up[:] = 0.0  # epsilon row removed
         batch = synth_batch(4, DESK, seed=93, kind="uniform")
         _, _, cache = forward(batch, bb, adapters, DESK)
         g = backward_adapters(cache, bb, adapters, DESK)
         assert np.all(g.w_down == 0.0)
         assert np.all(g.b_down == 0.0)
+
+    def test_one_probe_forward_for_every_round(self, planned, monkeypatch):
+        cc, bb, stats, *_ = planned
+        plan = cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 2, 4)
+        forward_args = []
+
+        def counting_forward(*args):
+            forward_args.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(cr, "forward", counting_forward)
+        sets = cr.craft_adapters(plan, bb, cc, DESK)
+        assert len(forward_args) == len(plan.positions())
+        assert len(sets) == plan.rounds
+        for adapters in sets[1:]:
+            for name in ("w_down", "w_up", "b_up"):
+                assert getattr(adapters, name).tobytes() == getattr(sets[0], name).tobytes()
+            assert not np.array_equal(adapters.b_down, sets[0].b_down)
 
     def test_unassigned_adapters_inert(self, planned):
         cc, bb, stats, plan, adapters = planned
@@ -541,8 +568,7 @@ def _craft_digests(mc: ModelConfig, cc, positions, s_t: int, rounds: int,
                              kind="smooth")
         stats = estimate_patch_stats(public.images, bb.embed, bb.pos, mc)
         plan = cr.build_attack_plan(stats, mc, positions, s_t, rounds)
-        out += [_adapter_digest(cr.craft_adapters(plan, bb, cc, mc, rho))
-                for rho in range(rounds)]
+        out += [_adapter_digest(a) for a in cr.craft_adapters(plan, bb, cc, mc)]
     return out
 
 

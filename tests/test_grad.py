@@ -145,7 +145,7 @@ class TestBackward:
         pub = synth_batch(64, cfg, seed=60, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg)
         plan = build_attack_plan(stats, cfg, [1], 1, 1)
-        ads = craft_adapters(plan, bb, cc, cfg, 0)
+        ads = craft_adapters(plan, bb, cc, cfg)[0]
         batch = synth_batch(1, cfg, seed=61, kind="uniform")
 
         def ratios(backbone):
@@ -207,7 +207,7 @@ class TestFiniteDiffCheck:
         pub = synth_batch(64, cfg, seed=50, kind="uniform")
         stats = estimate_patch_stats(pub.images, bb.embed, bb.pos, cfg)
         plan = build_attack_plan(stats, cfg, [1], 1, 1)
-        crafted = craft_adapters(plan, bb, cc, cfg, 0)
+        crafted = craft_adapters(plan, bb, cc, cfg)[0]
         batch = synth_batch(2, cfg, seed=51, kind="uniform")
         assert kink_margin(forward(batch, bb, crafted, cfg)[2]) == 0.0
         assert not finite_diff_check(bb, crafted, batch, cfg, workers=1).passed

@@ -179,6 +179,8 @@ def read_tensor_archive(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise FormatError("entry name is not UTF-8") from exc
         offset += nlen
+        if name in out:
+            raise FormatError(f"repeated archive entry {name!r}")
         out[name], offset = _tensor_from(buf, offset)
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after archive")

@@ -7,14 +7,13 @@ ends at adapter 0, below which nothing reads the token gradient, and skips
 the all-ones GELU derivative of MLPs the forward marked not ``live``; a
 crafted one is then the forward's width-D copy in reverse (``model``).
 Attention reads the forward's head-first cache with stacked matmuls.
-Products with frozen encoder matrices go through ``EncoderParams.matmul``
-as in the forward: a crafted backbone's 0/1 selectors are column copies,
-bit for bit (the rule and its argument are in :mod:`adapterleak.model`),
-and any other matrix is one GEMM over all tokens, per head for the stacked
-Q, K and V weights. The adapter's D-wide ``w_down`` product is one GEMM
-over all tokens too. On OpenBLAS these keep the bits of the per-head,
-per-image products on the checked shapes (``tests/test_flsim.py`` pins
-them).
+A crafted encoder's products are column copies when the token gradient is
+finite, as in the forward (``model`` gives the rule); its attention sums
+each head's V and Q/K parts straight into the head's columns. Every other
+product is one GEMM over all tokens, per head for the stacked Q, K and V
+weights, as is the adapter's D-wide ``w_down`` product. On OpenBLAS these
+keep the bits of the per-head, per-image products on the checked shapes
+(``tests/test_flsim.py`` pins them).
 
 ``finite_diff_check`` is the independent oracle: one pass of central
 differences of the batch loss with respect to every adapter parameter, at
@@ -170,7 +169,8 @@ def _ln_backward(d_out: np.ndarray, ln_cache: dict) -> np.ndarray:
 def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndarray:
     q, k, v, attn = (core_cache[n] for n in ("q", "k", "v", "attn"))
     L = attn.shape[0]
-    d_concat = enc.matmul(d_out, "w_msa")
+    crafted = enc.crafted_attention() and bool(np.isfinite(d_out).all())
+    d_concat = d_out + 0.0 if crafted else _dot(d_out, enc.w_msa)
     d_heads = np.moveaxis(d_concat.reshape(*d_out.shape[:-1], L, d_h), -2, 0)
     d_attn = d_heads @ np.swapaxes(v, -1, -2)
     d_v = np.swapaxes(attn, -1, -2) @ d_heads
@@ -179,38 +179,39 @@ def _msa_backward(d_out: np.ndarray, core_cache: dict, enc, d_h: int) -> np.ndar
     scale = 1.0 / np.sqrt(d_h)
     d_q = d_logits @ k * scale
     d_k = np.swapaxes(d_logits, -1, -2) @ q * scale
-    by_rows = (L, -1, d_h)
-    d_v = d_v.reshape(by_rows)
-    d_from_qk = (enc.matmul(d_q.reshape(by_rows), "w_q")
-                 + enc.matmul(d_k.reshape(by_rows), "w_k"))
+    d_q, d_k, d_v = (x.reshape(L, -1, d_h) for x in (d_q, d_k, d_v))
+    shape = (d_v.shape[1], d_out.shape[-1])
+    if crafted:
+        # head h's columns are (+0.0 + d_v) + (d_q + d_k): the GEMM parts
+        # added head by head from +0.0, whose copies' + 0.0 and +0.0 columns
+        # change no bit, as the sum never holds -0.0. A non-finite sum means
+        # a non-finite part, whose GEMM spreads NaN: take the GEMMs then
+        d_tokens = np.empty(shape)
+        by_head = d_tokens.reshape(-1, L, d_h).transpose(1, 0, 2)
+        np.add(0.0, d_v, out=by_head)
+        by_head += d_q + d_k
+        if np.isfinite(d_tokens).all():
+            return d_tokens.reshape(d_out.shape)
+    d_from_qk = d_q @ enc.w_q + d_k @ enc.w_k
+    d_from_v = d_v @ enc.w_v  # (L, rows, D)
     # heads are added one by one, V part then Q/K slice: summing the V
     # parts in one GEMM would round differently
-    d_tokens = np.zeros((d_v.shape[1], d_out.shape[-1]))
-    sel = enc.selector("w_v")
-    if sel is not None and np.isfinite(d_v).all():
-        # a V part is its selected columns + 0.0 and +0.0 elsewhere. Adding
-        # x + 0.0 or x, or +0.0 or nothing, gives the same bits on d_tokens,
-        # which starts at +0.0 and so never holds -0.0: add the columns only
-        for (h, cols, src), qk in zip(sel.moves, d_from_qk):
-            d_tokens[:, cols] += d_v[h][:, src]
-            d_tokens[:, h * d_h : (h + 1) * d_h] += qk
-    else:
-        d_from_v = enc.matmul(d_v, "w_v")  # (L, rows, D)
-        for h in range(L):
-            d_tokens += d_from_v[h]
-            d_tokens[:, h * d_h : (h + 1) * d_h] += d_from_qk[h]
+    d_tokens = np.zeros(shape)
+    for h in range(L):
+        d_tokens += d_from_v[h]
+        d_tokens[:, h * d_h : (h + 1) * d_h] += d_from_qk[h]
     return d_tokens.reshape(d_out.shape)
 
 
 def _mlp_backward(d_out: np.ndarray, core_cache: dict, enc) -> np.ndarray:
     if not core_cache["live"] and enc.copies_mlp() and np.isfinite(d_out).all():
-        # the two selector copies, (d_out + 0.0) + 0.0, at width D; the
-        # second + 0.0 changes no bit, as the first leaves no -0.0
+        # the two copies, (d_out + 0.0) + 0.0, at width D; the second
+        # + 0.0 changes no bit, as the first leaves no -0.0
         return d_out + 0.0
-    d_pre = enc.matmul(d_out, "w_mlp2")
+    d_pre = _dot(d_out, enc.w_mlp2)
     if core_cache["live"]:  # else GELU' is exactly 1.0 everywhere
         d_pre *= gelu_grad(core_cache["pre"])
-    return enc.matmul(d_pre, "w_mlp1")
+    return _dot(d_pre, enc.w_mlp1)
 
 
 def backward_adapters(cache: ForwardCache, backbone: FrozenBackbone,
@@ -446,12 +447,10 @@ _FD_CHUNK = 24  # perturbed parameters per suffix stack
 
 def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
                           adapters: AdapterSet, cfg: ModelConfig,
-                          workers: int | None = None) -> AdapterSet:
-    """Central-difference gradients for every adapter parameter, resuming
-    from the batch's full forward ``cache``.
-
-    Only the parameters a +-h step moves (``_moved``) are differenced; every
-    other entry is returned as 0.0.
+                          workers: int | None = None) -> tuple[AdapterSet, AdapterSet]:
+    """(fd, moved): central-difference gradients for every adapter
+    parameter, resuming from the batch's full forward ``cache``, and the
+    ``_moved`` mask. Unmoved parameters are not differenced: their fd is 0.0.
     """
     moved = _moved(cache, cfg)
     encs = backbone.encoders
@@ -484,7 +483,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
     fd = AdapterSet.zeros(cfg)
     for (a, kind, idx), vals in zip(jobs, results):
         getattr(fd, kind)[a].reshape(-1)[idx] = vals
-    return fd
+    return fd, moved
 
 
 @dataclass
@@ -511,8 +510,8 @@ def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
     t0 = time.perf_counter()
     _, _, cache = forward(batch, backbone, adapters, cfg)
     analytic = backward_adapters(cache, backbone, adapters, cfg).flat()
-    fd = finite_diff_gradients(cache, backbone, adapters, cfg, workers).flat()
-    moved = _moved(cache, cfg)
+    fd, moved = finite_diff_gradients(cache, backbone, adapters, cfg, workers)
+    fd = fd.flat()
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), FD_FLOOR)
     rel = np.abs(analytic - fd) / denom
     worst = int(np.argmax(rel))

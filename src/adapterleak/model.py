@@ -16,18 +16,17 @@ q, k, v and attn stacked head first, (L, M, T, .). An MLP with no
 pre-activation below GELU saturation (crafted backbones) skips the GELU,
 which is x * 1.0 = x there, and records ``live = False``.
 
-Products with frozen encoder matrices go through ``EncoderParams.matmul``,
-here and in the backward pass. A crafted backbone's are 0/1 selectors, at
-most one 1 per column of the right operand: w_q = w_k = I, w_v picks each
-head's slice, w_msa = I, w_mlp1 = [I; 0], w_mlp2 = [I 0]. For finite x,
-x @ W is then a column copy, bit for bit. Each output column is x_src * 1
-plus terms x_i * 0 = +-0, summed from +0.0 as BLAS sums: that is
-x_src + 0.0 (the + 0.0 turns -0.0 into the +0.0 BLAS returns), or +0.0
-where no source exists. A non-finite x_i makes x_i * 0 NaN in every
-column, so such an x takes the GEMM, as does any other matrix; a nonzero
-count rejects a dense one. Each matrix is inspected once per
-``EncoderParams`` and again only after its field is reassigned; a selector
-is then made read-only, so an in-place edit raises instead of going unseen.
+The crafted encoder ``craft.craft_backbone`` builds is recognized by
+structure, once per weight array: w_q = w_k = I per head, w_v picking each
+head's slice and w_msa = I (``EncoderParams.crafted_attention``), w_mlp1 =
+[I; 0] and w_mlp2 = [I 0] (``EncoderParams.copies_mlp``). Recognized arrays
+turn read-only, so an in-place edit raises; a reassigned field is checked
+again. For finite x, x @ W is then a column copy, bit for bit: each output
+column is x_src * 1 plus terms x_i * 0 = +-0, summed from +0.0 as BLAS
+sums, so x_src + 0.0 (the + 0.0 turns -0.0 into the +0.0 BLAS returns), or
++0.0 where no source exists. A non-finite x_i makes x_i * 0 NaN in every
+column, so a non-finite input takes the GEMMs, as does every other encoder;
+a copy whose result is not finite had one, and is redone by GEMM.
 
 A crafted MLP (``EncoderParams.copies_mlp``) runs at the width it copies.
 Its wide pre-activation is [z + 0.0, 0.0] + b_mlp1, and w_mlp2 reads only
@@ -36,8 +35,8 @@ When those constants and z + b_mlp1[:D] are all finite and saturated, pre
 is z + b_mlp1[:D], (rows, D) in the cache, and the output pre + b_mlp2:
 the wide bytes, as (z + 0.0) + b differs from z + b only where z = b =
 -0.0, which does not saturate, and pre + 0.0 = pre for pre >= 9. The
-backward's not-live product is then d + 0.0, the two selector copies. A
-non-finite input, a live MLP and every other encoder take the 4D-wide path.
+backward's not-live product is then d + 0.0, the two copies. A non-finite
+input, a live MLP and every other encoder take the 4D-wide path.
 
 Adapter parameters and their gradients are one type, :class:`AdapterSet`:
 four tensors stacked on a leading adapter axis, read by ``adapter_forward``
@@ -117,44 +116,43 @@ class EncoderParams:
     w_mlp2: np.ndarray  # (D, 4D)
     b_mlp2: np.ndarray
 
-    def selector(self, name: str, transpose: bool = False) -> "_Selector | None":
-        """The :class:`_Selector` of the weight field ``name`` (transposed
-        with ``transpose``), or None when it is not a 0/1 selector.
-
-        Detected once per array and again after the field is reassigned.
-        """
-        w = getattr(self, name)
-        cache = self.__dict__.setdefault("_selectors", {})
-        hit = cache.get((name, transpose))
-        if hit is None or hit[0] is not w:
-            hit = cache[name, transpose] = (
-                w, _selector(np.swapaxes(w, -1, -2) if transpose else w))
-            if hit[1] is not None:
-                w.flags.writeable = False
-        return hit[1]
-
-    def matmul(self, x: np.ndarray, name: str, transpose: bool = False,
-               finite: bool | None = None) -> np.ndarray:
-        """x @ W for the weight field ``name``, or x @ W.T with ``transpose``
-        (W's last two axes swapped, so a stacked W multiplies head by head).
-
-        A 0/1 selector W is applied as a column copy when x is finite, which
-        ``finite`` states when the caller knows it. Any other W, or a
-        non-finite x, takes the GEMM.
-        """
-        sel = self.selector(name, transpose)
-        if sel is not None and (np.isfinite(x).all() if finite is None else finite):
-            return _copy_columns(x, sel)
-        w = getattr(self, name)
-        m = np.swapaxes(w, -1, -2) if transpose else w
-        return _dot(x, m) if m.ndim == 2 else x @ m
+    def crafted_attention(self) -> bool:
+        """True when w_q = w_k = I per head, w_v picks head h's slice of the
+        token and w_msa = I, as crafted: every product is a column copy."""
+        return self._recognized(("w_q", "w_k", "w_v", "w_msa"), _crafted_attention)
 
     def copies_mlp(self) -> bool:
         """True when w_mlp1 = [I; 0] and w_mlp2 = [I 0], as crafted: the MLP
         copies z into its first D hidden units and reads back only those."""
-        d = self.w_mlp1.shape[1]
-        return all(_copies_prefix(self.selector(name, transpose=True), d)
-                   for name in ("w_mlp1", "w_mlp2"))
+        return self._recognized(("w_mlp1", "w_mlp2"), _copying_mlp)
+
+    def _recognized(self, names: tuple, test) -> bool:
+        """``test`` of the weight fields ``names``, run once per array and
+        again after a field is reassigned; recognized arrays turn read-only."""
+        ws = tuple(getattr(self, name) for name in names)
+        cache = self.__dict__.setdefault("_recognized_by", {})
+        hit = cache.get(names)
+        if hit is None or any(old is not w for old, w in zip(hit[0], ws)):
+            hit = cache[names] = (ws, bool(test(*ws)))
+            if hit[1]:
+                for w in ws:
+                    w.flags.writeable = False
+        return hit[1]
+
+
+def _crafted_attention(w_q, w_k, w_v, w_msa) -> bool:
+    heads, d_h, d = w_v.shape
+    eye = np.eye(d)
+    eye_h = np.broadcast_to(np.eye(d_h), (heads, d_h, d_h))
+    return (heads * d_h == d and np.array_equal(w_msa, eye)
+            and np.array_equal(w_v, eye.reshape(heads, d_h, d))
+            and np.array_equal(w_q, eye_h) and np.array_equal(w_k, eye_h))
+
+
+def _copying_mlp(w_mlp1, w_mlp2) -> bool:
+    n, d = w_mlp1.shape
+    return (n >= d and np.array_equal(w_mlp1, np.eye(n, d))
+            and np.array_equal(w_mlp2, np.eye(d, n)))
 
 
 @dataclass
@@ -287,66 +285,6 @@ def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w_t).reshape(*lead, w_t.shape[-1])
 
 
-@dataclass(frozen=True)
-class _Selector:
-    """x @ m for a 0/1 matrix m with at most one 1 per column.
-
-    Each move (at, cols, src) copies input columns ``src`` of x[at] to output
-    columns ``cols`` of out[at]; the other output columns are 0 (none when
-    ``full``). A 2-D m has one move, at ``...``; a stacked m, whose leading
-    axis has length ``stack`` (0 for a 2-D m), has one move per head.
-    """
-
-    stack: int
-    width: int
-    full: bool
-    moves: tuple
-
-
-def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
-    """A contiguous ascending index run as a slice, anything else as is."""
-    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
-        return slice(int(idx[0]), int(idx[0]) + len(idx))
-    return idx
-
-
-def _selector(m: np.ndarray) -> _Selector | None:
-    """The :class:`_Selector` of a (n, k) or stacked (S, n, k) 0/1 matrix m,
-    or None when m is not one."""
-    n, k = m.shape[-2:]
-    if np.count_nonzero(m) > m.size // n:  # dense: more than one per column
-        return None
-    mats = m.reshape(-1, n, k)
-    if not ((mats == 0) | (mats == 1)).all() or (mats.sum(axis=-2) > 1).any():
-        return None
-    pairs = [np.nonzero(mat.T) for mat in mats]  # (cols, src) per matrix
-    at = [...] if m.ndim == 2 else range(len(mats))
-    moves = tuple((a, _as_slice(c), _as_slice(r)) for a, (c, r) in zip(at, pairs))
-    full = all(len(c) == k for c, _ in pairs)
-    return _Selector(m.shape[0] if m.ndim == 3 else 0, k, full, moves)
-
-
-def _copies_prefix(sel: _Selector | None, d: int) -> bool:
-    """True when ``sel`` is a 2-D selector whose only ones copy input column
-    i to output column i for every i < d."""
-    if sel is None or sel.stack or len(sel.moves) != 1:
-        return False
-    _, cols, src = sel.moves[0]
-    return all(isinstance(s, slice) and s == slice(0, d) for s in (cols, src))
-
-
-def _copy_columns(x: np.ndarray, sel: _Selector) -> np.ndarray:
-    """x @ m for m with selector ``sel`` and finite x, bit for bit: the
-    selected columns, then + 0.0 (the module docstring says why)."""
-    lead = (sel.stack, x.shape[-2]) if sel.stack else x.shape[:-1]
-    out = (np.empty if sel.full else np.zeros)((*lead, sel.width))
-    for at, cols, src in sel.moves:
-        # a 2-D x feeds every head of a stacked m
-        out[at][..., cols] = (x if x.ndim == 2 else x[at])[..., src]
-    out += 0.0
-    return out
-
-
 def layer_normalize(x: np.ndarray):
     """(xhat, inv_sd) of a LayerNorm over the last axis, before its affine."""
     xhat = x - x.mean(axis=-1, keepdims=True)
@@ -385,18 +323,31 @@ def msa_forward(tokens: np.ndarray, enc: EncoderParams, d_h: int):
     L = enc.w_q.shape[0]
     lead = tokens.shape[:-2]
     flat = tokens.reshape(-1, tokens.shape[-1])
-    # one GEMM per head, stacked: a single GEMM over all heads' columns
-    # would round differently for some batch sizes
     by_head = flat.reshape(-1, L, d_h).transpose(1, 0, 2)  # (L, rows, D_h)
-    finite = bool(np.isfinite(flat).all())  # one check for Q, K and V
-    q = enc.matmul(by_head, "w_q", transpose=True, finite=finite) + enc.b_q[:, None, :]
-    k = enc.matmul(by_head, "w_k", transpose=True, finite=finite) + enc.b_k[:, None, :]
-    v = enc.matmul(flat, "w_v", transpose=True, finite=finite) + enc.b_v[:, None, :]
+    crafted = enc.crafted_attention() and bool(np.isfinite(flat).all())
+    if crafted:  # each projection is its head's slice + 0.0 (module docstring)
+        base = np.add(by_head, 0.0, order="C")  # laid out as the GEMMs return it
+        q = base + enc.b_q[:, None, :]
+        # k stays its own array even when it equals q: numpy runs q @ q.T
+        # as a SYRK, which rounds differently from the GEMM
+        k = base + enc.b_k[:, None, :]
+        same = enc.b_v.dtype == enc.b_q.dtype and enc.b_v.shape == enc.b_q.shape
+        v = q if same and enc.b_v.tobytes() == enc.b_q.tobytes() else base + enc.b_v[:, None, :]
+    else:
+        # one GEMM per head, stacked: a single GEMM over all heads' columns
+        # would round differently for some batch sizes
+        q = by_head @ np.swapaxes(enc.w_q, -1, -2) + enc.b_q[:, None, :]
+        k = by_head @ np.swapaxes(enc.w_k, -1, -2) + enc.b_k[:, None, :]
+        v = flat @ np.swapaxes(enc.w_v, -1, -2) + enc.b_v[:, None, :]
     q, k, v = (x.reshape(L, *lead, -1, d_h) for x in (q, k, v))
     attn = softmax_rows((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_h)))
-    concat = np.moveaxis(attn @ v, 0, -2).reshape(tokens.shape)
-    out = enc.matmul(concat, "w_msa", transpose=True)
-    return out, {"q": q, "k": k, "v": v, "attn": attn}
+    cache = {"q": q, "k": k, "v": v, "attn": attn}
+    heads = np.moveaxis(attn @ v, 0, -2)  # (..., T, L, D_h)
+    if crafted:  # the heads' concatenation + 0.0, when that is finite
+        out = np.add(heads, 0.0, out=np.empty(heads.shape)).reshape(tokens.shape)
+        if np.isfinite(out).all():
+            return out, cache
+    return _dot(heads.reshape(tokens.shape), enc.w_msa.T), cache
 
 
 def _saturated(x: np.ndarray) -> bool:
@@ -414,9 +365,9 @@ def _mlp_forward(z: np.ndarray, enc: EncoderParams):
         pre = z + enc.b_mlp1[:d]
         if _saturated(pre):
             return pre + enc.b_mlp2, {"pre": pre, "live": False}
-    pre = enc.matmul(z, "w_mlp1", transpose=True) + enc.b_mlp1
+    pre = _dot(z, enc.w_mlp1.T) + enc.b_mlp1
     live = bool((pre < _PHI_SATURATION).any())  # else GELU is x * 1.0 = x
-    out = enc.matmul(gelu(pre) if live else pre, "w_mlp2", transpose=True) + enc.b_mlp2
+    out = _dot(gelu(pre) if live else pre, enc.w_mlp2.T) + enc.b_mlp2
     return out, {"pre": pre, "live": live}
 
 
@@ -463,7 +414,7 @@ def _run_sublayer(tokens, s, backbone, adapters, cfg, record):
         core, core_cache = _mlp_forward(z, enc)
     a_out, a_cache = adapter_forward(core, adapters, s)
     record.append({
-        "u": tokens, "ln": ln_cache, "z": z, "is_msa": is_msa,
+        "u": tokens, "ln": ln_cache, "is_msa": is_msa,
         "core": core_cache, "adapter": a_cache, "a_out": a_out,
     })
     return tokens + a_out

@@ -513,7 +513,8 @@ class TestCraftedAdapters:
         for s in (0, 4, 10):
             if not cache.sublayers[s]["is_msa"]:
                 continue
-            z = cache.sublayers[s]["z"]
+            ln = cache.sublayers[s]["ln"]
+            z = ln["xhat"] * ln["w"] + bb.encoders[s // 2].ln1_b
             core = cache.sublayers[s]["adapter"]["input"]
             bound = (DESK.N + 1) * np.exp(-cc.margin) * np.abs(z).max()
             assert np.max(np.abs(core - z)) < max(bound, 1e-9)

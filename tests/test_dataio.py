@@ -229,6 +229,14 @@ class TestTensorFile:
         with pytest.raises(FormatError):
             dataio.read_tensor_archive(path)
 
+    def test_archive_repeated_entry(self, tmp_path):
+        # two entries named "a" must not read back as the last one alone
+        path = tmp_path / "a.plta"
+        dataio.write_tensor_archive({"a": np.ones(1), "b": np.full(1, 2.0)}, path)
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00b", b"\x01\x00a", 1))
+        with pytest.raises(FormatError, match="repeated archive entry 'a'"):
+            dataio.read_tensor_archive(path)
+
     # 2^40 * 2^40 wraps to 0 in uint64, so the payload must not look empty;
     # the other dims have their payload (0 or 1 values) but fit no ndarray.
     @pytest.mark.parametrize("dims", [(2**40, 2**40), (0, 2**63), (1,) * 65])

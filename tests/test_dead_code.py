@@ -11,6 +11,10 @@ load (``x.f``) or by its name as a string (``getattr(x, "f")``,
 as a string. The check errs toward passing: two definitions that share a
 name keep each other alive.
 
+Every key of the forward cache's per-sublayer record
+(``model._run_sublayer``) is read in ``src/`` by name: as a string that
+is not a dict literal's key. The cache holds only what is read.
+
 Every defaulted parameter of a function in ``src/adapterleak`` is also set
 by some call there; a default no call overrides is a constant. A call sets
 a parameter by its keyword or its position (a method's first parameter is
@@ -91,6 +95,24 @@ def unreferenced(src: Path = SRC) -> list[str]:
          for qualname, name in _fields(tree) if not reads[name]] + \
         [f"{module}.{qualname}" for module, tree in trees.items()
          for qualname, name in _constants(tree) if not reads[name] + loads[name]]
+
+
+def unread_record_keys(src: Path = SRC) -> list[str]:
+    """Keys of the dict ``model._run_sublayer`` appends to its record that
+    no string in ``src/`` names, dict literal keys aside."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    run = next(node for node in ast.walk(trees["model"])
+               if isinstance(node, ast.FunctionDef) and node.name == "_run_sublayer")
+    record = next(node.args[0] for node in ast.walk(run)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+                  and node.args and isinstance(node.args[0], ast.Dict))
+    written = {id(k) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Dict) for k in node.keys}
+    named = Counter(node.value for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in written)
+    return [k.value for k in record.keys
+            if isinstance(k, ast.Constant) and not named[k.value]]
 
 
 def _functions(body, prefix="", in_class=False):
@@ -181,3 +203,16 @@ def test_unset_default_flagged(tmp_path):
         "    def inner(z=5):\n        return z\n"
         "    return f(1, 2, e=4), g(*rest), k.m(5), inner(), use\n")
     assert unset_defaults(tmp_path) == ["m.f(c)", "m.f(d)", "m.K.m(y)", "m.use.inner(z)"]
+
+
+def test_every_forward_cache_key_is_read_in_src():
+    unread = unread_record_keys()
+    assert not unread, f"recorded by model._run_sublayer, read nowhere in src/: {unread}"
+
+
+def test_unread_record_key_flagged(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "def _run_sublayer(x, record):\n"
+        "    record.append({'read': x, 'by_get': x, 'unread': x})\n\n"
+        "def use(sub):\n    return sub['read'], sub.get('by_get'), {'unread': 0}\n")
+    assert unread_record_keys(tmp_path) == ["unread"]

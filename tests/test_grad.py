@@ -165,8 +165,9 @@ class TestBackward:
             assert np.max(np.abs(ratio - r2[j])) < 1e-9
 
     def test_selector_v_parts_added_by_column_keep_the_bits(self):
-        # the reference hides w_v's selector, so its V parts are the full
-        # (rows, D) GEMMs added head by head
+        # a crafted attention adds each head's V and Q/K parts into the
+        # head's own columns; the reference recognizes nothing, so its V
+        # parts are the full (rows, D) GEMMs added head by head
         import dataclasses
 
         cfg = ModelConfig()
@@ -176,13 +177,13 @@ class TestBackward:
         rng = np.random.default_rng(42)
         for s in range(0, cfg.num_adapters, 2):
             enc = bb.encoders[s // 2]
-            d_out = rng.normal(size=cache.sublayers[s]["z"].shape)
+            d_out = rng.normal(size=cache.sublayers[s]["u"].shape)
             d_out[rng.random(d_out.shape) < 0.2] = -0.0
             got = grad._msa_backward(d_out, cache.sublayers[s]["core"], enc, cfg.D_h)
             ref = dataclasses.replace(enc)
-            ref._selectors = {("w_v", False): (ref.w_v, None)}
+            ref.crafted_attention = lambda: False
             want = grad._msa_backward(d_out, cache.sublayers[s]["core"], ref, cfg.D_h)
-            assert enc.selector("w_v") is not None
+            assert enc.crafted_attention()
             assert got.tobytes() == want.tobytes()
 
     def test_missing_cache_rejected(self, tiny_setup):
@@ -216,6 +217,21 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(bb, ads, batch, cfg, workers=1)
         assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
+    def test_moved_mask_computed_once(self, tiny_setup, monkeypatch):
+        cfg, bb, ads, batch = tiny_setup
+        calls = []
+        real = grad._moved
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(grad, "_moved", spy)
+        report = finite_diff_check(bb, ads, batch, cfg, workers=1)
+        assert len(calls) == 1
+        assert report.n_unmoved == report.n_params - int(real(
+            forward(batch, bb, ads, cfg)[2], cfg).flat().sum())
+
     def test_zero_batch_still_checks(self, tiny_setup):
         cfg, bb, ads, _ = tiny_setup
         batch = Batch(np.zeros((2, 3, 8, 8)), np.array([0, 1]))
@@ -225,9 +241,10 @@ class TestFiniteDiffCheck:
     def test_threaded_matches_sequential(self, tiny_setup):
         cfg, bb, ads, batch = tiny_setup
         cache = forward(batch, bb, ads, cfg)[2]
-        f1 = finite_diff_gradients(cache, bb, ads, cfg, workers=1).flat()
-        f2 = finite_diff_gradients(cache, bb, ads, cfg, workers=2).flat()
-        assert np.array_equal(f1, f2)
+        (f1, m1), (f2, m2) = (finite_diff_gradients(cache, bb, ads, cfg, workers=w)
+                              for w in (1, 2))
+        assert np.array_equal(f1.flat(), f2.flat())
+        assert np.array_equal(m1.flat(), m2.flat())
 
     def test_backbone_edited_in_place_is_checked_as_edited(self):
         # the oracle must differentiate the backbone as it is at call time,
@@ -246,8 +263,8 @@ class TestFiniteDiffCheck:
 
     def test_crafted_selector_edited_in_place_raises(self):
         # a crafted backbone's 0/1 matrices are applied as column copies
-        # detected once per array: an in-place edit must raise, not leave
-        # the forward on the old selector while the FD suffix sees the edit
+        # recognized once per array: an in-place edit must raise, not leave
+        # the forward on the old copies while the FD suffix sees the edit
         cfg = ModelConfig(D=64, L=2, num_encoders=2, r=2)
         bb = craft_backbone(CraftConfig(seed=7), cfg)
         ads = AdapterSet.random(cfg, Rng(2), 0.2)
@@ -287,10 +304,10 @@ class TestUnmovedParameters:
         ads.b_down[self.A, self.J] = -1e3
         batch = synth_batch(2, cfg, seed=3, kind="uniform")
         _, _, cache = forward(batch, bb, ads, cfg)
-        moved = grad._moved(cache, cfg)
+        fd, moved = finite_diff_gradients(cache, bb, ads, cfg, workers=1)
+        assert moved.flat().tobytes() == grad._moved(cache, cfg).flat().tobytes()
         assert not self.unit_entries(moved).any()
         assert moved.b_up.all()
-        fd = finite_diff_gradients(cache, bb, ads, cfg, workers=1)
         entries = self.unit_entries(fd)
         assert np.all(entries == 0.0)
         for kind, pos in (("w_down", (self.J, 0)), ("w_down", (self.J, 5)),

@@ -263,126 +263,151 @@ class TestRandomAdaptersPinned:
         assert h.hexdigest()[:16] == PIN_RANDOM_ADAPTERS
 
 
-# x entries for the selector product: signed zeros, subnormals, values near
+# x entries for the crafted copies: signed zeros, subnormals, values near
 # 1e300 and ordinary floats
 _X_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e300, -1e300,
                      -9.9e299]),
     st.floats(-1e3, 1e3))
-_WEIGHTS = ("w_q", "w_k", "w_v", "w_msa", "w_mlp1", "w_mlp2")
+_NONFINITE = [np.inf, -np.inf, np.nan]
 
 
-@st.composite
-def _selectors(draw):
-    """A 0/1 selector m, in the x @ m orientation: the crafted backbone's
-    kinds (identity, [I; 0], [I 0], per-head slices), a permutation, or
-    columns with a random source or none."""
-    kind = draw(st.sampled_from(["identity", "eye_over_zero", "eye_beside_zero",
-                                 "head_slice", "permutation", "empty_columns"]))
-    n = draw(st.integers(1, 8))
-    extra = draw(st.integers(1, 8))
-    if kind == "identity":
-        return np.eye(n)
-    if kind == "eye_over_zero":
-        return np.eye(n + extra, n)
-    if kind == "eye_beside_zero":
-        return np.eye(n, n + extra)
-    if kind == "head_slice":
-        heads = draw(st.integers(1, 4))
-        m = np.zeros((heads, n, heads * n))
-        for h in range(heads):
-            m[h, :, h * n:(h + 1) * n] = np.eye(n)
-        return np.swapaxes(m, 1, 2).copy() if draw(st.booleans()) else m
-    if kind == "permutation":
-        return np.eye(n)[:, draw(st.permutations(range(n)))]
-    src = draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=8))
-    m = np.zeros((n, len(src)))
-    for j, i in enumerate(src):
-        if i >= 0:
-            m[i, j] = 1.0
-    return m
-
-
-def _enc_with(m: np.ndarray, transpose: bool) -> mdl.EncoderParams:
-    """EncoderParams whose ``matmul(x, "w_msa", transpose)`` is x @ m; its
-    other fields are placeholders."""
+def _placeholder_encoder() -> mdl.EncoderParams:
     names = [f.name for f in dataclasses.fields(mdl.EncoderParams)]
-    enc = mdl.EncoderParams(**{name: np.zeros(1) for name in names})
-    enc.w_msa = np.swapaxes(m, -1, -2).copy() if transpose else m
-    return enc
+    return mdl.EncoderParams(**{name: np.zeros(1) for name in names})
 
 
-def _gemm(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m as the forward and backward compute it without selectors."""
-    return mdl._dot(x, m) if m.ndim == 2 else x @ m
+def _as_gemm(enc: mdl.EncoderParams) -> mdl.EncoderParams:
+    """``enc``'s weights in an encoder that recognizes nothing, so every
+    product with them is a GEMM."""
+    ref = dataclasses.replace(enc)
+    ref.crafted_attention = ref.copies_mlp = lambda: False
+    return ref
+
+
+def _set(w: np.ndarray, at: tuple, value: float) -> np.ndarray:
+    """A copy of w with entry ``at`` set to ``value``."""
+    w = w.copy()
+    w[at] = value
+    return w
+
+
+def _with_one(x: np.ndarray, data, values) -> np.ndarray:
+    """x with one entry, drawn, replaced by one of ``values``."""
+    x = x.copy()
+    x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(st.sampled_from(values))
+    return x
 
 
 @st.composite
-def _products(draw):
-    """(m, x): a selector and an input; a stacked m gets a 2-D x or one x
-    per head, a 2-D m a 2-D x or a (batch, tokens, n) x."""
-    m = draw(_selectors())
-    rows = draw(st.integers(1, 6))
-    lead = draw(st.sampled_from([(), (len(m),) if m.ndim == 3 else (2,)]))
-    x = draw(hnp.arrays(np.float64, (*lead, rows, m.shape[-2]), elements=_X_VALUES))
-    return m, x
+def _crafted_attentions(draw):
+    """(enc, d_h, tokens, d_out): a crafted attention, w_q = w_k = I per
+    head, w_v the head-slice picker and w_msa = I, with biases equal across
+    q, k and v or not, and tokens and an output gradient that are finite or
+    hold one non-finite entry."""
+    heads, d_h = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    d = heads * d_h
+    enc = _placeholder_encoder()
+    enc.w_q = np.stack([np.eye(d_h)] * heads)
+    enc.w_k = enc.w_q.copy()
+    enc.w_v = np.eye(d).reshape(heads, d_h, d)
+    enc.w_msa = np.eye(d)
+    bias = hnp.arrays(np.float64, (heads, d_h), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)))
+    enc.b_q = draw(bias)
+    enc.b_k = enc.b_q.copy() if draw(st.booleans()) else draw(bias)
+    enc.b_v = enc.b_q.copy() if draw(st.booleans()) else draw(bias)
+    shape = (*draw(st.sampled_from([(), (2,)])), draw(st.integers(1, 5)), d)
+    tokens = draw(hnp.arrays(np.float64, shape, elements=_X_VALUES))
+    d_out = draw(hnp.arrays(np.float64, shape, elements=_X_VALUES))
+    data = draw(st.data())
+    if draw(st.integers(0, 3)) == 3:
+        tokens = _with_one(tokens, data, _NONFINITE)
+    if draw(st.integers(0, 3)) == 3:
+        d_out = _with_one(d_out, data, _NONFINITE)
+    return enc, d_h, tokens, d_out
 
 
 class TestSelectorProduct:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(case=_products(), transpose=st.booleans(), data=st.data())
-    def test_copy_is_the_gemm_bit_for_bit(self, case, transpose, data):
-        m, x = case
-        assert mdl._selector(m) is not None
-        enc = _enc_with(m, transpose)
-        want = _gemm(x, m)
-        got = enc.matmul(x, "w_msa", transpose)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # a non-finite entry anywhere in x spreads through the GEMM's columns
-        bad = x.copy()
-        bad.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(
-            st.sampled_from([np.inf, -np.inf, np.nan]))
-        with np.errstate(invalid="ignore"):
-            assert enc.matmul(bad, "w_msa", transpose).tobytes() == _gemm(bad, m).tobytes()
+    """The crafted encoder's 0/1 matrices run as copies with the GEMM's bytes."""
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(m=_selectors(), data=st.data())
-    def test_other_matrices_not_detected(self, m, data):
-        n, k = m.shape[-2:]
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
-        for value in (2.0, -1.0):
-            bad = m.copy()
-            bad[..., i, j] = value
-            assert mdl._selector(bad) is None
-        if n > 1:
-            two = m.copy()
-            two[..., :, j] = 0.0
-            two[..., [i, (i + 1) % n], j] = 1.0
-            assert mdl._selector(two) is None
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_crafted_attentions())
+    def test_copy_is_the_gemm_bit_for_bit(self, case):
+        # a non-finite token or gradient spreads NaN through the GEMM's
+        # columns, so the equality also shows that it took the GEMM; NaN
+        # logits (from non-finite tokens, or inf - inf) make both raise
+        enc, d_h, tokens, d_out = case
+        assert enc.crafted_attention()
+        ref = _as_gemm(enc)
+        with np.errstate(all="ignore"):
+            try:
+                want, ref_cache = mdl.msa_forward(tokens, ref, d_h)
+            except ValueError:
+                with pytest.raises(ValueError, match="NaN"):
+                    mdl.msa_forward(tokens, enc, d_h)
+                assert not np.isfinite(tokens).all() or np.abs(tokens).max() > 1e150
+                return
+            out, cache = mdl.msa_forward(tokens, enc, d_h)
+            assert out.tobytes() == want.tobytes()
+            for name in ("q", "k", "v", "attn"):
+                assert cache[name].tobytes() == ref_cache[name].tobytes(), name
+            d_tokens = grad._msa_backward(d_out, cache, enc, d_h)
+            d_want = grad._msa_backward(d_out, ref_cache, ref, d_h)
+        assert d_tokens.tobytes() == d_want.tobytes()
+
+    def test_other_matrices_not_detected(self):
+        # one entry away from the crafted design: a permuted w_msa or w_q, a
+        # w_v column with no source, [I; 0] or [I 0] with one stray 1
+        cfg = mdl.ModelConfig(D=64, L=2, r=2)
+        d, d_h = cfg.D, cfg.D_h
+        rng = Rng(5)
+        tokens = rng.normal(0.0, 1.0, 2 * 5 * d).reshape(2, 5, d)
+        d_out = rng.normal(0.0, 1.0, tokens.size).reshape(tokens.shape)
+        edits = {"w_msa": lambda w: w[::-1].copy(),  # a permutation
+                 "w_q": lambda w: w[:, ::-1].copy(),  # one per head
+                 "w_v": lambda w: _set(w, (1, 0, d_h), 0.0),  # a column with no source
+                 "w_mlp1": lambda w: _set(w, (d, 0), 1.0),  # [I; 0], one stray 1
+                 "w_mlp2": lambda w: _set(w, (0, d), 1.0)}  # [I 0], one stray 1
+        for name, edit in edits.items():
+            enc = craft_backbone(CraftConfig(seed=7), cfg).encoders[0]
+            setattr(enc, name, edit(getattr(enc, name)))
+            if name.startswith("w_mlp"):
+                assert enc.crafted_attention() and not enc.copies_mlp()
+                out, cache = mdl._mlp_forward(tokens, enc)
+                want, pre, live = _wide_mlp(tokens, enc)
+                assert out.tobytes() == want.tobytes() and cache["pre"].shape == pre.shape
+                continue
+            assert enc.copies_mlp() and not enc.crafted_attention(), name
+            ref = _as_gemm(enc)
+            out, cache = mdl.msa_forward(tokens, enc, d_h)
+            assert out.tobytes() == mdl.msa_forward(tokens, ref, d_h)[0].tobytes()
+            assert grad._msa_backward(d_out, cache, enc, d_h).tobytes() == \
+                grad._msa_backward(d_out, cache, ref, d_h).tobytes()
 
     @pytest.mark.parametrize("cfg", [mdl.ModelConfig(),
                                      mdl.ModelConfig(D=64, L=2, r=2)])
     def test_crafted_matrices_detected_random_not(self, cfg):
-        # a change that loses the crafted selectors, or takes a dense matrix
-        # for one, fails here rather than only in wall time or bytes
+        # a change that loses the crafted encoder, or takes a dense one for
+        # it, fails here rather than only in wall time or bytes
         crafted = craft_backbone(CraftConfig(seed=7), cfg)
-        dense = mdl.random_backbone(cfg, Rng(3))
-        for backbone, want in ((crafted, True), (dense, False)):
+        for backbone, want in ((crafted, True), (mdl.random_backbone(cfg, Rng(3)), False),
+                               (mixed_backbone(cfg, Rng(31)), False)):
             for enc in backbone.encoders:
-                for name in _WEIGHTS:
-                    w = getattr(enc, name)
-                    for m in (w, np.swapaxes(w, -1, -2)):
-                        assert (mdl._selector(m) is not None) == want, name
+                assert enc.crafted_attention() == enc.copies_mlp() == want
 
     def test_reassigned_weight_detected_again(self):
         cfg = mdl.ModelConfig()
         enc = craft_backbone(CraftConfig(seed=7), cfg).encoders[0]
-        x = Rng(5).normal(0.0, 1.0, 7 * cfg.D).reshape(7, cfg.D)
-        assert enc.matmul(x, "w_msa", True).tobytes() == (x + 0.0).tobytes()
+        tokens = Rng(5).normal(0.0, 1.0, 7 * cfg.D).reshape(1, 7, cfg.D)
+        ref = _as_gemm(enc)
+        assert enc.crafted_attention() and not enc.w_msa.flags.writeable
         enc.w_msa = Rng(6).normal(0.0, 1.0, cfg.D * cfg.D).reshape(cfg.D, cfg.D)
-        assert enc.matmul(x, "w_msa", True).tobytes() == mdl._dot(x, enc.w_msa.T).tobytes()
-        enc.w_msa = np.eye(cfg.D)[::-1].copy()
-        assert enc.matmul(x, "w_msa", True).tobytes() == (x[:, ::-1] + 0.0).tobytes()
+        assert not enc.crafted_attention() and enc.w_msa.flags.writeable
+        enc.w_msa = np.eye(cfg.D)
+        assert enc.crafted_attention()
+        assert mdl.msa_forward(tokens, enc, cfg.D_h)[0].tobytes() == \
+            mdl.msa_forward(tokens, ref, cfg.D_h)[0].tobytes()
 
 
 def _wide_mlp(z: np.ndarray, enc: mdl.EncoderParams):
@@ -398,13 +423,6 @@ def _wide_mlp_backward(d_out, pre, live, enc: mdl.EncoderParams) -> np.ndarray:
     if live:
         d_pre *= gelu_grad(pre)
     return mdl._dot(d_pre, enc.w_mlp1)
-
-
-def _with_one(x: np.ndarray, data, values) -> np.ndarray:
-    """x with one entry, drawn, replaced by one of ``values``."""
-    x = x.copy()
-    x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(st.sampled_from(values))
-    return x
 
 
 # z entries: a LayerNorm output's range, signed zeros, subnormals and +-1e300
@@ -428,8 +446,7 @@ def _crafted_mlps(draw):
         at = draw(st.integers(0, d - 1)) + (0 if where.startswith("copied") else d)
         b1[at] = {"copied_nan": np.nan, "other_inf": np.inf}.get(
             where, draw(st.floats(-20.0, 8.9)))
-    names = [f.name for f in dataclasses.fields(mdl.EncoderParams)]
-    enc = mdl.EncoderParams(**{name: np.zeros(1) for name in names})
+    enc = _placeholder_encoder()
     enc.w_mlp1, enc.w_mlp2 = np.eye(4 * d, d), np.eye(d, 4 * d)
     enc.b_mlp1 = b1
     enc.b_mlp2 = draw(hnp.arrays(np.float64, d, elements=st.floats(-1e4, 1e4)))
@@ -437,11 +454,10 @@ def _crafted_mlps(draw):
     z = draw(hnp.arrays(np.float64, shape, elements=_Z_VALUES))
     d_out = draw(hnp.arrays(np.float64, shape, elements=_X_VALUES))
     data = draw(st.data())
-    nonfinite = [np.inf, -np.inf, np.nan]
     if draw(st.integers(0, 3)) == 3:
-        z = _with_one(z, data, nonfinite)
+        z = _with_one(z, data, _NONFINITE)
     if draw(st.integers(0, 3)) == 3:
-        d_out = _with_one(d_out, data, nonfinite)
+        d_out = _with_one(d_out, data, _NONFINITE)
     return enc, z, d_out
 
 

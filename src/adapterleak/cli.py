@@ -13,7 +13,7 @@ import ctypes
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -32,37 +32,24 @@ from .numerics import Rng
 from .serialize import (read_backbone, read_gradients, write_adapters,
                         write_backbone, write_gradients)
 
-_DEFAULTS = {
-    "model": {
-        "D": "96", "L": "4", "num_encoders": "6", "P": "4", "C": "3",
-        "H": "8", "W": "8", "r": "8", "num_classes": "10",
-        "head_mode": "mean_pool",
-    },
-    "craft": {
-        "sigma_pos": "10.0", "pos_dist": "gaussian", "gamma": "1e4",
-        "epsilon_up": "1e-6", "margin": "50.0",
-        "embed_mode": "identity_pad", "seed": "7",
-    },
-    "fl": {
-        "users": "2", "batch_size": "16", "rounds": "1", "local_epochs": "1",
-        "learning_rate": "1e-4", "victim_index": "0", "mode": "single_step",
-        "seed": "11",
-    },
-    "plan": {
-        "positions": "all", "adapters_per_position": "3",
-    },
-    "defense": {
-        "kind": "none", "noise_rel_sigma": "0.0", "k_fraction": "1.0",
-        "quant_levels": "256",
-    },
-    "data": {
-        "kind": "smooth", "public_count": "256",
-    },
-}
-
 # Sections that fill one config dataclass each, converted by its field types.
 _DATACLASSES = {"model": ModelConfig, "craft": CraftConfig, "fl": FLConfig,
                 "defense": DefenseConfig}
+
+
+def _text_defaults(cls) -> dict[str, str]:
+    return {f.name: str(f.default) for f in fields(cls)}
+
+
+# Every default but [plan]'s is a config dataclass's field default ([data]'s
+# are SetupArgs'). resolved.cfg echoes the sections in this order.
+_DEFAULTS = {
+    "model": _text_defaults(ModelConfig), "craft": _text_defaults(CraftConfig),
+    "fl": _text_defaults(FLConfig),
+    "plan": {"positions": "all", "adapters_per_position": "3"},
+    "defense": _text_defaults(DefenseConfig),
+    "data": {"kind": SetupArgs.data_kind, "public_count": str(SetupArgs.public_count)},
+}
 
 
 def _convert(section: str, key: str, text: str, kind: type):
@@ -86,24 +73,15 @@ def _dataclass_from(section: str, values: dict[str, str]):
 
 @dataclass
 class ExperimentConfig:
-    model: ModelConfig
-    craft: CraftConfig
+    setup: SetupArgs
     fl: FLConfig
     defense: DefenseConfig
-    positions: list[int]
-    adapters_per_position: int
-    data_kind: str
-    public_count: int
     resolved_text: str
-
-    def setup_args(self) -> SetupArgs:
-        return SetupArgs(self.model, self.craft, self.fl.seed, self.fl.rounds,
-                         self.positions, self.adapters_per_position,
-                         self.data_kind, self.public_count)
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are read literally, and no header names the default section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     try:
         if not parser.read(path):
@@ -137,20 +115,14 @@ def _resolve(merged: dict) -> ExperimentConfig:
     public_count = _convert("data", "public_count", data["public_count"], int)
     if public_count < 2:
         raise ConfigError(f"[data] public_count = {public_count}: need at least 2 public images")
+    setup = SetupArgs(model, craft, fl.seed, fl.rounds, positions,
+                      _convert("plan", "adapters_per_position",
+                               p["adapters_per_position"], int),
+                      data["kind"], public_count)
 
-    lines = []
-    for section, values in merged.items():
-        lines.append(f"[{section}]")
-        for key in sorted(values):
-            lines.append(f"{key} = {values[key]}")
-        lines.append("")
-    return ExperimentConfig(
-        model=model, craft=craft, fl=fl, defense=defense, positions=positions,
-        adapters_per_position=_convert("plan", "adapters_per_position",
-                                       p["adapters_per_position"], int),
-        data_kind=data["kind"],
-        public_count=public_count,
-        resolved_text="\n".join(lines))
+    sections = (f"[{section}]\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(values))
+                for section, values in merged.items())
+    return ExperimentConfig(setup, fl, defense, "\n".join(sections))
 
 
 def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
@@ -162,7 +134,7 @@ def _prepare_out(out: str, cfg: ExperimentConfig) -> Path:
 
 def cmd_craft(args) -> int:
     cfg = load_config(args.config)
-    setup = prepare_attack(cfg.setup_args())
+    setup = prepare_attack(cfg.setup)
     out = _prepare_out(args.out, cfg)
     write_backbone(setup.backbone, out / "backbone.plta")
     (out / "plan.json").write_text(plan_to_json(setup.plan))
@@ -200,7 +172,7 @@ def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
         "runtime_s": None,
     }
     write_json(out / "summary.json", summary)
-    mc = cfg.model
+    mc = cfg.setup.model
     recovered = unpatchify(np.clip(result.placed, -1, 1), mc.P, mc.C, mc.H, mc.W)
     for i, (truth, rec) in enumerate(zip(result.victim_batch.images, recovered)):
         save_ppm(denormalize(truth), out / f"truth_{i:03d}.ppm")
@@ -210,7 +182,7 @@ def _emit_run_outputs(out: Path, cfg: ExperimentConfig, result) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     t0 = time.perf_counter()
-    result = run_experiment(prepare_attack(cfg.setup_args()), cfg.fl, cfg.defense)
+    result = run_experiment(prepare_attack(cfg.setup), cfg.fl, cfg.defense)
     out = _prepare_out(args.out, cfg)
     _emit_run_outputs(out, cfg, result)
     # every round's victim observation, round-major on the adapter axis, and
@@ -275,12 +247,12 @@ def cmd_attack(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    rng = Rng(cfg.craft.seed)
-    backbone = random_backbone(cfg.model, rng.spawn(1))
-    adapters = AdapterSet.random(cfg.model, rng.spawn(2), scale=0.2)
-    batch = synth_batch(cfg.fl.batch_size, cfg.model, seed=cfg.fl.seed,
-                        kind="uniform")
-    report = finite_diff_check(backbone, adapters, batch, cfg.model)
+    mc = cfg.setup.model
+    rng = Rng(cfg.setup.craft.seed)
+    backbone = random_backbone(mc, rng.spawn(1))
+    adapters = AdapterSet.random(mc, rng.spawn(2), scale=0.2)
+    batch = synth_batch(cfg.fl.batch_size, mc, seed=cfg.fl.seed, kind="uniform")
+    report = finite_diff_check(backbone, adapters, batch, mc)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max rel err {fmt(report.max_rel_err)} "
           f"(tolerance {fmt(FD_TOLERANCE)}, floor {fmt(FD_FLOOR)}) "
@@ -297,11 +269,11 @@ def _sweep_values(kind: str, raw: str):
 
 def _sweep_cell(cfg: ExperimentConfig, kind: str, value, seed: int):
     """One cell's experiment: its setup inputs, FL config and defense."""
-    setup_args, fl, defense = cfg.setup_args(), cfg.fl, cfg.defense
+    setup_args, fl, defense = cfg.setup, cfg.fl, cfg.defense
     if kind == "batch":
         fl = replace(fl, batch_size=value)
     elif kind == "r":
-        setup_args = replace(setup_args, model=replace(cfg.model, r=value))
+        setup_args = replace(setup_args, model=replace(setup_args.model, r=value))
     elif kind == "layers":
         setup_args = replace(setup_args, adapters_per_position=value)
     elif kind == "rounds":

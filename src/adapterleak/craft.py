@@ -47,7 +47,7 @@ class CraftConfig:
     epsilon_up: float = 1e-6
     margin: float = 50.0
     embed_mode: str = "identity_pad"
-    seed: int = 0
+    seed: int = 7
 
     def __post_init__(self):
         if self.sigma_pos <= 0:

@@ -3,8 +3,9 @@
 The server crafts adapters per round and attacks the victim's individual
 pre-aggregation gradient, so only the victim's local training and defense
 are simulated. The other users would only feed the aggregate, which the
-attack never reads: ``FLConfig.users`` sets just the per-user keys of the
-data and defense streams and the range of ``victim_index``. The attack
+attack never reads: ``FLConfig.users`` sets just the victim's defense-stream
+key (``rho * users + victim_index``) and the range of ``victim_index``; the
+victim's batch always comes from data-stream key 1. The attack
 consumes only the gradient tensors plus the plan and backbone the server
 already owns: batches and forward caches never cross that boundary.
 """
@@ -32,14 +33,14 @@ from .stats import estimate_patch_stats
 
 @dataclass(frozen=True)
 class FLConfig:
-    users: int = 4
+    users: int = 2
     batch_size: int = 16
     rounds: int = 1
     local_epochs: int = 1
     learning_rate: float = 1e-4
     victim_index: int = 0
     mode: str = "single_step"
-    seed: int = 0
+    seed: int = 11
 
     def __post_init__(self):
         if self.users < 1:

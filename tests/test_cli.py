@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 
 from adapterleak import grad
 from adapterleak.cli import libc_mallopt, load_config, main
-from adapterleak.craft import embedding_layout
+from adapterleak.craft import CraftConfig, embedding_layout
 from adapterleak.dataio import (load_ppm, read_tensor_archive, save_ppm,
                                write_tensor_archive)
 from adapterleak.errors import ConfigError
-from adapterleak.model import AdapterSet, forward
+from adapterleak.flsim import DefenseConfig, FLConfig, SetupArgs
+from adapterleak.model import AdapterSet, ModelConfig, forward
 from adapterleak.serialize import (read_backbone, read_gradients, write_backbone,
                                    write_gradients)
 from helpers import kink_margin
@@ -67,8 +69,24 @@ class TestConfigParsing:
         path = tmp_path / "d.cfg"
         path.write_text("")
         cfg = load_config(path)
-        assert cfg.model.D == 96
-        assert cfg.positions == [1, 2, 3, 4]
+        assert cfg.setup.model.D == 96
+        assert cfg.setup.positions == (1, 2, 3, 4)
+
+    def test_empty_config_is_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        cfg = load_config(path)
+        assert (cfg.setup.model, cfg.setup.craft, cfg.fl, cfg.defense) == \
+            (ModelConfig(), CraftConfig(), FLConfig(), DefenseConfig())
+        defaulted = {f.name: f.default for f in fields(SetupArgs) if f.default is not MISSING}
+        assert {key: getattr(cfg.setup, key) for key in defaulted} == defaulted
+
+    def test_resolved_cfg_replays(self, tmp_path):
+        # the echoed config loads back to the experiment it echoes
+        assert main(["craft", "--config", str(DESK_CFG_FILE), "--out", str(tmp_path)]) == 0
+        replayed, desk = load_config(tmp_path / "resolved.cfg"), load_config(DESK_CFG_FILE)
+        assert replayed.resolved_text == desk.resolved_text
+        assert replayed == desk
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -105,8 +123,12 @@ class TestConfigParsing:
         b"[craft]\ngamma = inf\n",
         b"[craft]\nmargin = nan\n",
         b"[craft]\nsigma_pos = nan\n",
+        b"[DEFAULT]\nD = 64\n",  # an unknown section, not defaults for the others
+        b"[DEFAULT]\nkind = uniform\n[data]\nkind = smooth\n[defense]\n",
+        b"[model]\nL = 4\nr = %(L)s\n",  # read literally: not an int
     ], ids=["no_header", "duplicate_key", "not_utf8", "int", "positions", "float",
-            "noise_nan", "gamma_nan", "gamma_inf", "margin_nan", "sigma_pos_nan"])
+            "noise_nan", "gamma_nan", "gamma_inf", "margin_nan", "sigma_pos_nan",
+            "default_alone", "default_with_sections", "interpolation"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, raw):
         path = tmp_path / "bad.cfg"
         path.write_bytes(raw)
@@ -494,10 +516,12 @@ PIN_DESK_GRADIENT_ARCHIVE = "d3eac24fa388120b"
 # refactors that must keep every output byte. `grads.plta` holds every round's
 # gradients, round-major, so each --round decodes its own round and the merged
 # offline coverage equals `run`'s (ROADMAP 1(c), fixed). summary.json's
-# config_hash moved when `[model] adapter_activation` left resolved.cfg.
+# config_hash moved when `[model] adapter_activation` left resolved.cfg, and
+# again when resolved.cfg spelled omitted float defaults as str() of the
+# dataclass field (gamma = 10000.0, epsilon_up = 1e-06, learning_rate = 0.0001).
 PIN_RUN_OUTPUTS = {
     "rounds.csv": "d620bf803f341377",
-    "summary.json": "681dc2da41545b28",
+    "summary.json": "64e50aefac19ae3f",
     "plan.json": "f2490e76c2e3efbc",
 }
 PIN_OFFLINE_ATTACK = {  # --round -> (patches.csv, attack_summary.json)
@@ -666,7 +690,7 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(cli, "finite_diff_check", spy)
         assert main(["gradcheck", "--config", str(tiny_cfg_file)]) == 0
-        assert seen == [load_config(tiny_cfg_file).model]
+        assert seen == [load_config(tiny_cfg_file).setup.model]
 
     def test_desk_and_benchmark_inputs_clear_the_kinks(self, tmp_path, monkeypatch):
         # central differences are exact on each linear piece of a ReLU: on

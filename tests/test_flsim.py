@@ -350,7 +350,7 @@ class TestOfflineMergeInvariant:
             cfg = Path(tmp) / "x.cfg"
             cfg.write_text(_config_text(args, fl, defense))
             resolved = cli.load_config(cfg)
-            assert (resolved.setup_args(), resolved.fl, resolved.defense) == experiment
+            assert (resolved.setup, resolved.fl, resolved.defense) == experiment
             mp.setattr(cli, "run_experiment", recording(cli.run_experiment, runs))
             mp.setattr(attack_module, "merge_rounds",
                        recording(attack_module.merge_rounds, merges))

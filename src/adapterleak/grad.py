@@ -119,8 +119,8 @@ def blas_single_thread():
     scipy ships (``scipy.libs/libscipy_openblas-*.so``): a 960x96x96
     ``scipy.linalg.blas.dgemm`` inside the cap ran at 1.8-1.9 CPU seconds
     per wall second on 2 cores, numpy's at 1.1. So the package imports
-    nothing from scipy but ``scipy.special``, which calls no BLAS
-    (``tests/test_grad.py`` checks this).
+    nothing from scipy but ``scipy.special``, which calls no BLAS, and
+    that only on first use of Phi (``tests/test_grad.py`` checks this).
     """
     try:
         from threadpoolctl import threadpool_limits

@@ -70,6 +70,11 @@ class ModelConfig:
     head_mode: str = "mean_pool"
 
     def __post_init__(self):
+        for name in ("D", "L", "P", "C", "H", "W"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes={self.num_classes} must be >= 2")
         if self.D % self.L:
             raise ConfigError(f"D={self.D} not divisible by L={self.L}")
         if self.H % self.P or self.W % self.P:
@@ -302,7 +307,14 @@ def _layer_norm_cached(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def adapter_forward(tokens: np.ndarray, adapters: AdapterSet, s: int):
-    """Bottleneck adapter s with internal skip: in + W_up relu(W_down in + b) + b_up."""
+    """Bottleneck adapter s with internal skip: in + W_up relu(W_down in + b) + b_up.
+
+    An all-zero adapter (``craft_adapters``' probes) skips its GEMMs on finite
+    tokens, where their products are all +0.0: the output is tokens + 0.0."""
+    if not (adapters.w_up[s].any() or adapters.w_down[s].any() or adapters.b_down[s].any()
+            or adapters.b_up[s].any()) and np.isfinite(tokens).all():
+        v = np.zeros((*tokens.shape[:-1], adapters.b_down.shape[-1]))
+        return tokens + 0.0, {"input": tokens, "v": v, "act": v}
     v = _dot(tokens, adapters.w_down[s].T)
     v += adapters.b_down[s]
     act = relu(v)

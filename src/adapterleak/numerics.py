@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr as _ndtr
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -41,7 +40,10 @@ def softmax_rows(m) -> np.ndarray:
 
 
 def normal_cdf(x) -> np.ndarray:
-    return _ndtr(as_f64(x))
+    # imported on first use: it costs as much start-up as numpy (README)
+    from scipy.special import ndtr
+
+    return ndtr(as_f64(x))
 
 
 def normal_pdf(x) -> np.ndarray:
@@ -52,13 +54,13 @@ def normal_pdf(x) -> np.ndarray:
 def gelu(x) -> np.ndarray:
     """Exact-Phi GELU: x * Phi(x), exactly x past ``_PHI_SATURATION``."""
     x = as_f64(x)
-    return x * _ndtr(x)
+    return x * normal_cdf(x)
 
 
 def gelu_grad(x) -> np.ndarray:
     """d/dx of gelu: Phi(x) + x phi(x), exactly 1.0 past ``_PHI_SATURATION``."""
     x = as_f64(x)
-    return _ndtr(x) + x * normal_pdf(x)
+    return normal_cdf(x) + x * normal_pdf(x)
 
 
 def relu(x) -> np.ndarray:

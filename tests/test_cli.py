@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -170,6 +173,18 @@ CONFIG_ERRORS = {
     "gamma_inf": ("gamma = 1e4", "gamma = inf", ("craft", "run", "sweep")),
     "margin_nan": ("margin = 50.0", "margin = nan", ("craft", "run", "sweep")),
     "sigma_pos_nan": ("sigma_pos = 10.0", "sigma_pos = nan", ("craft", "run", "sweep")),
+    # model sizes below 1, and fewer than two classes, whose loss and
+    # gradients are all 0: a division by zero or a crash, or for one class
+    # a run reporting nothing, where a config error is due
+    "D_0": ("D = 96", "D = 0", ("craft", "run", "sweep")),
+    "L_0": ("L = 4", "L = 0", ("craft", "run", "sweep")),
+    "P_0": ("P = 4", "P = 0", ("craft", "run", "sweep")),
+    "C_0": ("C = 3", "C = 0", ("craft", "run", "sweep")),
+    # both negative: the patch count (H / P) * (W / P) is positive
+    "HW_neg": ("H = 8\nW = 8", "H = -8\nW = -8", ("craft", "run", "sweep")),
+    "classes_0": ("num_classes = 10", "num_classes = 0", ("craft", "run", "sweep")),
+    "classes_neg": ("num_classes = 10", "num_classes = -3", ("craft", "run", "sweep")),
+    "classes_1": ("num_classes = 10", "num_classes = 1", ("craft", "run", "sweep")),
     # sweep --vary and --values of the cases named in SWEEP_ARGS
     "sweep_batch_0": ("", "", ("sweep",)),
     "sweep_noise_nan": ("", "", ("sweep",)),
@@ -906,3 +921,40 @@ class TestSweepCommand:
         assert drawn.count(64) == publics
         assert len(drawn) - publics == len(trained) == observations
         assert len({id(batch) for batch in trained}) == observations
+
+
+# prints the exit code of main(argv) and the scipy modules the process loaded
+_SCIPY_PROBE = """
+import json, sys
+from adapterleak.cli import main
+rc = main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _scipy_loaded(*argv: str) -> tuple[int | None, list[str]]:
+    """(exit code, scipy modules loaded) of a fresh process that imports
+    the CLI and runs ``argv`` through it, or only imports it."""
+    args = [json.dumps(list(argv))] if argv else []
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args],
+                         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    """scipy is imported on the first evaluation of Phi, not with the package."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert _scipy_loaded() == (None, [])
+
+    def test_attack_and_report_load_no_scipy(self, tiny_cfg_file, tmp_path):
+        run = tmp_path / "run"
+        rc, modules = _scipy_loaded("run", "--config", str(tiny_cfg_file), "--out", str(run))
+        assert rc == 0 and "scipy.special" in modules  # the probe sees the import
+        assert _scipy_loaded("attack", "--grads", str(run / "grads.plta"),
+                             "--plan", str(run / "plan.json"),
+                             "--backbone", str(run / "backbone.plta"),
+                             "--out", str(tmp_path / "atk")) == (0, [])
+        assert _scipy_loaded("report", "--in", str(run)) == (0, [])

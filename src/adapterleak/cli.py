@@ -1,8 +1,11 @@
 """Command-line surface: craft, run, attack, sweep, gradcheck, report.
 
-Experiment configs are sectioned key=value files; every field is validated
-before any computation and the fully resolved config is echoed next to the
-outputs so a run can be replayed byte-for-byte.
+Experiment configs are sectioned key=value files. Every field, and whether
+the plan fits the model (``SetupArgs``), is checked as the config loads,
+before anything is drawn; so is ``PEFTLEAK_THREADS`` for ``gradcheck``. The
+one config error a draw must show is the position encodings' margin,
+given up on after 1,000 draws. The fully resolved config is echoed next to
+the outputs so a run can be replayed byte-for-byte.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .dataio import denormalize, load_ppm, save_ppm, synth_batch
 from .errors import ConfigError, FormatError
 from .flsim import (DefenseConfig, FLConfig, SetupArgs, config_hash,
                     prepare_attack, prepare_attacks, run_experiment)
-from .grad import FD_FLOOR, FD_TOLERANCE, finite_diff_check
+from .grad import FD_FLOOR, FD_TOLERANCE, finite_diff_check, thread_count
 from .metrics import fmt, write_csv, write_json
 from .model import AdapterSet, ModelConfig, random_backbone, unpatchify
 from .numerics import Rng
@@ -110,15 +113,10 @@ def _resolve(merged: dict) -> ExperimentConfig:
         positions = [_convert("plan", "positions", x, int)
                      for x in p["positions"].split(",") if x.strip()]
     data = merged["data"]
-    if data["kind"] not in ("uniform", "smooth"):
-        raise ConfigError(f"unknown data kind {data['kind']!r}")
-    public_count = _convert("data", "public_count", data["public_count"], int)
-    if public_count < 2:
-        raise ConfigError(f"[data] public_count = {public_count}: need at least 2 public images")
     setup = SetupArgs(model, craft, fl.seed, fl.rounds, positions,
                       _convert("plan", "adapters_per_position",
                                p["adapters_per_position"], int),
-                      data["kind"], public_count)
+                      data["kind"], _convert("data", "public_count", data["public_count"], int))
 
     sections = (f"[{section}]\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(values))
                 for section, values in merged.items())
@@ -247,12 +245,13 @@ def cmd_attack(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
+    workers = thread_count()  # PEFTLEAK_THREADS is read here, before any draw
     mc = cfg.setup.model
     rng = Rng(cfg.setup.craft.seed)
     backbone = random_backbone(mc, rng.spawn(1))
     adapters = AdapterSet.random(mc, rng.spawn(2), scale=0.2)
     batch = synth_batch(cfg.fl.batch_size, mc, seed=cfg.fl.seed, kind="uniform")
-    report = finite_diff_check(backbone, adapters, batch, mc)
+    report = finite_diff_check(backbone, adapters, batch, mc, workers=workers)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max rel err {fmt(report.max_rel_err)} "
           f"(tolerance {fmt(FD_TOLERANCE)}, floor {fmt(FD_FLOOR)}) "

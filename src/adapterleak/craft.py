@@ -35,7 +35,7 @@ from .dataio import Batch
 from .errors import ConfigError, FormatError
 from .model import (AdapterSet, EncoderParams, FrozenBackbone, ModelConfig,
                     forward, unpatchify)
-from .numerics import Rng, inverse_normal_cdf, sample
+from .numerics import Rng, inverse_normal_cdf
 from .stats import PatchStats
 
 
@@ -156,12 +156,10 @@ def craft_position_encodings(cfg: CraftConfig, n: int, d: int, d_h: int,
     self logit beats every cross logit by the configured margin in every
     head.
     """
-    if n < 1:
-        raise ConfigError("need at least one patch position")
     rng = rng or Rng(cfg.seed)
+    draw = rng.normal if cfg.pos_dist == "gaussian" else rng.laplace
     for _ in range(1000):
-        raw = sample(cfg.pos_dist, 0.0, cfg.sigma_pos, (n + 1) * d, rng)
-        pos = raw.reshape(n + 1, d)
+        pos = draw(0.0, cfg.sigma_pos, (n + 1) * d).reshape(n + 1, d)
         pos = np.stack([standardized_encoding(v, cfg.sigma_pos) for v in pos])
         if _margin_ok(pos, d_h, cfg.margin):
             return pos
@@ -305,37 +303,15 @@ def interleaved_quantiles(k: int, rounds: int) -> np.ndarray:
 def build_attack_plan(stats: PatchStats, model_cfg: ModelConfig,
                       positions: list[int], adapters_per_position: int,
                       rounds: int) -> AttackPlan:
-    """Assign adapters to target positions and lay the threshold grids."""
-    if not positions:
-        raise ConfigError("no target positions")
-    if len(set(positions)) < len(positions):
-        raise ConfigError(f"target positions {positions} repeat a position")
-    if rounds < 1:
-        raise ConfigError("need at least one round")
+    """Assign adapters to target positions and lay the threshold grids.
+
+    ``SetupArgs`` has checked that the positions and adapters fit the model.
+    """
     s_t = adapters_per_position
-    if s_t < 1:
-        raise ConfigError("need at least one adapter per position")
-    need = s_t * len(positions)
-    if need > model_cfg.num_adapters:
-        raise ConfigError(
-            f"plan needs {need} adapters, model has {model_cfg.num_adapters}")
-    k_t = s_t * model_cfg.r
-
-    assignments = []
-    nxt = 0
-    for t in positions:
-        if not 1 <= t <= model_cfg.N:
-            raise ConfigError(f"position {t} outside 1..{model_cfg.N}")
-        for s in range(s_t):
-            assignments.append(Assignment(adapter=nxt, position=t, slot=s))
-            nxt += 1
-
-    levels, thresholds = interleaved_quantiles(k_t, rounds), {}
-    for t in positions:
-        mu_t, sigma_t = stats.for_position(t)
-        if sigma_t <= 0:
-            raise ConfigError(f"degenerate statistic spread at position {t}")
-        thresholds[t] = inverse_normal_cdf(levels, mu_t, sigma_t)
+    assignments = [Assignment(adapter=i * s_t + s, position=t, slot=s)
+                   for i, t in enumerate(positions) for s in range(s_t)]
+    levels = interleaved_quantiles(s_t * model_cfg.r, rounds)
+    thresholds = {t: inverse_normal_cdf(levels, *stats.for_position(t)) for t in positions}
     return AttackPlan(
         assignments=assignments,
         thresholds=thresholds,

@@ -21,7 +21,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import oracle
 from .craft import (AttackPlan, CraftConfig, build_attack_plan, craft_adapters,
-                    craft_backbone)
+                    craft_backbone, craft_embedding_matrix, embedding_layout)
 from .dataio import Batch, synth_batch
 from .errors import ConfigError
 from .grad import backward_adapters
@@ -189,7 +189,12 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SetupArgs:
-    """Every input of the server's setup; equal args build identical setups."""
+    """Every input of the server's setup; equal args build identical setups.
+
+    The server fixes its plan before round 0, so whether the plan fits the
+    model is a property of these inputs alone: construction raises
+    ConfigError for one that does not, before anything is drawn.
+    """
 
     model: ModelConfig
     craft: CraftConfig
@@ -202,6 +207,25 @@ class SetupArgs:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(self.positions))
+        mc, positions = self.model, list(self.positions)
+        if not positions:
+            raise ConfigError("no target positions")
+        if len(set(positions)) < len(positions):
+            raise ConfigError(f"target positions {positions} repeat a position")
+        if not all(1 <= t <= mc.N for t in positions):
+            raise ConfigError(f"target positions {positions} outside 1..{mc.N}")
+        if self.adapters_per_position < 1:
+            raise ConfigError("need at least one adapter per position")
+        need = self.adapters_per_position * len(positions)
+        if need > mc.num_adapters:
+            raise ConfigError(f"plan needs {need} adapters, model has {mc.num_adapters}")
+        if self.data_kind not in ("uniform", "smooth"):
+            raise ConfigError(f"unknown data kind {self.data_kind!r}")
+        if self.public_count < 2:
+            raise ConfigError(f"[data] public_count = {self.public_count}: "
+                              "need at least 2 public images")
+        # the free-row rule, on the embedding craft_backbone will build
+        embedding_layout(craft_embedding_matrix(self.craft, mc), mc.N)
 
     def public_key(self) -> tuple:
         """Every input of the public batch: ``synth_batch`` reads only these."""

@@ -25,8 +25,9 @@ whose +-h step changes no bit of its adapter's output (a dead unit's
 ``w_down``, ``b_down`` and ``w_up`` entries) gets its exact central
 difference, 0, without a suffix evaluation; the other perturbation
 variants are evaluated in stacked batches through a fused suffix path;
-and stacks are distributed over one worker thread per core
-(``PEFTLEAK_THREADS`` caps the pool).
+and stacks are distributed over the caller's ``workers`` threads. The CLI
+reads that count once, with ``thread_count`` (one per core, capped by
+``PEFTLEAK_THREADS``), as ``gradcheck`` starts.
 
 The fused suffix runs on the model's kernels: ``model.layer_normalize``,
 ``numerics.softmax_rows`` and ``model.adapter_forward``. What it keeps of
@@ -447,10 +448,11 @@ _FD_CHUNK = 24  # perturbed parameters per suffix stack
 
 def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
                           adapters: AdapterSet, cfg: ModelConfig,
-                          workers: int | None = None) -> tuple[AdapterSet, AdapterSet]:
+                          workers: int) -> tuple[AdapterSet, AdapterSet]:
     """(fd, moved): central-difference gradients for every adapter
     parameter, resuming from the batch's full forward ``cache``, and the
     ``_moved`` mask. Unmoved parameters are not differenced: their fd is 0.0.
+    The suffix stacks run on ``workers`` threads (``parallel_map``).
     """
     moved = _moved(cache, cfg)
     encs = backbone.encoders
@@ -478,8 +480,7 @@ def finite_diff_gradients(cache: ForwardCache, backbone: FrozenBackbone,
         losses = losses.reshape(2, len(idx), m).mean(axis=-1)
         return (losses[0] - losses[1]) / (2.0 * FD_STEP)
 
-    results = parallel_map(run_job, jobs,
-                           workers if workers is not None else thread_count())
+    results = parallel_map(run_job, jobs, workers)
     fd = AdapterSet.zeros(cfg)
     for (a, kind, idx), vals in zip(jobs, results):
         getattr(fd, kind)[a].reshape(-1)[idx] = vals
@@ -497,7 +498,7 @@ class GradCheckReport:
 
 
 def finite_diff_check(backbone: FrozenBackbone, adapters: AdapterSet, batch,
-                      cfg: ModelConfig, workers: int | None = None) -> GradCheckReport:
+                      cfg: ModelConfig, workers: int) -> GradCheckReport:
     """Max safeguarded relative error between analytic and FD gradients.
 
     rel = |a - f| / max(|a|, |f|, FD_FLOOR). Central differences carry an

@@ -10,7 +10,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
-from .numerics import as_f64
 
 GRAY = 0.0  # mid-gray placeholder in [-1, 1] for unrecovered patches
 RECOVERY_MSE = 0.05  # a recovered patch below this MSE counts as recovered
@@ -74,7 +73,7 @@ def score_reconstruction(placed: np.ndarray, found: np.ndarray,
     if np.shape(placed) != truth.shape or np.shape(found) != (m, n):
         raise ShapeError(f"shape mismatch {np.shape(placed)}, {np.shape(found)} "
                          f"vs {truth.shape}")
-    ref = as_f64(truth).reshape(m * n, d)
+    ref = truth.reshape(m * n, d)
     cand = np.clip(np.where(found[..., None], placed, GRAY), -1, 1).reshape(m * n, d)
     mses = ((cand - ref) ** 2).mean(axis=1)
     ssims = _ssim_batch(cand.reshape(-1, c, p, p), ref.reshape(-1, c, p, p),

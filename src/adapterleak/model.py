@@ -51,7 +51,7 @@ import numpy as np
 
 from .dataio import Batch
 from .errors import ConfigError, ShapeError
-from .numerics import _PHI_SATURATION, Rng, as_f64, gelu, relu, softmax_rows
+from .numerics import _PHI_SATURATION, Rng, gelu, relu, softmax_rows
 
 LN_EPS = 0.0  # crafted designs rely on pure population statistics
 
@@ -81,8 +81,6 @@ class ModelConfig:
             raise ConfigError(f"image {self.H}x{self.W} not divisible by P={self.P}")
         if self.r < 2:
             raise ConfigError(f"adapter bottleneck r={self.r} must be >= 2")
-        if self.N < 1:
-            raise ConfigError("need at least one patch")
         if self.head_mode not in ("mean_pool", "class_token"):
             raise ConfigError(f"unknown head mode {self.head_mode!r}")
 
@@ -264,7 +262,6 @@ def random_backbone(cfg: ModelConfig, rng: Rng) -> FrozenBackbone:
 
 def unpatchify(patches: np.ndarray, p: int, c: int, h: int, w: int) -> np.ndarray:
     """Exact inverse of :func:`patchify_batch`: (..., N, C p^2) -> (..., C, H, W)."""
-    patches = as_f64(patches)
     n = patches.ndim - 2
     tiles = patches.reshape(*patches.shape[:n], h // p, w // p, c, p, p)
     tiles = tiles.transpose(*range(n), n + 2, n, n + 3, n + 1, n + 4)
@@ -274,7 +271,6 @@ def unpatchify(patches: np.ndarray, p: int, c: int, h: int, w: int) -> np.ndarra
 def patchify_batch(images: np.ndarray, p: int) -> np.ndarray:
     """Split (M, C, H, W) images into (M, N, C p^2) row-major patches,
     each flattened channel-major."""
-    images = as_f64(images)
     m, c, h, w = images.shape
     if h % p or w % p:
         raise ShapeError(f"{h}x{w} image not divisible by patch side {p}")

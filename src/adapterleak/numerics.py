@@ -23,7 +23,6 @@ def as_f64(a) -> np.ndarray:
 
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction; rejects NaN input."""
-    m = as_f64(m)
     # The row max is taken column by column: a max is exact, so it equals
     # m.max(-1) bit for bit, and T - 1 elementwise passes beat numpy's
     # reduction over a short last axis. The sum stays numpy's row sum, which
@@ -43,28 +42,25 @@ def normal_cdf(x) -> np.ndarray:
     # imported on first use: it costs as much start-up as numpy (README)
     from scipy.special import ndtr
 
-    return ndtr(as_f64(x))
+    return ndtr(x)
 
 
 def normal_pdf(x) -> np.ndarray:
-    x = as_f64(x)
     return INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def gelu(x) -> np.ndarray:
     """Exact-Phi GELU: x * Phi(x), exactly x past ``_PHI_SATURATION``."""
-    x = as_f64(x)
     return x * normal_cdf(x)
 
 
 def gelu_grad(x) -> np.ndarray:
     """d/dx of gelu: Phi(x) + x phi(x), exactly 1.0 past ``_PHI_SATURATION``."""
-    x = as_f64(x)
     return normal_cdf(x) + x * normal_pdf(x)
 
 
 def relu(x) -> np.ndarray:
-    return np.maximum(as_f64(x), 0.0)
+    return np.maximum(x, 0.0)
 
 
 # Coefficients of Acklam's rational approximation to the standard normal
@@ -179,13 +175,3 @@ class Rng:
         span = np.uint64(high - low)
         return (low + (self._raw(n) % span).astype(np.int64)).astype(np.int64)
 
-
-def sample(dist: str, mu: float, scale: float, n: int, rng: Rng) -> np.ndarray:
-    """i.i.d. draws from a named distribution; deterministic under rng."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if dist == "gaussian":
-        return rng.normal(mu, scale, n)
-    if dist == "laplacian":
-        return rng.laplace(mu, scale, n)
-    raise ValueError(f"unknown distribution {dist!r}")

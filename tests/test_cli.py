@@ -185,13 +185,42 @@ CONFIG_ERRORS = {
     "classes_0": ("num_classes = 10", "num_classes = 0", ("craft", "run", "sweep")),
     "classes_neg": ("num_classes = 10", "num_classes = -3", ("craft", "run", "sweep")),
     "classes_1": ("num_classes = 10", "num_classes = 1", ("craft", "run", "sweep")),
+    # craft values each config dataclass rejects
+    "sigma_pos_0": ("sigma_pos = 10.0", "sigma_pos = 0", ("craft", "run", "sweep")),
+    "pos_dist_cauchy": ("margin = 50.0", "margin = 50.0\npos_dist = cauchy",
+                        ("craft", "run", "sweep")),
+    "embed_mode_x": ("margin = 50.0", "margin = 50.0\nembed_mode = x",
+                     ("craft", "run", "sweep")),
+    # plans and data SetupArgs rejects
+    "positions_5": ("positions = all", "positions = 5", ("craft", "run", "sweep")),
+    "adapters_0": ("adapters_per_position = 3", "adapters_per_position = 0",
+                   ("craft", "run", "sweep")),
+    "data_kind_x": ("kind = smooth", "kind = x", ("craft", "run", "sweep")),
     # sweep --vary and --values of the cases named in SWEEP_ARGS
     "sweep_batch_0": ("", "", ("sweep",)),
     "sweep_noise_nan": ("", "", ("sweep",)),
     "sweep_noise_inf": ("", "", ("sweep",)),
+    "sweep_layers_0": ("", "", ("sweep",)),
 }
 SWEEP_ARGS = {"sweep_batch_0": ("batch", "4,0"), "sweep_noise_nan": ("noise", "0,nan"),
-              "sweep_noise_inf": ("noise", "inf")}
+              "sweep_noise_inf": ("noise", "inf"), "sweep_layers_0": ("layers", "3,0")}
+CONFIG_ERROR_RUNS = [(command, case) for case, (_, _, commands) in CONFIG_ERRORS.items()
+                     for command in commands]
+
+
+def config_error_argv(tmp_path: Path, command: str, case: str) -> list[str]:
+    """argv of ``command`` on ``case``'s copy of desk.cfg, written under
+    ``tmp_path``, with output to ``tmp_path / f"{case}-{command}"``."""
+    old, new, _ = CONFIG_ERRORS[case]
+    text = DESK_CFG_FILE.read_text()
+    assert old in text
+    cfg = tmp_path / f"{case}.cfg"
+    cfg.write_text(text.replace(old, new))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / f"{case}-{command}")]
+    if command == "sweep":
+        vary, values = SWEEP_ARGS.get(case, ("batch", "4"))
+        argv += ["--vary", vary, "--values", values]
+    return argv
 
 
 class TestRunCommand:
@@ -215,25 +244,14 @@ class TestRunCommand:
         assert set(summary) >= {"config_hash", "rounds", "coverage", "mean_mse",
                                 "mean_ssim"}
 
-    @pytest.mark.parametrize("command,case", [
-        (command, case) for case, (_, _, commands) in CONFIG_ERRORS.items()
-        for command in commands])
+    @pytest.mark.parametrize("command,case", CONFIG_ERROR_RUNS)
     def test_config_error_writes_nothing(self, tmp_path, capsys, command, case):
-        old, new, _ = CONFIG_ERRORS[case]
-        text = DESK_CFG_FILE.read_text()
-        assert old in text
-        (tmp_path / "bad.cfg").write_text(text.replace(old, new))
-        out = tmp_path / "o"
-        argv = [command, "--config", str(tmp_path / "bad.cfg"), "--out", str(out)]
-        if command == "sweep":
-            vary, values = SWEEP_ARGS.get(case, ("batch", "4"))
-            argv += ["--vary", vary, "--values", values]
-        assert main(argv) == 2
+        assert main(config_error_argv(tmp_path, command, case)) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         if case == "gelu":
             assert "unknown key 'adapter_activation' in section [model]" in err
-        assert not out.exists()
+        assert not (tmp_path / f"{case}-{command}").exists()
 
     def test_report_command(self, tiny_cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -923,24 +941,35 @@ class TestSweepCommand:
         assert len({id(batch) for batch in trained}) == observations
 
 
-# prints the exit code of main(argv) and the scipy modules the process loaded
+# runs main(argv) for each JSON argv in turn and prints, after each, a line
+# "probe: [exit code, scipy modules the process has loaded so far]"; with
+# no argv it prints that line after importing the CLI alone
 _SCIPY_PROBE = """
 import json, sys
 from adapterleak.cli import main
-rc = main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+for argv in sys.argv[1:] or ["null"]:
+    argv = json.loads(argv)
+    rc = main(argv) if argv is not None else None
+    print("probe:", json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _scipy_loaded_after(argvs: list[list[str]], **env: str) -> list[tuple]:
+    """(exit code, scipy modules loaded) after each of ``argvs``, run in
+    turn through the CLI of one fresh process with ``env`` added to its
+    environment; [(None, modules)] after importing the CLI alone."""
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(json.dumps, argvs)],
+                         env={**os.environ, **env, "PYTHONPATH": str(SRC_DIR)},
+                         capture_output=True, text=True, timeout=300, check=True)
+    return [tuple(json.loads(line.removeprefix("probe: ")))
+            for line in out.stdout.splitlines() if line.startswith("probe: ")]
 
 
 def _scipy_loaded(*argv: str) -> tuple[int | None, list[str]]:
     """(exit code, scipy modules loaded) of a fresh process that imports
     the CLI and runs ``argv`` through it, or only imports it."""
-    args = [json.dumps(list(argv))] if argv else []
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args],
-                         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-                         capture_output=True, text=True, timeout=120, check=True)
-    return tuple(json.loads(out.stdout.splitlines()[-1]))
+    return _scipy_loaded_after([list(argv)] if argv else [])[-1]
 
 
 class TestStartup:
@@ -958,3 +987,17 @@ class TestStartup:
                              "--backbone", str(run / "backbone.plta"),
                              "--out", str(tmp_path / "atk")) == (0, [])
         assert _scipy_loaded("report", "--in", str(run)) == (0, [])
+
+    def test_config_errors_come_before_any_draw(self, tmp_path):
+        # scipy.special loads at the first Gaussian draw, so a case that
+        # loads it reported its config error only after drawing. Only
+        # gradcheck reads PEFTLEAK_THREADS.
+        runs = [*CONFIG_ERROR_RUNS, ("gradcheck", "threads_0")]
+        argvs = [config_error_argv(tmp_path, *run) for run in CONFIG_ERROR_RUNS]
+        argvs.append(["gradcheck", "--config", str(DESK_CFG_FILE)])
+        after = _scipy_loaded_after(argvs, PEFTLEAK_THREADS="0")
+        assert [rc for rc, _ in after] == [2] * len(runs)
+        # the first case to load it; the ones after it cannot unload it
+        first_late = next((run for run, (_, modules) in zip(runs, after)
+                           if "scipy.special" in modules), None)
+        assert first_late is None

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from adapterleak import craft as cr
 from adapterleak.dataio import synth_batch
 from adapterleak.errors import ConfigError, FormatError
+from adapterleak.flsim import SetupArgs
 from adapterleak.grad import backward_adapters
 from adapterleak.model import AdapterSet, ModelConfig, build_tokens, forward
 from adapterleak.numerics import Rng, inverse_normal_cdf
@@ -274,20 +275,14 @@ class TestAttackPlan:
             for rho in range(plan.rounds):
                 assert np.all(np.diff(plan.thresholds[t][rho]) > 0)
 
-    def test_over_budget_rejected(self, planned):
-        _, _, stats, *_ = planned
-        with pytest.raises(ConfigError):
-            cr.build_attack_plan(stats, DESK, [1, 2, 3, 4], 4, 1)
+    # a plan that does not fit is rejected by its SetupArgs, before any draw
+    def test_over_budget_rejected(self):
+        with pytest.raises(ConfigError, match="plan needs 16 adapters, model has 12"):
+            SetupArgs(DESK, cr.CraftConfig(), 11, 1, [1, 2, 3, 4], 4)
 
-    def test_empty_positions_rejected(self, planned):
-        _, _, stats, *_ = planned
-        with pytest.raises(ConfigError):
-            cr.build_attack_plan(stats, DESK, [], 1, 1)
-
-    def test_degenerate_stats_rejected(self, planned):
-        bad = PatchStats(mu=np.zeros(5), sigma=np.zeros(5))
-        with pytest.raises(ConfigError):
-            cr.build_attack_plan(bad, DESK, [1], 1, 1)
+    def test_empty_positions_rejected(self):
+        with pytest.raises(ConfigError, match="no target positions"):
+            SetupArgs(DESK, cr.CraftConfig(), 11, 1, [], 1)
 
     def test_json_round_trip(self, planned):
         *_, plan, _ = planned

@@ -35,8 +35,6 @@ ALLOWED: dict[str, str] = {}
 UNSET_ALLOWED: dict[str, str] = {
     "cli.main(argv)": "perfbench and the tests drive the CLI through main(argv); "
                       "the console script calls main() to read sys.argv",
-    "grad.finite_diff_check(workers)": "tests pin the FD pool size; the CLI "
-                                       "takes one worker per core",
 }
 
 

@@ -176,25 +176,18 @@ class TestInverseNormalCdf:
 
 class TestSampling:
     def test_empty(self):
-        assert nx.sample("gaussian", 0.0, 1.0, 0, nx.Rng(0)).size == 0
+        assert nx.Rng(0).normal(0.0, 1.0, 0).size == 0
+        assert nx.Rng(0).laplace(0.0, 1.0, 0).size == 0
 
     def test_gaussian_moments(self):
-        draws = nx.sample("gaussian", 0.0, 10.0, 100_000, nx.Rng(42))
+        draws = nx.Rng(42).normal(0.0, 10.0, 100_000)
         assert abs(draws.mean()) < 0.2
         assert abs(draws.std() - 10.0) < 0.2
 
     def test_laplacian_variance(self):
         b = 3.0
-        draws = nx.sample("laplacian", 0.0, b, 100_000, nx.Rng(43))
+        draws = nx.Rng(43).laplace(0.0, b, 100_000)
         assert abs(draws.var() / (2 * b * b) - 1.0) < 0.05
-
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            nx.sample("gaussian", 0.0, 0.0, 5, nx.Rng(0))
-
-    def test_unknown_distribution(self):
-        with pytest.raises(ValueError):
-            nx.sample("cauchy", 0.0, 1.0, 5, nx.Rng(0))
 
 
 class TestRng:

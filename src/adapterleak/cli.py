@@ -277,10 +277,8 @@ def _sweep_cell(cfg: ExperimentConfig, kind: str, value, seed: int):
         setup_args = replace(setup_args, adapters_per_position=value)
     elif kind == "rounds":
         fl = replace(fl, rounds=value)
-    elif kind == "noise":
+    else:  # noise
         defense = replace(defense, kind="gaussian_noise", noise_rel_sigma=value)
-    else:
-        raise ConfigError(f"unknown sweep variable {kind!r}")
     fl = replace(fl, seed=seed)
     return replace(setup_args, seed=fl.seed, rounds=fl.rounds), fl, defense
 

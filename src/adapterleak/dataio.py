@@ -79,14 +79,13 @@ class Batch:
 
 
 def synth_batch(m: int, model_cfg, seed: int, kind: str = "uniform") -> Batch:
-    """Deterministic synthetic batch: i.i.d. uniform pixels or smooth fields."""
-    if m < 1:
-        raise ValueError(f"batch size must be positive, got {m}")
+    """Deterministic synthetic batch of m >= 1 images: i.i.d. uniform pixels
+    (kind "uniform") or smooth fields (kind "smooth")."""
     c, h, w = model_cfg.C, model_cfg.H, model_cfg.W
     rng = Rng(seed)
     if kind == "uniform":
         images = rng.uniform(m * c * h * w).reshape(m, c, h, w) * 2.0 - 1.0
-    elif kind == "smooth":
+    else:  # smooth
         # Three sine waves per (image, channel). Rng is counter-based, so one
         # draw of 12 numbers per (image, channel) -- amp, fy, fx, phase for
         # each wave -- is the same stream as drawing them one at a time.
@@ -100,8 +99,6 @@ def synth_batch(m: int, model_cfg, seed: int, kind: str = "uniform") -> Batch:
         lo = field.min(axis=(2, 3), keepdims=True)
         hi = field.max(axis=(2, 3), keepdims=True)
         images = 2.0 * (field - lo) / (hi - lo) - 1.0
-    else:
-        raise ValueError(f"unknown batch kind {kind!r}")
     labels = rng.integers(0, model_cfg.num_classes, m)
     return Batch(images, labels)
 

@@ -313,13 +313,10 @@ def _observe(setup: AttackSetup, fl_cfg: FLConfig) -> Observation:
                         kind=setup.args.data_kind)
     stats = oracle.true_statistics(batch, setup.backbone, model_cfg)
     truth = oracle.ground_truth_patches(batch, model_cfg)
-    grads = []
-    for adapters in setup.adapters:
-        if fl_cfg.mode == "single_step":
-            grads.append(local_step(batch, setup.backbone, adapters, model_cfg))
-        else:
-            grads.append(local_fedavg(batch, setup.backbone, adapters, model_cfg,
-                                      fl_cfg.local_epochs, fl_cfg.learning_rate))
+    # a single step is one-epoch FedAvg, bit for bit
+    epochs = fl_cfg.local_epochs if fl_cfg.mode == "fedavg" else 1
+    grads = [local_fedavg(batch, setup.backbone, adapters, model_cfg, epochs,
+                          fl_cfg.learning_rate) for adapters in setup.adapters]
     _read_only(batch.images, batch.labels, stats, truth,
                *(t for g in grads for t in g.tensors().values()))
     return Observation(setup, fl_cfg, batch, stats, truth, tuple(grads))

@@ -53,8 +53,6 @@ from .dataio import Batch
 from .errors import ConfigError, ShapeError
 from .numerics import _PHI_SATURATION, Rng, gelu, relu, softmax_rows
 
-LN_EPS = 0.0  # crafted designs rely on pure population statistics
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -269,11 +267,9 @@ def unpatchify(patches: np.ndarray, p: int, c: int, h: int, w: int) -> np.ndarra
 
 
 def patchify_batch(images: np.ndarray, p: int) -> np.ndarray:
-    """Split (M, C, H, W) images into (M, N, C p^2) row-major patches,
-    each flattened channel-major."""
+    """Split (M, C, H, W) images, H and W divisible by p, into (M, N, C p^2)
+    row-major patches, each flattened channel-major."""
     m, c, h, w = images.shape
-    if h % p or w % p:
-        raise ShapeError(f"{h}x{w} image not divisible by patch side {p}")
     gh, gw = h // p, w // p
     # (M, C, gh, p, gw, p) -> (M, gh, gw, C, p, p) -> (M, N, C*p*p)
     tiles = images.reshape(m, c, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
@@ -287,10 +283,10 @@ def _dot(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
 
 
 def layer_normalize(x: np.ndarray):
-    """(xhat, inv_sd) of a LayerNorm over the last axis, before its affine."""
+    """(xhat, inv_sd) of a LayerNorm over the last axis, before its affine;
+    eps = 0, as crafted designs rely on pure population statistics."""
     xhat = x - x.mean(axis=-1, keepdims=True)
     inv_sd = np.square(xhat).mean(axis=-1, keepdims=True)  # numpy's own var arithmetic
-    inv_sd += LN_EPS
     np.sqrt(inv_sd, out=inv_sd)
     np.divide(1.0, inv_sd, out=inv_sd)
     xhat *= inv_sd
@@ -446,13 +442,11 @@ def forward(batch: Batch, backbone: FrozenBackbone, adapters: AdapterSet,
 
     With ``stop_after = k`` only sublayers 0..k run and the head is skipped:
     logits and loss are None, and the cache holds those k + 1 sublayers,
-    equal to the first k + 1 of a full pass.
+    equal to the first k + 1 of a full pass; k lies in [0, num_adapters).
     """
     if len(adapters) != cfg.num_adapters:
         raise ShapeError(f"expected {cfg.num_adapters} adapters, got {len(adapters)}")
     last = cfg.num_adapters - 1 if stop_after is None else stop_after
-    if not 0 <= last < cfg.num_adapters:
-        raise ShapeError(f"cannot stop after sublayer {last} of {cfg.num_adapters}")
     tokens = build_tokens(batch, backbone, cfg)
     cache = ForwardCache()
     for s in range(last + 1):

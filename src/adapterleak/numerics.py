@@ -79,15 +79,11 @@ _P_LOW = 0.02425
 def inverse_normal_cdf(p, mu: float = 0.0, sigma: float = 1.0):
     """Quantile of N(mu, sigma^2); rational approximation plus one Halley step.
 
-    Accepts scalars or arrays with entries strictly inside (0, 1).
+    Accepts scalars or arrays with entries strictly inside (0, 1); sigma > 0.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     p_arr = as_f64(p)
     scalar = p_arr.ndim == 0
     p_arr = np.atleast_1d(p_arr)
-    if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
-        raise ValueError("p must lie strictly inside (0, 1)")
 
     x = np.empty_like(p_arr)
     lo = p_arr < _P_LOW

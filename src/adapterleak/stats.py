@@ -35,11 +35,7 @@ def content_statistics(images: np.ndarray, e: np.ndarray, e_pos: np.ndarray,
 
 def estimate_patch_stats(images: np.ndarray, e: np.ndarray, e_pos: np.ndarray,
                          cfg: ModelConfig) -> PatchStats:
-    """Sample mean/std (unbiased) of the statistic per patch position."""
-    images = np.asarray(images, dtype=np.float64)
-    m = images.shape[0]
-    if m < 2:
-        raise DegenerateStatsError(f"need at least 2 public images, got {m}")
+    """Sample mean/std (unbiased) of the statistic per patch position, m >= 2."""
     stats = content_statistics(images, e, e_pos, cfg)
     mu = np.zeros(cfg.N + 1)
     sigma = np.zeros(cfg.N + 1)

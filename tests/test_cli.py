@@ -182,6 +182,8 @@ CONFIG_ERRORS = {
     "C_0": ("C = 3", "C = 0", ("craft", "run", "sweep")),
     # both negative: the patch count (H / P) * (W / P) is positive
     "HW_neg": ("H = 8\nW = 8", "H = -8\nW = -8", ("craft", "run", "sweep")),
+    # ModelConfig's divisibility rule, the one check of the patch grid
+    "H_indivisible": ("H = 8", "H = 10", ("craft", "run", "sweep")),
     "classes_0": ("num_classes = 10", "num_classes = 0", ("craft", "run", "sweep")),
     "classes_neg": ("num_classes = 10", "num_classes = -3", ("craft", "run", "sweep")),
     "classes_1": ("num_classes = 10", "num_classes = 1", ("craft", "run", "sweep")),
@@ -803,6 +805,15 @@ class TestSweepCommand:
                    "--values", values, "--out", str(out)])
         assert rc == 2
         assert "names no value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_variable_rejected_by_argparse(self, tiny_cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(tiny_cfg_file), "--vary", "x",
+                  "--values", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'x'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cells_run_on_the_calling_thread(self, tiny_cfg_file, tmp_path, monkeypatch):

@@ -20,6 +20,10 @@ by some call there; a default no call overrides is a constant. A call sets
 a parameter by its keyword or its position (a method's first parameter is
 its receiver), and a call with ``*args`` or ``**kwargs`` sets every
 parameter it could reach. Dunder methods are not checked.
+
+Every exception class defined in ``errors.py`` is raised somewhere in
+``src/``: by a ``raise`` of the class or of a call to it, by bare name or
+attribute. A class that is only caught or imported is dead.
 """
 
 import ast
@@ -111,6 +115,19 @@ def unread_record_keys(src: Path = SRC) -> list[str]:
                     and id(node) not in written)
     return [k.value for k in record.keys
             if isinstance(k, ast.Constant) and not named[k.value]]
+
+
+def unraised_errors(src: Path = SRC) -> list[str]:
+    """Exception classes of ``errors.py`` that no ``raise`` in ``src/`` names."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    raised = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised[getattr(exc, "id", None) or getattr(exc, "attr", None)] += 1
+    return [f"errors.{node.name}" for node in trees["errors"].body
+            if isinstance(node, ast.ClassDef) and not raised[node.name]]
 
 
 def _functions(body, prefix="", in_class=False):
@@ -214,3 +231,21 @@ def test_unread_record_key_flagged(tmp_path):
         "    record.append({'read': x, 'by_get': x, 'unread': x})\n\n"
         "def use(sub):\n    return sub['read'], sub.get('by_get'), {'unread': 0}\n")
     assert unread_record_keys(tmp_path) == ["unread"]
+
+
+def test_every_error_class_is_raised_in_src():
+    unraised = unraised_errors()
+    assert not unraised, f"defined in errors.py, raised nowhere in src/: {unraised}"
+
+
+def test_unraised_error_class_flagged(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Called(ValueError):\n    pass\n\n"
+        "class Bare(ValueError):\n    pass\n\n"
+        "class ByAttr(ValueError):\n    pass\n\n"
+        "class OnlyCaught(ValueError):\n    pass\n")
+    (tmp_path / "m.py").write_text(
+        "from errors import Bare, Called, OnlyCaught\nimport errors\n\n"
+        "def use(x):\n    try:\n        if x:\n            raise Called('x')\n"
+        "        raise Bare\n    except OnlyCaught:\n        raise errors.ByAttr() from None\n")
+    assert unraised_errors(tmp_path) == ["errors.OnlyCaught"]

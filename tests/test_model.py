@@ -67,10 +67,6 @@ class TestPatchify:
         back = mdl.unpatchify(patchify(img, 4), 4, 3, 8, 8)
         assert np.array_equal(back, img)
 
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ShapeError):
-            mdl.patchify_batch(np.zeros((2, 3, 8, 8)), 3)
-
     def test_batch_is_per_image_patches(self):
         images = Rng(7).uniform(5 * 3 * 8 * 12).reshape(5, 3, 8, 12)
         batch = mdl.patchify_batch(images, 4)
@@ -227,14 +223,6 @@ class TestTruncatedForward:
             assert logits is None and loss is None
             assert cache.probs is None and cache.final == {}
             assert _bit_equal(cache.sublayers, full.sublayers[: k + 1])
-
-    @pytest.mark.parametrize("stop_after", [-1, 4])
-    def test_out_of_range_rejected(self, stop_after):
-        cfg = tiny_cfg()
-        bb = mdl.random_backbone(cfg, Rng(23))
-        with pytest.raises(ShapeError):
-            mdl.forward(synth_batch(1, cfg, seed=1), bb, mdl.AdapterSet.zeros(cfg),
-                        cfg, stop_after)
 
     def test_backward_rejects_truncated_cache(self):
         from adapterleak.grad import backward_adapters

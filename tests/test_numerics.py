@@ -166,13 +166,6 @@ class TestInverseNormalCdf:
         xs = nx.inverse_normal_cdf(ps)
         assert np.all(np.diff(xs) > 0.0)
 
-    def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                nx.inverse_normal_cdf(bad)
-        with pytest.raises(ValueError):
-            nx.inverse_normal_cdf(0.5, 0.0, -1.0)
-
 
 class TestSampling:
     def test_empty(self):
